@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d, fftconvolve
 
 from .inner import RationalInnerMatrix
 from .modelspace import (
+    BlockToeplitz,
     ModelWorkspace,
     OpMatrix,
     Subspace,
     TruncGrid,
     backward_shift,
+    block_convolve,
     commutator,
     compressed_shift,
     probe_model_basis,
@@ -54,7 +55,8 @@ def _null_vectors(G: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
     s = G.shape[1]
     if s == 0:
         return np.zeros((0, 0), dtype=complex)
-    _, sig, Vh = np.linalg.svd(G, full_matrices=True)
+    # with rows >= cols the thin factorization already carries all of Vh
+    _, sig, Vh = np.linalg.svd(G, full_matrices=G.shape[0] < s)
     thr = max(RANK_ABS_TOL, noise_floor)
     if sig.size:
         thr = max(thr, RANK_REL_TOL * sig[0])
@@ -75,31 +77,17 @@ def _invariance_block(theta: RationalInnerMatrix, basis: Subspace,
     """Stacked coefficients of Theta*(z1^k phi) for k = 0..K_depth.
 
     The k-th map only adds output rows below z1-degree zero of the k = 0
-    map, so a single cross-correlation per column and component yields
-    every constraint; the returned block has one row per coefficient of
-    the deepest map and one column per basis vector.
+    map, so one adjoint convolution of z1^K_depth phi on the grid raised by
+    K_depth degrees in z1 yields every constraint; the returned block has
+    one row per coefficient of the deepest map and one column per basis
+    vector.
     """
     grid = basis.grid
-    A, B, d = grid.A, grid.B, grid.d
-    table = expand(theta, A + K_depth, B)
-    W = table.coeffs
-    Wrev = np.conj(W)[::-1, ::-1]
-    At, Bt = table.A, table.B
-    s = basis.dim
-    rows = (A + K_depth + 1) * (B + 1) * d
-    G = np.empty((rows, s), dtype=complex)
-    for col in range(s):
-        phi = basis.basis[:, col].reshape(A + 1, B + 1, d)
-        blocks = []
-        for i in range(d):
-            acc = None
-            for j in range(d):
-                c = fftconvolve(phi[:, :, j], Wrev[:, :, j, i])
-                acc = c if acc is None else acc + c
-            # acc[s_idx, t] = sum_{c,e} conj(W[c,e][j,i]) phi_j[s_idx - At + c, t - Bt + e]
-            blocks.append(acc[At - K_depth: At + A + 1, Bt: Bt + B + 1])
-        G[:, col] = np.stack(blocks, axis=-1).ravel()
-    return G
+    deep = TruncGrid(grid.A + K_depth, grid.B, grid.d)
+    table = expand(theta, deep.A, deep.B)
+    lifted = np.zeros((deep.A + 1, grid.B + 1, grid.d, basis.dim), dtype=complex)
+    lifted[K_depth:] = grid.as_box(basis.basis)
+    return BlockToeplitz(table, deep).H @ lifted.reshape(deep.dim, basis.dim)
 
 
 def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
@@ -265,12 +253,9 @@ def _den_polys(theta: RationalInnerMatrix, cols: np.ndarray, grid: TruncGrid):
     dp1, dp2 = theta.p.deg1, theta.p.deg2
     big = TruncGrid(grid.A + dp1, grid.B + dp2, grid.d)
     ncols = cols.shape[1]
-    out = np.zeros((big.A + 1, big.B + 1, grid.d, ncols), dtype=complex)
-    box = cols.reshape(grid.A + 1, grid.B + 1, grid.d, ncols)
-    for k in range(grid.d):
-        for i in range(ncols):
-            out[:, :, k, i] = convolve2d(box[:, :, k, i], theta.p.coeffs)
-    return out, big
+    box = cols.reshape(grid.A + 1, grid.B + 1, 1, grid.d * ncols)
+    out = block_convolve(box, theta.p.coeffs[:, :, None, None])
+    return out.reshape(big.A + 1, big.B + 1, grid.d, ncols), big
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,29 @@
 Functions on the bidisk with d components are coordinatized on a finite
 degree box: index (a, b, k) with z1-degree a <= A, z2-degree b <= B and
 component k maps to a flat position lexicographically.  On that box the
-module builds the multiplication operator of an inner function (block
-Toeplitz in both degree indices), its adjoint, the induced projection
-onto the truncated model space, orthonormal model-space bases, compressed
-shifts, self-commutators, and numerical rank estimates swept over a
-truncation schedule.
+module applies the multiplication operator of an inner function, its
+adjoint and the induced truncated model projection, and builds
+orthonormal model-space bases, compressed shifts, self-commutators, and
+numerical rank estimates swept over a truncation schedule.
+
+No operator is stored as an n x n matrix.  Multiplication by Theta is
+block Toeplitz in both degree indices, so ``BlockToeplitz`` applies it as
+a 2-D block convolution by FFT, and ``ModelProjection`` applies I - M M*
+on top of it; memory grows with the grid, not with its square.
+``analytic_mult`` keeps the dense matrix as a reference for tests.
+
+Multiplication is causal and its adjoint anti-causal: Theta* only lowers
+degrees.  So on any lower box W inside a larger box, the projection's
+columns at lattice points of W, cut back to W, equal I - M_W M_W* built
+on W alone.  The headroom grid ("padded") is therefore needed only where
+a vector leaves the working grid: for the shift, which raises one degree,
+and for measuring the coefficient mass a restriction chops off.
+
+Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
+randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
+sketches the span of the projected probe monomials, and a pivoted QR of
+the small coordinate matrix restores the orientation and the rank rule of
+a pivoted QR over all probe columns.
 
 Truncation is the artifact here, not an afterthought: every operator is
 computed with degree headroom ("pad") so that one variable multiplication
@@ -158,7 +176,8 @@ def analytic_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
     """Dense matrix of multiplication by Theta on the grid.
 
     Block Toeplitz in both degree indices; output degrees beyond the grid
-    are discarded.  The Taylor cutoffs must cover the grid.
+    are discarded.  The Taylor cutoffs must cover the grid.  This is the
+    dense reference for ``BlockToeplitz``; the library never forms it.
     """
     if table.A < grid.A or table.B < grid.B or table.d != grid.d:
         raise ValueError("Taylor table does not cover the grid")
@@ -191,8 +210,127 @@ def adjoint_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
 
 def project_model(table: TaylorTable, grid: TruncGrid, f: np.ndarray) -> np.ndarray:
     """Apply the truncated model-space projection f - Theta (Theta* f)."""
-    M = analytic_mult(table, grid)
-    return f - M @ (M.conj().T @ f)
+    return ModelProjection(BlockToeplitz(table, grid)) @ f
+
+
+# ----------------------------------------------------------------------
+# convolution engine
+# ----------------------------------------------------------------------
+
+def _fast_len(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
+def _block_product(blocks: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Blockwise blocks @ x (blocks^H @ x if adjoint) over the leading axes.
+
+    blocks has shape (..., p, q) and x (..., q, k) ((..., p, k) if adjoint),
+    broadcasting over the leading axes; the blocks are tiny, so the
+    products are unrolled.
+    """
+    if adjoint:
+        blocks = blocks.conj().swapaxes(-1, -2)
+    out = np.empty(x.shape[:-2] + (blocks.shape[-2], x.shape[-1]), dtype=complex)
+    for i in range(blocks.shape[-2]):
+        acc = blocks[..., i, 0, None] * x[..., 0, :]
+        for j in range(1, blocks.shape[-1]):
+            acc += blocks[..., i, j, None] * x[..., j, :]
+        out[..., i, :] = acc
+    return out
+
+
+def block_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Full 2-D linear convolution of coefficient boxes, block by block, by FFT.
+
+    For x of shape (n1, n2, q, k) (k columns of C^q coefficient boxes) and
+    blocks w of shape (m1, m2, p, q), returns y of shape
+    (n1 + m1 - 1, n2 + m2 - 1, p, k) with
+    y[s, t] = sum_{c, e} w[c, e] @ x[s - c, t - e].
+    """
+    size = (x.shape[0] + w.shape[0] - 1, x.shape[1] + w.shape[1] - 1)
+    fft_shape = (_fast_len(size[0]), _fast_len(size[1]))
+    spec = _block_product(np.fft.fft2(w, s=fft_shape, axes=(0, 1)),
+                          np.fft.fft2(x, s=fft_shape, axes=(0, 1)), False)
+    return np.fft.ifft2(spec, axes=(0, 1))[: size[0], : size[1]]
+
+
+# Tables with at most this many nonzero coefficient blocks (polynomial
+# Theta) are applied as shifted block products, which beat an FFT there.
+_DIRECT_MAX_BLOCKS = 16
+
+
+class BlockToeplitz:
+    """Multiplication by Theta on one degree box, applied as a convolution.
+
+    ``M @ x`` and ``M.H @ x`` take a flat vector on the box or a block of
+    such columns.  Output degrees beyond the box are dropped, as in
+    ``analytic_mult``, whose matrix this operator never forms.  It stores
+    either the few nonzero coefficient blocks of a polynomial Theta, applied
+    by shifted adds, or the spectrum of the box's Taylor coefficients,
+    applied by FFT.
+    """
+
+    def __init__(self, table: TaylorTable, grid: TruncGrid, adjoint: bool = False,
+                 _kernel=None):
+        if table.A < grid.A or table.B < grid.B or table.d != grid.d:
+            raise ValueError("Taylor table does not cover the grid")
+        self.table = table
+        self.grid = grid
+        self.adjoint = adjoint
+        # 2A + 1 points keep the circular wrap-around off degrees 0..A, for
+        # the causal product and the anti-causal adjoint alike
+        self.fft_shape = (_fast_len(2 * grid.A + 1), _fast_len(2 * grid.B + 1))
+        if _kernel is None:
+            coeffs = table.coeffs[: grid.A + 1, : grid.B + 1]
+            taps = np.argwhere(np.abs(coeffs).max(axis=(2, 3)) > 0.0)
+            if len(taps) <= _DIRECT_MAX_BLOCKS:
+                _kernel = [(c, e, coeffs[c, e]) for c, e in taps]
+            else:
+                _kernel = np.fft.fft2(coeffs, s=self.fft_shape, axes=(0, 1))
+        self._kernel = _kernel
+
+    @property
+    def H(self) -> "BlockToeplitz":
+        return BlockToeplitz(self.table, self.grid, not self.adjoint, self._kernel)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        g = self.grid
+        if x.shape[0] != g.dim:
+            raise ValueError("vector length disagrees with the grid dimension")
+        if x.size == 0:
+            return np.zeros(x.shape, dtype=complex)
+        box = x.reshape(g.A + 1, g.B + 1, g.d, -1)
+        if isinstance(self._kernel, list):
+            out = np.zeros(box.shape, dtype=complex)
+            for c, e, blk in self._kernel:
+                if self.adjoint:
+                    out[: g.A + 1 - c, : g.B + 1 - e] += _block_product(blk, box[c:, e:], True)
+                else:
+                    out[c:, e:] += _block_product(blk, box[: g.A + 1 - c, : g.B + 1 - e], False)
+        else:
+            spec = np.fft.fft2(box, s=self.fft_shape, axes=(0, 1))
+            out = np.fft.ifft2(_block_product(self._kernel, spec, self.adjoint),
+                               axes=(0, 1))[: g.A + 1, : g.B + 1]
+        return out.reshape(x.shape)
+
+
+class ModelProjection:
+    """Truncated model projection I - M M* on the box of a ``BlockToeplitz`` M."""
+
+    def __init__(self, mult: BlockToeplitz):
+        self.mult = mult
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x - self.mult @ (self.mult.H @ x)
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +343,24 @@ def default_pad(theta: RationalInnerMatrix) -> tuple[int, int]:
     return m1 + 2, m2 + 2
 
 
+# The range finder samples this many columns beyond its rank bound, and
+# draws them from a fixed seed so every basis is reproducible.
+_SKETCH_OVERSAMPLE = 10
+_SKETCH_SEED = 0
+
+# Complex entries of the column spectra one defect batch may hold (16 MB).
+_DEFECT_BATCH_ENTRIES = 1 << 20
+
+
 class ModelWorkspace:
     """Shared truncation machinery for one (Theta, grid, pad) triple.
 
-    Holds the padded grid, the Taylor table on it, the multiplication
-    matrix and the truncated model projection.  Everything downstream
-    (bases, shifts, invariant subspaces, kernel evaluations) reuses these.
+    Holds the padded grid, the Taylor table on it, and the multiplication
+    operator ``mult`` and truncated model projection ``proj`` on the padded
+    grid, both convolution operators.  Bases, shifts and the chopped-mass
+    defect run on the working grid or one degree beyond it, where the
+    anti-causal identity (module docstring) makes them agree with the
+    padded projection.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
@@ -225,38 +375,85 @@ class ModelWorkspace:
         self.padded = TruncGrid(grid.A + self.pad[0], grid.B + self.pad[1], grid.d)
         self.table = expand(theta, self.padded.A, self.padded.B)
         self.decay = tail_diagnostic(self.table)
-        self.mult = analytic_mult(self.table, self.padded)
-        self.proj = np.eye(self.padded.dim) - self.mult @ self.mult.conj().T
+        self.mult = BlockToeplitz(self.table, self.padded)
+        self.proj = ModelProjection(self.mult)
+        self._mults: dict[tuple[int, int], BlockToeplitz] = {}
 
-    def model_columns(self, probe: TruncGrid) -> np.ndarray:
-        """Projections of the probe monomials, restricted to the working grid.
-
-        Columns are P e_m for every lattice point m of `probe`, computed on
-        the padded grid and cut back to the working grid's support.
-        """
-        cols, _ = self.model_columns_with_defect(probe)
-        return cols
-
-    def model_columns_with_defect(self, probe: TruncGrid):
-        """Restricted probe projections plus the largest chopped-off mass.
-
-        The defect (max column norm outside the working grid) measures the
-        truncation noise the restriction introduces; it vanishes for
-        polynomial Theta whenever the pad covers the Taylor support.
-        """
-        idx_probe = probe.indices_in(self.padded)
-        cols = self.proj[:, idx_probe]
-        outside = np.ones(self.padded.dim, dtype=bool)
-        outside[self.grid.indices_in(self.padded)] = False
-        defect = 0.0
-        if outside.any() and cols.size:
-            defect = float(np.linalg.norm(cols[outside], axis=0).max())
-        return cols[self.grid.indices_in(self.padded)], defect
+    def mult_on(self, grid: TruncGrid) -> BlockToeplitz:
+        """Multiplication by Theta on a box inside the padded grid (cached)."""
+        key = (grid.A, grid.B)
+        if key not in self._mults:
+            self._mults[key] = BlockToeplitz(self.table, grid)
+        return self._mults[key]
 
     def project_grid_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Project a working-grid vector, staying on the working grid."""
-        v = self.grid.embed(vec, self.padded)
-        return self.padded.restrict(self.proj @ v, self.grid)
+        """Project working-grid vectors (or columns), staying on the working grid."""
+        return ModelProjection(self.mult_on(self.grid)) @ vec
+
+    def probe_coords(self, frame: np.ndarray, probe: TruncGrid) -> np.ndarray:
+        """Coordinates in `frame` of the projected probe monomials.
+
+        Equals frame* P e_m over the lattice points m of `probe`, computed
+        as (P frame)* restricted to those points since P is self-adjoint.
+        """
+        return self.project_grid_vec(frame)[probe.indices_in(self.grid)].conj().T
+
+    def model_span(self, probe: TruncGrid) -> np.ndarray:
+        """Orthonormal basis, on the working grid, of the projected probe monomials.
+
+        Sketches the span with a seeded complex Gaussian test block whose
+        width is a rank bound plus oversampling, doubling the width while
+        the sketch comes back full.  With (m1, m2) = deg Theta, the bound
+        d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
+        d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
+        degree (A - m1, B - m2), which the projection annihilates; when Q
+        has higher degree the doubling makes up for it.  A pivoted QR of
+        the small coordinate matrix then picks the basis and its rank as a
+        pivoted QR over every probe column would.
+        """
+        idx = probe.indices_in(self.grid)
+        m1, m2 = self.theta.deg
+        width = probe.d * (m1 * (probe.B + 1) + m2 * (probe.A + 1)) + _SKETCH_OVERSAMPLE
+        rng = np.random.default_rng(_SKETCH_SEED)
+        while True:
+            sample = np.zeros((self.grid.dim, min(width, idx.size)), dtype=complex)
+            if width >= idx.size:
+                sample[idx, np.arange(idx.size)] = 1.0
+            else:
+                sample[idx] = (rng.standard_normal((idx.size, width))
+                               + 1j * rng.standard_normal((idx.size, width)))
+            frame = _orth_columns(self.project_grid_vec(sample))
+            if width >= idx.size or frame.shape[1] < width:
+                break
+            width *= 2
+        return frame @ _orth_columns(self.probe_coords(frame, probe))
+
+    def chopped_defect(self, probe: TruncGrid) -> float:
+        """Largest mass a projected probe monomial carries outside the working grid.
+
+        Measures the truncation noise that restricting to the working grid
+        introduces; it vanishes for polynomial Theta whenever the pad covers
+        the Taylor support.  Outside the working grid P e_m is -M M* e_m,
+        and M M* is self-adjoint, so the masses are row norms of M M*
+        applied to the outside unit vectors, which are fewer than the probe
+        monomials; they are taken in batches of bounded memory.
+        """
+        outside = np.ones(self.padded.dim, dtype=bool)
+        outside[self.grid.indices_in(self.padded)] = False
+        outside = np.flatnonzero(outside)
+        if outside.size == 0 or probe.dim == 0:
+            return 0.0
+        rows = probe.indices_in(self.padded)
+        L1, L2 = self.mult.fft_shape
+        batch = max(1, _DEFECT_BATCH_ENTRIES // (L1 * L2 * self.grid.d))
+        mass = np.zeros(rows.size)
+        for start in range(0, outside.size, batch):
+            cols = outside[start: start + batch]
+            unit = np.zeros((self.padded.dim, cols.size))
+            unit[cols, np.arange(cols.size)] = 1.0
+            chopped = (self.mult @ (self.mult.H @ unit))[rows]
+            mass += np.sum(np.abs(chopped) ** 2, axis=1)
+        return float(np.sqrt(mass.max()))
 
 
 def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray:
@@ -276,13 +473,11 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
                 pad: tuple[int, int] | None = None) -> Subspace:
     """Orthonormal basis of the truncated model space on `grid`.
 
-    Projects every monomial basis vector on the padded grid, restricts to
-    the nominal grid, and orthonormalizes with a rank-revealing pivoted QR.
+    Spans the projections of every monomial of the grid, restricted to the
+    grid, with the rank decided by the pivoted-QR rule.
     """
     ws = ModelWorkspace(theta, grid, pad)
-    cols = ws.model_columns(grid)
-    basis = _orth_columns(cols)
-    return Subspace(grid, basis, f"model({theta.label})", ws)
+    return Subspace(grid, ws.model_span(grid), f"model({theta.label})", ws)
 
 
 def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
@@ -298,9 +493,7 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
     pad = pad if pad is not None else default_pad(theta)
     work = TruncGrid(A + pad[0], B + pad[1], theta.d)
     ws = ModelWorkspace(theta, work, pad)
-    idx = TruncGrid(A, B, theta.d).indices_in(ws.padded)
-    cols = ws.proj[:, idx][work.indices_in(ws.padded)]
-    basis = _orth_columns(cols)
+    basis = ws.model_span(TruncGrid(A, B, theta.d))
     return Subspace(work, basis, f"model({theta.label})@({A},{B})", ws)
 
 
@@ -313,17 +506,22 @@ def _workspace_for(theta: RationalInnerMatrix, basis: Subspace) -> ModelWorkspac
 def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpMatrix:
     """Matrix of the compressed shift: project z_j times each basis column.
 
-    Entries are <P(z_j phi_beta), phi_alpha>, evaluated on the padded grid
-    so the multiplication never overflows before projecting.
+    Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
+    - <Theta*(z_j phi_beta), Theta* phi_alpha>, evaluated on the basis grid
+    raised by one degree in z_j, so the multiplication never overflows and
+    the anti-causal adjoint needs no further headroom.
     """
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
     ws = _workspace_for(theta, basis)
     if ws.pad[j - 1] < 1:
         raise ValueError("pad too small for a shift in this variable")
-    Bp = basis.grid.embed(basis.basis, ws.padded)
-    W = ws.proj @ shift_mult(Bp, ws.padded, j)
-    S = Bp.conj().T @ W
+    g = basis.grid
+    big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
+    Bb = g.embed(basis.basis, big)
+    Z = shift_mult(Bb, big, j)
+    adj = ws.mult_on(big).H
+    S = Bb.conj().T @ Z - (adj @ Bb).conj().T @ (adj @ Z)
     return OpMatrix(S, basis, basis)
 
 
@@ -417,7 +615,7 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     monomials of the nominal (A, B) window before reading singular
     values; the compression keeps truncation-edge reflections out of the
     estimate.  For non-polynomial Theta an additional absolute floor
-    proportional to the Taylor tail norm discounts truncation noise.
+    proportional to the chopped-mass defect discounts truncation noise.
     """
     pad = pad if pad is not None else default_pad(theta)
     work = TruncGrid(A + pad[0], B + pad[1], theta.d)
@@ -425,12 +623,12 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     ws = basis.workspace
     S = compressed_shift(theta, basis, 1)
     C = commutator(S)
-    probe_cols, defect = ws.model_columns_with_defect(TruncGrid(A, B, theta.d))
-    X = _orth_columns(basis.coords(probe_cols))
+    probe = TruncGrid(A, B, theta.d)
+    X = _orth_columns(ws.probe_coords(basis.basis, probe))
     CX = X.conj().T @ C.matrix @ X
     floor = tol_abs
     if ws.decay.decay_class is not DecayClass.FINITE:
-        floor = max(floor, TRUNC_NOISE_SLACK * defect)
+        floor = max(floor, TRUNC_NOISE_SLACK * ws.chopped_defect(probe))
     rank, sig = numerical_rank(CX, tol_rel, floor)
     return RankLevel(A, B, X.shape[1], sig, rank)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .tolerances import GCD_ZERO_REL, RANK_REL_TOL, TRIM_TOL
 
@@ -28,6 +27,21 @@ class PolyDivisionError(ArithmeticError):
 
 class GcdSliceWarning(UserWarning):
     """Bivariate GCD degree disagrees with the univariate slice oracle."""
+
+
+def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D linear convolution of two coefficient grids.
+
+    One shifted add of the larger grid per nonzero coefficient of the
+    smaller; polynomial grids here have a handful of coefficients.
+    """
+    if a.size < b.size:
+        a, b = b, a
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+                   dtype=np.result_type(a, b))
+    for i, j in zip(*np.nonzero(b)):
+        out[i: i + a.shape[0], j: j + a.shape[1]] += b[i, j] * a
+    return out
 
 
 def _trim_grid(c: np.ndarray) -> np.ndarray:
@@ -137,7 +151,7 @@ class BiPoly:
         if isinstance(other, BiPoly):
             if self.is_zero or other.is_zero:
                 return BiPoly.zero()
-            return BiPoly(convolve2d(self.coeffs, other.coeffs))
+            return BiPoly(_convolve2d(self.coeffs, other.coeffs))
         return BiPoly(self.coeffs * complex(other))
 
     def __rmul__(self, other):
@@ -252,7 +266,7 @@ def mul_star(f: BiPoly, g: BiPoly) -> LaurentBiPoly:
     exponent window given by the participating degrees.
     """
     rev = np.conj(g.coeffs)[::-1, ::-1]
-    prod = convolve2d(f.coeffs, rev)
+    prod = _convolve2d(f.coeffs, rev)
     # prod index (i, j) carries exponent (i - deg1(g), j - deg2(g))
     w1 = max(f.deg1, g.deg1)
     w2 = max(f.deg2, g.deg2)

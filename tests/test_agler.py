@@ -116,6 +116,20 @@ def test_smax1_invariance_witness():
         assert np.linalg.norm(pv - v) <= 1e-7
 
 
+def test_smax1_floor_follows_pivoted_basis_orientation():
+    # The slow-decay noise floor of compute_smax1 is twice the largest
+    # Theta*-defect of a single basis column, so it depends on which
+    # orthonormal basis spans the model space.  Here a singular value of
+    # 1.74e-3 sits between the floor of the pivoted-QR basis (3.31e-3) and
+    # that of a random orthonormal basis of the same span (1.21e-3); the
+    # pivoted orientation gives dimension 25 and wandering dims (1, 1).
+    th = builtin("scalar_stable4")
+    sp = agler_spaces(th, 24, 24)
+    assert sp.model.dim == 49
+    assert sp.smax1.dim == 25
+    assert kernel_space_dims(th, sp) == (1, 1)
+
+
 # -- wandering dimensions ----------------------------------------------
 
 def test_kernel_dims_monomial():

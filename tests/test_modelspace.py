@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.signal import convolve2d
 
+from bidisklab import modelspace
 from bidisklab.inner import builtin, from_scalar, scalar_z2n, unitary_conjugate
 from bidisklab.modelspace import (
     ModelWorkspace,
     TruncGrid,
     adjoint_mult,
     analytic_mult,
+    block_convolve,
     commutator,
     compressed_shift,
     model_basis,
@@ -18,7 +22,7 @@ from bidisklab.modelspace import (
     shift_mult,
     SweepVerdict,
 )
-from bidisklab.polynomials import BiPoly
+from bidisklab.polynomials import BiPoly, _convolve2d
 from bidisklab.taylor import expand, tail_diagnostic, DecayClass
 
 
@@ -326,3 +330,138 @@ def test_probe_basis_orthonormal_and_sized():
     assert sub.dim == 14
     gram = sub.basis.conj().T @ sub.basis
     assert np.linalg.norm(gram - np.eye(sub.dim)) < 1e-10
+
+
+# -- convolution engine against dense references ---------------------------
+
+BUILTINS = ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2", "scalar_favorite",
+            "scalar_stable4", "scalar_z1z2")
+
+
+@pytest.mark.parametrize("path", ["direct", "fft"])
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("A,B", [(3, 3), (4, 2), (2, 5)])
+def test_convolution_operators_match_dense(name, A, B, path, monkeypatch):
+    # polynomial builtins take the shifted-add path unless it is switched off
+    if path == "fft":
+        monkeypatch.setattr(modelspace, "_DIRECT_MAX_BLOCKS", 0)
+    th = builtin(name)
+    ws = ModelWorkspace(th, TruncGrid(A, B, th.d))
+    M = analytic_mult(ws.table, ws.padded)
+    eye = np.eye(ws.padded.dim)
+    assert np.abs(ws.mult @ eye - M).max() < 1e-13
+    assert np.abs(ws.mult.H @ eye - M.conj().T).max() < 1e-13
+    proj = eye - M @ M.conj().T
+    assert np.abs(ws.proj @ eye - proj).max() < 1e-13
+    # anti-causal identity: the padded projection cut to the working grid
+    # is the projection built on the working grid alone
+    work = ws.grid.indices_in(ws.padded)
+    assert np.abs(ws.project_grid_vec(np.eye(ws.grid.dim))
+                  - proj[np.ix_(work, work)]).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["scalar_stable4", "scalar_favorite", "hadamard_z1z2"])
+def test_chopped_defect_matches_dense_columns(name):
+    th = builtin(name)
+    probe = TruncGrid(5, 4, th.d)
+    ws = ModelWorkspace(th, TruncGrid(8, 7, th.d), (3, 3))
+    M = analytic_mult(ws.table, ws.padded)
+    cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
+    outside = np.ones(ws.padded.dim, dtype=bool)
+    outside[ws.grid.indices_in(ws.padded)] = False
+    ref = float(np.linalg.norm(cols[outside], axis=0).max())
+    assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
+
+
+def test_convolution_operators_vector_and_block_agree():
+    th = builtin("hadamard_z1z2")
+    ws = ModelWorkspace(th, TruncGrid(5, 3, 2))
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((ws.padded.dim, 4)) + 1j * rng.standard_normal((ws.padded.dim, 4))
+    block = ws.proj @ F
+    for k in range(4):
+        assert np.allclose(ws.proj @ F[:, k], block[:, k], atol=1e-14)
+    assert (ws.mult @ F[:, :0]).shape == (ws.padded.dim, 0)
+
+
+def test_block_convolve_matches_direct_sum():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((4, 3, 2, 5)) + 1j * rng.standard_normal((4, 3, 2, 5))
+    w = rng.standard_normal((2, 3, 3, 2)) + 1j * rng.standard_normal((2, 3, 3, 2))
+    y = block_convolve(x, w)
+    ref = np.zeros((5, 5, 3, 5), dtype=complex)
+    for c in range(2):
+        for e in range(3):
+            ref[c: c + 4, e: e + 3] += np.einsum("ij,abjk->abik", w[c, e], x)
+    assert np.abs(y - ref).max() < 1e-13
+
+
+def test_polynomial_convolution_matches_scipy():
+    rng = np.random.default_rng(5)
+    for shape_a, shape_b in [((3, 2), (2, 4)), ((1, 1), (3, 3)), ((5, 1), (1, 5))]:
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.abs(_convolve2d(a, b) - convolve2d(a, b)).max() < 1e-14
+
+
+def _dense_reference_basis(theta, work, probe, pad):
+    """Pivoted QR over every restricted probe column of the dense projection."""
+    ws = ModelWorkspace(theta, work, pad)
+    M = analytic_mult(ws.table, ws.padded)
+    proj = np.eye(ws.padded.dim) - M @ M.conj().T
+    cols = proj[:, probe.indices_in(ws.padded)][work.indices_in(ws.padded)]
+    Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return Q[:, : int(np.sum(diag > 1e-8 * diag[0]))]
+
+
+def _largest_angle_sine(U, V):
+    assert U.shape == V.shape
+    return float(np.linalg.norm(V - U @ (U.conj().T @ V), 2))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("A,B", [(3, 3), (5, 2)])
+def test_sketched_bases_span_dense_reference(name, A, B):
+    th = builtin(name)
+    pad = modelspace.default_pad(th)
+    grid = TruncGrid(A, B, th.d)
+    sub = model_basis(th, grid)
+    ref = _dense_reference_basis(th, grid, grid, pad)
+    assert _largest_angle_sine(sub.basis, ref) < 1e-12
+    probe = probe_model_basis(th, A, B)
+    ref = _dense_reference_basis(th, probe.grid, grid, pad)
+    assert _largest_angle_sine(probe.basis, ref) < 1e-12
+
+
+def test_sketch_widens_until_it_is_not_full(monkeypatch):
+    th = builtin("hadamard_z1z2")
+    ref = probe_model_basis(th, 6, 6)
+    # the rank bound is 2 (7 + 7) = 28 for dimension 14; start the sketch at 4
+    monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -24)
+    sub = probe_model_basis(th, 6, 6)
+    assert sub.dim == ref.dim == 14
+    assert _largest_angle_sine(sub.basis, ref.basis) < 1e-12
+
+
+def test_workspace_holds_no_square_array():
+    th = builtin("hadamard_z1z2")
+    sub = model_basis(th, TruncGrid(40, 40, 2))
+    compressed_shift(th, sub, 1)
+    ws = sub.workspace
+    limit = ws.grid.dim ** 2
+    seen, stack, sizes = set(), [ws], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            sizes.append(obj.size)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and type(obj).__module__.startswith("bidisklab"):
+            stack.extend(vars(obj).values())
+    assert sizes and max(sizes) < limit
