@@ -28,12 +28,12 @@ from .modelspace import (
     Subspace,
     TruncGrid,
     backward_shift,
-    block_convolve,
     commutator,
     compressed_shift,
     probe_model_basis,
     shift_mult,
 )
+from .polynomials import _convolve2d
 from .taylor import DecayClass, expand
 from .tolerances import RANK_ABS_TOL, RANK_REL_TOL, TRUNC_NOISE_SLACK
 
@@ -252,10 +252,8 @@ def _den_polys(theta: RationalInnerMatrix, cols: np.ndarray, grid: TruncGrid):
     """
     dp1, dp2 = theta.p.deg1, theta.p.deg2
     big = TruncGrid(grid.A + dp1, grid.B + dp2, grid.d)
-    ncols = cols.shape[1]
-    box = cols.reshape(grid.A + 1, grid.B + 1, 1, grid.d * ncols)
-    out = block_convolve(box, theta.p.coeffs[:, :, None, None])
-    return out.reshape(big.A + 1, big.B + 1, grid.d, ncols), big
+    box = cols.reshape(grid.A + 1, grid.B + 1, grid.d, cols.shape[1])
+    return _convolve2d(box, theta.p.coeffs), big
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,11 @@ def project_model(table: TaylorTable, grid: TruncGrid, f: np.ndarray) -> np.ndar
 # ----------------------------------------------------------------------
 
 def _fast_len(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 5 (a fast FFT size)."""
+    """Smallest integer >= n with no prime factor above 5 (a fast FFT size).
+
+    scipy.fft.next_fast_len would serve, but importing scipy.fft adds about
+    0.1 s to the 0.57 s of ``import bidisklab`` (2 vCPUs).
+    """
     while True:
         m = n
         for f in (2, 3, 5):
@@ -247,23 +251,11 @@ def _block_product(blocks: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarr
     return out
 
 
-def block_convolve(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Full 2-D linear convolution of coefficient boxes, block by block, by FFT.
-
-    For x of shape (n1, n2, q, k) (k columns of C^q coefficient boxes) and
-    blocks w of shape (m1, m2, p, q), returns y of shape
-    (n1 + m1 - 1, n2 + m2 - 1, p, k) with
-    y[s, t] = sum_{c, e} w[c, e] @ x[s - c, t - e].
-    """
-    size = (x.shape[0] + w.shape[0] - 1, x.shape[1] + w.shape[1] - 1)
-    fft_shape = (_fast_len(size[0]), _fast_len(size[1]))
-    spec = _block_product(np.fft.fft2(w, s=fft_shape, axes=(0, 1)),
-                          np.fft.fft2(x, s=fft_shape, axes=(0, 1)), False)
-    return np.fft.ifft2(spec, axes=(0, 1))[: size[0], : size[1]]
-
-
 # Tables with at most this many nonzero coefficient blocks (polynomial
-# Theta) are applied as shifted block products, which beat an FFT there.
+# Theta) are applied as shifted block products.  At 16 blocks these match
+# the FFT on one column and beat it 1.3-4x on blocks of 30-60 columns on
+# boxes (12,12) to (30,30); on rank-deep they take the median pass from
+# 1.70 s to 1.07 s (BENCH_3.json, "direct_vs_fft").
 _DIRECT_MAX_BLOCKS = 16
 
 
@@ -347,6 +339,11 @@ def default_pad(theta: RationalInnerMatrix) -> tuple[int, int]:
 # draws them from a fixed seed so every basis is reproducible.
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
+# The sketch's frame keeps directions this much weaker than the rank rule
+# allows: a Gaussian sketch rescales directions unevenly, and the rank rule
+# belongs to the pivoted QR of the coordinates alone.  Round-off in the
+# projected probe columns sits near 1e-15 of the largest, far below.
+_FRAME_TOL_REL = 1e-3 * RANK_REL_TOL
 
 # Complex entries of the column spectra one defect batch may hold (16 MB).
 _DEFECT_BATCH_ENTRIES = 1 << 20
@@ -407,8 +404,9 @@ class ModelWorkspace:
         d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
         d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
         degree (A - m1, B - m2), which the projection annihilates; when Q
-        has higher degree the doubling makes up for it.  A pivoted QR of
-        the small coordinate matrix then picks the basis and its rank as a
+        has higher degree the doubling makes up for it.  The frame of the
+        sketch is cut only far below the rank rule, so a pivoted QR of the
+        small coordinate matrix alone picks the basis and its rank, as a
         pivoted QR over every probe column would.
         """
         idx = probe.indices_in(self.grid)
@@ -422,7 +420,7 @@ class ModelWorkspace:
             else:
                 sample[idx] = (rng.standard_normal((idx.size, width))
                                + 1j * rng.standard_normal((idx.size, width)))
-            frame = _orth_columns(self.project_grid_vec(sample))
+            frame = _orth_columns(self.project_grid_vec(sample), _FRAME_TOL_REL)
             if width >= idx.size or frame.shape[1] < width:
                 break
             width *= 2

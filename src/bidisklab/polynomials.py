@@ -30,14 +30,16 @@ class GcdSliceWarning(UserWarning):
 
 
 def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D linear convolution of two coefficient grids.
+    """Full 2-D linear convolution of coefficient grids over their first two axes.
 
-    One shifted add of the larger grid per nonzero coefficient of the
-    smaller; polynomial grids here have a handful of coefficients.
+    `a` may carry trailing axes (a stack of grids, each convolved with the
+    grid `b`).  One shifted add of `a` per nonzero coefficient of `b`, after
+    swapping two plain grids so that `b` is the smaller; polynomial grids
+    here have a handful of coefficients.
     """
-    if a.size < b.size:
+    if a.ndim == 2 and a.size < b.size:
         a, b = b, a
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1) + a.shape[2:],
                    dtype=np.result_type(a, b))
     for i, j in zip(*np.nonzero(b)):
         out[i: i + a.shape[0], j: j + a.shape[1]] += b[i, j] * a

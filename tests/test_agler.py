@@ -121,8 +121,9 @@ def test_smax1_floor_follows_pivoted_basis_orientation():
     # Theta*-defect of a single basis column, so it depends on which
     # orthonormal basis spans the model space.  Here a singular value of
     # 1.74e-3 sits between the floor of the pivoted-QR basis (3.31e-3) and
-    # that of a random orthonormal basis of the same span (1.21e-3); the
-    # pivoted orientation gives dimension 25 and wandering dims (1, 1).
+    # that of the same span rotated by a random unitary (1.27e-3; the Q of
+    # a complex Gaussian 49 x 49 matrix from numpy.random.default_rng(1));
+    # the pivoted orientation gives dimension 25 and wandering dims (1, 1).
     th = builtin("scalar_stable4")
     sp = agler_spaces(th, 24, 24)
     assert sp.model.dim == 49

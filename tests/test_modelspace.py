@@ -10,7 +10,6 @@ from bidisklab.modelspace import (
     TruncGrid,
     adjoint_mult,
     analytic_mult,
-    block_convolve,
     commutator,
     compressed_shift,
     model_basis,
@@ -384,24 +383,20 @@ def test_convolution_operators_vector_and_block_agree():
     assert (ws.mult @ F[:, :0]).shape == (ws.padded.dim, 0)
 
 
-def test_block_convolve_matches_direct_sum():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((4, 3, 2, 5)) + 1j * rng.standard_normal((4, 3, 2, 5))
-    w = rng.standard_normal((2, 3, 3, 2)) + 1j * rng.standard_normal((2, 3, 3, 2))
-    y = block_convolve(x, w)
-    ref = np.zeros((5, 5, 3, 5), dtype=complex)
-    for c in range(2):
-        for e in range(3):
-            ref[c: c + 4, e: e + 3] += np.einsum("ij,abjk->abik", w[c, e], x)
-    assert np.abs(y - ref).max() < 1e-13
-
-
 def test_polynomial_convolution_matches_scipy():
     rng = np.random.default_rng(5)
     for shape_a, shape_b in [((3, 2), (2, 4)), ((1, 1), (3, 3)), ((5, 1), (1, 5))]:
         a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
         b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
         assert np.abs(_convolve2d(a, b) - convolve2d(a, b)).max() < 1e-14
+    # a stack of grids along trailing axes is convolved grid by grid
+    a = rng.standard_normal((4, 3, 2, 5)) + 1j * rng.standard_normal((4, 3, 2, 5))
+    b = rng.standard_normal((2, 3))
+    y = _convolve2d(a, b)
+    assert y.shape == (5, 5, 2, 5)
+    for k in range(2):
+        for i in range(5):
+            assert np.abs(y[:, :, k, i] - convolve2d(a[:, :, k, i], b)).max() < 1e-14
 
 
 def _dense_reference_basis(theta, work, probe, pad):
@@ -442,6 +437,31 @@ def test_sketch_widens_until_it_is_not_full(monkeypatch):
     sub = probe_model_basis(th, 6, 6)
     assert sub.dim == ref.dim == 14
     assert _largest_angle_sine(sub.basis, ref.basis) < 1e-12
+
+
+def test_sketch_keeps_a_direction_just_above_the_rank_rule():
+    # A Hermitian stand-in for the projection: eleven spread-out directions
+    # of weight 1 and one of weight 1e-8 on the monomial at index 0.  A
+    # pivoted QR over the probe columns keeps the weak direction (pivot
+    # 1.6e-8 of the largest), but the Gaussian sketch sees it below 1e-8 of
+    # its own largest pivot, so a frame cut by the rank rule would drop it.
+    th = builtin("scalar_stable4")
+    grid = TruncGrid(6, 6, 1)
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((grid.dim, 12)) + 1j * rng.standard_normal((grid.dim, 12))
+    G[0] = 0.0
+    G[:, -1] = 0.0
+    G[0, -1] = 1.0
+    U, _ = np.linalg.qr(G)
+    H = (U * np.r_[np.ones(11), 1e-8]) @ U.conj().T
+    ws = ModelWorkspace(th, grid)
+    ws.project_grid_vec = lambda x: H @ x
+    _, R, _ = scipy.linalg.qr(H, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    assert np.sum(diag > 1e-8 * diag[0]) == 12
+    span = ws.model_span(grid)
+    assert span.shape[1] == 12
+    assert _largest_angle_sine(span, U) < 1e-6
 
 
 def test_workspace_holds_no_square_array():
