@@ -17,9 +17,11 @@ computation, so the two routes can be compared numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .modelspace import (
     BlockToeplitz,
@@ -48,6 +50,11 @@ class AglerSpaces:
     hkmin2: Subspace
     K_depth: int
     model: Subspace
+
+    @cached_property
+    def shift(self) -> OpMatrix:
+        """Compressed z1-shift on the model basis, computed on first use."""
+        return compressed_shift(self.model.workspace.theta, self.model, 1)
 
 
 def _null_vectors(G: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
@@ -152,6 +159,7 @@ def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
                     f"wandering{j}({theta.label})", space.workspace)
 
 
+@one_blas_thread
 def agler_spaces(theta: RationalInnerMatrix, A: int, B: int,
                  pad: tuple[int, int] | None = None,
                  K_depth: int | None = None) -> AglerSpaces:
@@ -204,6 +212,7 @@ def _kernel_matrix(space: Subspace, z, w) -> np.ndarray:
     return Ez @ Ew.conj().T
 
 
+@one_blas_thread
 def agler_kernel_residual(theta: RationalInnerMatrix, spaces: AglerSpaces,
                           sample_pairs) -> float:
     """Max defect of the two-kernel decomposition over sample point pairs.
@@ -270,6 +279,7 @@ class KernelCommutatorComparison:
     matrix_complement: np.ndarray
 
 
+@one_blas_thread
 def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
                               w, e) -> KernelCommutatorComparison:
     """Evaluate [S*_{z1}, S_{z1}] on the summand kernels two ways.
@@ -299,7 +309,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     szego = (pw1[:, None, None] * pw2[None, :, None] * e[None, None, :]).ravel()
     kw = ws.padded.restrict(ws.proj @ szego, grid)
     y = model.coords(kw)
-    S = compressed_shift(theta, model, 1).matrix
+    S = spaces.shift.matrix
     comm = S.conj().T @ S - S @ S.conj().T  # [S*, S]
     Xmax = model.coords(spaces.smax1.basis)
     Xmin = model.coords(spaces.smin2.basis)
@@ -347,6 +357,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     return KernelCommutatorComparison(formula1, matrix1, formula2, matrix2)
 
 
+@one_blas_thread
 def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
                        C: OpMatrix | None = None) -> float:
     """Smallest singular value of the commutator on the z1-wandering space.
@@ -357,7 +368,7 @@ def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
     if spaces.hkmax1.dim == 0:
         return float("inf")
     if C is None:
-        C = commutator(compressed_shift(theta, spaces.model, 1))
+        C = commutator(spaces.shift)
     X = spaces.model.coords(spaces.hkmax1.basis)
     M = C.matrix @ X
     sig = np.linalg.svd(M, compute_uv=False)

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
+from ._blas import one_blas_thread
 from .inner import (
     RationalInnerMatrix,
     builtin,
@@ -54,6 +55,7 @@ class ConjectureRecord:
     warnings: tuple[str, ...]
 
 
+@one_blas_thread
 def conjecture_report(theta: RationalInnerMatrix, schedule,
                       pad: tuple[int, int] | None = None) -> ConjectureRecord:
     """Grade one inner function against the rank-degree conjecture.
@@ -233,6 +235,7 @@ def _worker_count(requested: int | None) -> int:
     return n if n > 0 else min(4, os.cpu_count() or 1)
 
 
+@one_blas_thread
 def run_batch(family, schedule, out_dir=None,
               pad: tuple[int, int] | None = None,
               max_workers: int | None = None) -> BatchSummary:

@@ -42,6 +42,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
+from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .taylor import DecayClass, TaylorTable, expand, tail_diagnostic
 from .tolerances import (
@@ -432,9 +433,9 @@ class ModelWorkspace:
         Measures the truncation noise that restricting to the working grid
         introduces; it vanishes for polynomial Theta whenever the pad covers
         the Taylor support.  Outside the working grid P e_m is -M M* e_m,
-        and M M* is self-adjoint, so the masses are row norms of M M*
-        applied to the outside unit vectors, which are fewer than the probe
-        monomials; they are taken in batches of bounded memory.
+        and M M* is self-adjoint, so it is applied to whichever unit vectors
+        are fewer, the probe monomials or the points outside the working
+        grid (``_chopped_mass``).
         """
         outside = np.ones(self.padded.dim, dtype=bool)
         outside[self.grid.indices_in(self.padded)] = False
@@ -442,15 +443,31 @@ class ModelWorkspace:
         if outside.size == 0 or probe.dim == 0:
             return 0.0
         rows = probe.indices_in(self.padded)
+        return self._chopped_mass(rows, outside, rows.size <= outside.size)
+
+    def _chopped_mass(self, rows: np.ndarray, outside: np.ndarray,
+                      from_probe: bool) -> float:
+        """Largest norm over `outside` of M M* e_m, m in `rows` (padded indices).
+
+        With `from_probe` M M* is applied to the probe unit vectors and the
+        masses are column norms over the outside rows; otherwise it is
+        applied to the outside unit vectors and the masses are row norms
+        over the probe rows.  Unit vectors are taken in batches of bounded
+        memory.
+        """
+        apply, read = (rows, outside) if from_probe else (outside, rows)
         L1, L2 = self.mult.fft_shape
         batch = max(1, _DEFECT_BATCH_ENTRIES // (L1 * L2 * self.grid.d))
         mass = np.zeros(rows.size)
-        for start in range(0, outside.size, batch):
-            cols = outside[start: start + batch]
+        for start in range(0, apply.size, batch):
+            cols = apply[start: start + batch]
             unit = np.zeros((self.padded.dim, cols.size))
             unit[cols, np.arange(cols.size)] = 1.0
-            chopped = (self.mult @ (self.mult.H @ unit))[rows]
-            mass += np.sum(np.abs(chopped) ** 2, axis=1)
+            chopped = np.abs((self.mult @ (self.mult.H @ unit))[read]) ** 2
+            if from_probe:
+                mass[start: start + cols.size] = chopped.sum(axis=0)
+            else:
+                mass += chopped.sum(axis=1)
         return float(np.sqrt(mass.max()))
 
 
@@ -467,6 +484,7 @@ def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray
     return np.ascontiguousarray(Q[:, :r])
 
 
+@one_blas_thread
 def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
                 pad: tuple[int, int] | None = None) -> Subspace:
     """Orthonormal basis of the truncated model space on `grid`.
@@ -478,6 +496,7 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
     return Subspace(grid, ws.model_span(grid), f"model({theta.label})", ws)
 
 
+@one_blas_thread
 def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
                       pad: tuple[int, int] | None = None) -> Subspace:
     """Model-space span of the (A, B) monomial projections, with headroom.
@@ -501,6 +520,7 @@ def _workspace_for(theta: RationalInnerMatrix, basis: Subspace) -> ModelWorkspac
     return ModelWorkspace(theta, basis.grid)
 
 
+@one_blas_thread
 def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpMatrix:
     """Matrix of the compressed shift: project z_j times each basis column.
 
@@ -602,6 +622,7 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
     return sched
 
 
+@one_blas_thread
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
                   pad: tuple[int, int] | None = None,
                   tol_rel: float = RANK_REL_TOL,
@@ -631,6 +652,7 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     return RankLevel(A, B, X.shape[1], sig, rank)
 
 
+@one_blas_thread
 def rank_sweep(theta: RationalInnerMatrix, schedule,
                pad: tuple[int, int] | None = None,
                tol_rel: float = RANK_REL_TOL,

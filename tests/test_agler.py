@@ -260,6 +260,25 @@ def test_injectivity_hadamard():
     assert injectivity_margin(th, sp) >= 0.1
 
 
+def test_compressed_shift_is_computed_once_per_spaces(monkeypatch):
+    import bidisklab.agler as ag
+
+    calls = []
+    real = ag.compressed_shift
+
+    def counting(theta, basis, j):
+        calls.append(j)
+        return real(theta, basis, j)
+
+    monkeypatch.setattr(ag, "compressed_shift", counting)
+    th = builtin("hadamard_z1z2")
+    sp = agler_spaces(th, 8, 8)
+    margin = injectivity_margin(th, sp)
+    commutator_kernel_formula(th, sp, (0.2, 0.1), [1.0, 0.0])
+    assert injectivity_margin(th, sp) == margin
+    assert calls == [1]
+
+
 def test_injectivity_trivial_space_is_inf():
     th = RationalInnerMatrix(1, MatPoly.from_scalar(BiPoly.one()), BiPoly.one(), "1")
     sp = agler_spaces(th, 4, 4)

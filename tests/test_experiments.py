@@ -174,3 +174,11 @@ def test_thread_env_controls_workers(monkeypatch, tmp_path):
     summary = run_batch(fam, SCHED, out_dir=tmp_path)
     assert len(summary.items) == 3
     assert all(it.record is not None for it in summary.items)
+
+
+@pytest.mark.parametrize("kind", ["product", "diagonal"])
+def test_run_batch_summary_does_not_depend_on_worker_count(kind, tmp_path):
+    fam = generate_family(kind, 6, d=2, seed=42)
+    one = run_batch(fam, SCHED, out_dir=tmp_path / "one", max_workers=1)
+    two = run_batch(fam, SCHED, out_dir=tmp_path / "two", max_workers=2)
+    assert one.csv_path.read_bytes() == two.csv_path.read_bytes()

@@ -12,6 +12,7 @@ from bidisklab.modelspace import (
     analytic_mult,
     commutator,
     compressed_shift,
+    default_pad,
     model_basis,
     numerical_rank,
     probe_model_basis,
@@ -485,3 +486,19 @@ def test_workspace_holds_no_square_array():
         elif hasattr(obj, "__dict__") and type(obj).__module__.startswith("bidisklab"):
             stack.extend(vars(obj).values())
     assert sizes and max(sizes) < limit
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("N", [4, 24])
+def test_chopped_defect_sides_agree(name, N):
+    # M M* applied to the probe monomials or to the outside unit vectors
+    th = builtin(name)
+    pad = default_pad(th)
+    ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], th.d), pad)
+    rows = TruncGrid(N, N, th.d).indices_in(ws.padded)
+    outside = np.ones(ws.padded.dim, dtype=bool)
+    outside[ws.grid.indices_in(ws.padded)] = False
+    outside = np.flatnonzero(outside)
+    from_probe = ws._chopped_mass(rows, outside, True)
+    from_outside = ws._chopped_mass(rows, outside, False)
+    assert abs(from_probe - from_outside) <= 1e-15 + 1e-12 * from_outside
