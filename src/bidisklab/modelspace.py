@@ -17,9 +17,11 @@ on top of it; memory grows with the grid, not with its square.
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
 columns at lattice points of W, cut back to W, equal I - M_W M_W* built
-on W alone.  The headroom grid ("padded") is therefore needed only where
-a vector leaves the working grid: for the shift, which raises one degree,
-and for measuring the coefficient mass a restriction chops off.
+on W alone.  So bases work on the working grid and the shift one degree
+beyond it.  The headroom grid ("padded") enters the rank pipeline only as
+the set of points outside the working grid, where ``chopped_defect``
+measures the coefficient mass a restriction chops off from Taylor blocks
+gathered there.
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
@@ -222,7 +224,8 @@ def _fast_len(n: int) -> int:
     """Smallest integer >= n with no prime factor above 5 (a fast FFT size).
 
     scipy.fft.next_fast_len would serve, but importing scipy.fft adds about
-    0.1 s to the 0.57 s of ``import bidisklab`` (2 vCPUs).
+    0.1 s to ``import bidisklab``, which takes 0.36-0.60 s with
+    ``python -X importtime`` on 2 vCPUs.
     """
     while True:
         m = n
@@ -355,10 +358,10 @@ class ModelWorkspace:
 
     Holds the padded grid, the Taylor table on it, and the multiplication
     operator ``mult`` and truncated model projection ``proj`` on the padded
-    grid, both convolution operators.  Bases, shifts and the chopped-mass
-    defect run on the working grid or one degree beyond it, where the
-    anti-causal identity (module docstring) makes them agree with the
-    padded projection.
+    grid, both convolution operators.  Bases and shifts run on the working
+    grid or one degree beyond it, where the anti-causal identity (module
+    docstring) makes them agree with the padded projection; the chopped-mass
+    defect uses the padded grid only as its points outside the working grid.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
@@ -432,42 +435,33 @@ class ModelWorkspace:
 
         Measures the truncation noise that restricting to the working grid
         introduces; it vanishes for polynomial Theta whenever the pad covers
-        the Taylor support.  Outside the working grid P e_m is -M M* e_m,
-        and M M* is self-adjoint, so it is applied to whichever unit vectors
-        are fewer, the probe monomials or the points outside the working
-        grid (``_chopped_mass``).
+        the Taylor support.  Outside the working grid P e_m is -M M* e_m.
+        M is causal and the probe box Q is a lower box, so on the padded
+        points O outside the working grid (M M*)_{O,Q} = M_{O,Q} M_{Q,Q}*,
+        and the mass of probe column m is the m-th row norm of
+        M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
+        conj(Theta_{p-q}[k, j]) at (q, j), gathered from the Taylor table;
+        M_{Q,Q} is the convolution on the probe box.  Outside points are
+        taken in batches of bounded memory.
         """
-        outside = np.ones(self.padded.dim, dtype=bool)
-        outside[self.grid.indices_in(self.padded)] = False
-        outside = np.flatnonzero(outside)
-        if outside.size == 0 or probe.dim == 0:
+        outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
+        outside[: self.grid.A + 1, : self.grid.B + 1] = False
+        pa, pb = np.nonzero(outside)
+        if pa.size == 0 or probe.dim == 0:
             return 0.0
-        rows = probe.indices_in(self.padded)
-        return self._chopped_mass(rows, outside, rows.size <= outside.size)
-
-    def _chopped_mass(self, rows: np.ndarray, outside: np.ndarray,
-                      from_probe: bool) -> float:
-        """Largest norm over `outside` of M M* e_m, m in `rows` (padded indices).
-
-        With `from_probe` M M* is applied to the probe unit vectors and the
-        masses are column norms over the outside rows; otherwise it is
-        applied to the outside unit vectors and the masses are row norms
-        over the probe rows.  Unit vectors are taken in batches of bounded
-        memory.
-        """
-        apply, read = (rows, outside) if from_probe else (outside, rows)
-        L1, L2 = self.mult.fft_shape
-        batch = max(1, _DEFECT_BATCH_ENTRIES // (L1 * L2 * self.grid.d))
-        mass = np.zeros(rows.size)
-        for start in range(0, apply.size, batch):
-            cols = apply[start: start + batch]
-            unit = np.zeros((self.padded.dim, cols.size))
-            unit[cols, np.arange(cols.size)] = 1.0
-            chopped = np.abs((self.mult @ (self.mult.H @ unit))[read]) ** 2
-            if from_probe:
-                mass[start: start + cols.size] = chopped.sum(axis=0)
-            else:
-                mass += chopped.sum(axis=1)
+        mult, d = self.mult_on(probe), probe.d
+        L1, L2 = mult.fft_shape
+        batch = max(1, _DEFECT_BATCH_ENTRIES // (L1 * L2 * d * d))
+        mass = np.zeros(probe.dim)
+        for start in range(0, pa.size, batch):
+            da = pa[None, start: start + batch] - np.arange(probe.A + 1)[:, None]
+            db = pb[None, start: start + batch] - np.arange(probe.B + 1)[:, None]
+            causal = (da >= 0)[:, None, :] & (db >= 0)[None, :, :]
+            blocks = self.table.coeffs[np.maximum(da, 0)[:, None, :],
+                                       np.maximum(db, 0)[None, :, :]]
+            blocks = np.where(causal[..., None, None], blocks.conj(), 0.0)
+            cols = blocks.transpose(0, 1, 4, 2, 3).reshape(probe.dim, -1)
+            mass += (np.abs(mult @ cols) ** 2).sum(axis=1)
         return float(np.sqrt(mass.max()))
 
 

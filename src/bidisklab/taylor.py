@@ -80,13 +80,16 @@ def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
     if not p_terms:
         coeffs = Qc / p00
     else:
-        for a in range(A + 1):
-            for b in range(B + 1):
-                acc = Qc[a, b].copy()
-                for c, e, v in p_terms:
-                    if c <= a and e <= b:
-                        acc -= v * coeffs[a - c, b - e]
-                coeffs[a, b] = acc / p00
+        # every term lowers a + b, so each antidiagonal a + b = s depends
+        # only on earlier ones and is solved at once, term by term in order
+        for s in range(A + B + 1):
+            a = np.arange(max(0, s - B), min(A, s) + 1)
+            acc = Qc[a, s - a]
+            for c, e, v in p_terms:
+                i, j = np.searchsorted(a, [c, s - e + 1])
+                if i < j:
+                    acc[i:j] -= v * coeffs[a[i:j] - c, s - a[i:j] - e]
+            coeffs[a, s - a] = acc / p00
     norms = np.linalg.norm(coeffs, axis=(2, 3))
     tail = max(norms[A, :].max(), norms[:, B].max())
     return TaylorTable(d, A, B, coeffs, float(tail), not p_terms)

@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.signal import convolve2d
 
 from bidisklab import modelspace
-from bidisklab.inner import builtin, from_scalar, scalar_z2n, unitary_conjugate
+from bidisklab.inner import builtin, diagonal, from_scalar, scalar_z2n, unitary_conjugate
 from bidisklab.modelspace import (
     ModelWorkspace,
     TruncGrid,
@@ -360,17 +360,42 @@ def test_convolution_operators_match_dense(name, A, B, path, monkeypatch):
                   - proj[np.ix_(work, work)]).max() < 1e-13
 
 
-@pytest.mark.parametrize("name", ["scalar_stable4", "scalar_favorite", "hadamard_z1z2"])
-def test_chopped_defect_matches_dense_columns(name):
-    th = builtin(name)
-    probe = TruncGrid(5, 4, th.d)
-    ws = ModelWorkspace(th, TruncGrid(8, 7, th.d), (3, 3))
-    M = analytic_mult(ws.table, ws.padded)
-    cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
+def _defect_theta(name):
+    if name != "conjugated_stable4_favorite":
+        return builtin(name)
+    # a non-diagonal d = 2 rational Theta
+    rng = np.random.default_rng(11)
+    U, V = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    return unitary_conjugate(diagonal([builtin("scalar_stable4"), builtin("scalar_favorite")]), U, V)
+
+
+def _outside_points(ws):
     outside = np.ones(ws.padded.dim, dtype=bool)
     outside[ws.grid.indices_in(ws.padded)] = False
-    ref = float(np.linalg.norm(cols[outside], axis=0).max())
-    assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
+    return np.flatnonzero(outside)
+
+
+# (probe, working grid, pad): square and non-square probes, with more
+# outside points than probe points in the first and last, fewer in between
+DEFECT_CASES = [((5, 4), (8, 7), (3, 3)), ((6, 6), (6, 6), (1, 1)),
+                ((3, 7), (4, 8), (2, 1)), ((7, 2), (7, 2), (1, 4))]
+
+
+@pytest.mark.parametrize("name", list(BUILTINS) + ["conjugated_stable4_favorite"])
+def test_chopped_defect_matches_dense_columns(name, monkeypatch):
+    th = _defect_theta(name)
+    for (pa, pb), (wa, wb), pad in DEFECT_CASES:
+        probe = TruncGrid(pa, pb, th.d)
+        ws = ModelWorkspace(th, TruncGrid(wa, wb, th.d), pad)
+        M = analytic_mult(ws.table, ws.padded)
+        cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
+        ref = float(np.linalg.norm(cols[_outside_points(ws)], axis=0).max())
+        assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
+        # one outside point per batch
+        with monkeypatch.context() as m:
+            m.setattr(modelspace, "_DEFECT_BATCH_ENTRIES", 1)
+            assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
 
 
 def test_convolution_operators_vector_and_block_agree():
@@ -488,17 +513,65 @@ def test_workspace_holds_no_square_array():
     assert sizes and max(sizes) < limit
 
 
+def _padded_chopped_mass(ws, probe, from_probe):
+    """Largest norm over the outside points of the padded M M* e_m, m in `probe`."""
+    rows, outside = probe.indices_in(ws.padded), _outside_points(ws)
+    apply, read = (rows, outside) if from_probe else (outside, rows)
+    mass = np.zeros(rows.size)
+    for start in range(0, apply.size, 64):
+        cols = apply[start: start + 64]
+        unit = np.zeros((ws.padded.dim, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        chopped = np.abs((ws.mult @ (ws.mult.H @ unit))[read]) ** 2
+        if from_probe:
+            mass[start: start + cols.size] = chopped.sum(axis=0)
+        else:
+            mass += chopped.sum(axis=1)
+    return float(np.sqrt(mass.max()))
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 @pytest.mark.parametrize("N", [4, 24])
 def test_chopped_defect_sides_agree(name, N):
-    # M M* applied to the probe monomials or to the outside unit vectors
+    # the gathered-block defect against M M* on the padded grid, applied to
+    # the probe monomials and to the outside unit vectors
     th = builtin(name)
     pad = default_pad(th)
     ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], th.d), pad)
-    rows = TruncGrid(N, N, th.d).indices_in(ws.padded)
-    outside = np.ones(ws.padded.dim, dtype=bool)
-    outside[ws.grid.indices_in(ws.padded)] = False
-    outside = np.flatnonzero(outside)
-    from_probe = ws._chopped_mass(rows, outside, True)
-    from_outside = ws._chopped_mass(rows, outside, False)
-    assert abs(from_probe - from_outside) <= 1e-15 + 1e-12 * from_outside
+    probe = TruncGrid(N, N, th.d)
+    defect = ws.chopped_defect(probe)
+    for from_probe in (True, False):
+        ref = _padded_chopped_mass(ws, probe, from_probe)
+        assert abs(defect - ref) <= 1e-15 + 1e-12 * ref
+
+
+# Goldens of rank_at_level at the benchmark's windows: (name, N, rank,
+# model dim, chopped defect, leading singular values).  The defect sets the
+# floor, so it decides the rank of these rational Theta.
+RANK_GOLDENS = [
+    ("scalar_stable4", 16, 1, 33, 0.0015916791086831182,
+     (0.9955555555555555, 3.294628056752623e-05, 2.708370483071913e-06,
+      1.4032390952344465e-07, 9.747063651323073e-09, 7.041639182763849e-10)),
+    ("scalar_stable4", 24, 1, 49, 0.0015916791086831147,
+     (0.9955555555555562, 3.2946280566695716e-05, 2.708370483099854e-06,
+      1.4032390887294391e-07, 9.747063651689567e-09, 7.04163990005286e-10)),
+    ("scalar_favorite", 16, 1, 33, 0.07115270361891349,
+     (0.8877736974281489, 0.07385853008598985, 0.039434944243188795,
+      0.024175481052128137, 0.01982308190671865, 0.011858742475425177)),
+    ("scalar_favorite", 24, 1, 49, 0.07116089679177419,
+     (0.8882468991251923, 0.07753515936993038, 0.04135975330894958,
+      0.026687673343780426, 0.022530511153844118, 0.017064186137147233)),
+]
+
+
+@pytest.mark.parametrize("name,N,rank,dim,defect,sigmas", RANK_GOLDENS,
+                         ids=[f"{g[0]}-{g[1]}" for g in RANK_GOLDENS])
+def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
+    th = builtin(name)
+    pad = default_pad(th)
+    level = rank_at_level(th, N, N)
+    assert (level.rank, level.dim_model, level.sigmas.size) == (rank, dim, dim)
+    assert np.abs(level.sigmas[: len(sigmas)] - sigmas).max() <= 1e-12 * sigmas[0]
+    ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], 1), pad)
+    assert abs(ws.chopped_defect(TruncGrid(N, N, 1)) - defect) <= 1e-12 * defect
+

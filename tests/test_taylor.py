@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
+from bidisklab.experiments import generate_family
 from bidisklab.inner import RationalInnerMatrix, builtin, scalar_z2n
 from bidisklab.polynomials import BiPoly, MatPoly
 from bidisklab.taylor import (
@@ -111,3 +112,38 @@ def test_undersized_cutoff_flags_untrustworthy_tail():
     t = expand(scalar_z2n(3), 3, 3)
     assert t.tail_norm == 1.0
     assert tail_diagnostic(t).decay_class is not DecayClass.FINITE
+
+
+def _expand_pointwise(theta, A, B):
+    """The recursion one coefficient at a time, over every (a, b)."""
+    p00 = complex(theta.p(0.0, 0.0))
+    d = theta.d
+    Qc = np.zeros((A + 1, B + 1, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            entry = theta.Q[i, j].coeffs
+            a, b = min(A + 1, entry.shape[0]), min(B + 1, entry.shape[1])
+            Qc[:a, :b, i, j] = entry[:a, :b]
+    p_terms = [(a, b, v) for a, b, v in theta.p.terms() if (a, b) != (0, 0)]
+    if not p_terms:
+        return Qc / p00
+    coeffs = np.zeros((A + 1, B + 1, d, d), dtype=complex)
+    for a in range(A + 1):
+        for b in range(B + 1):
+            acc = Qc[a, b].copy()
+            for c, e, v in p_terms:
+                if c <= a and e <= b:
+                    acc -= v * coeffs[a - c, b - e]
+            coeffs[a, b] = acc / p00
+    return coeffs
+
+
+def test_antidiagonal_recursion_is_bitwise_pointwise():
+    fns = [builtin(name) for name in ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2",
+                                      "scalar_favorite", "scalar_stable4", "scalar_z1z2",
+                                      "scalar_z2n(3)")]
+    for seed, kind in enumerate(("diagonal", "product", "conjugated")):
+        fns += generate_family(kind, 31, d=2, seed=seed)
+    for theta in fns:
+        for A, B in [(40, 40), (13, 29), (64, 64)]:
+            assert np.array_equal(expand(theta, A, B).coeffs, _expand_pointwise(theta, A, B))
