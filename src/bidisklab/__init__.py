@@ -14,11 +14,9 @@ from .polynomials import (
     LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
-    laurent_identity_residual,
     mat_determinant,
     mul_star,
     poly_divexact,
-    poly_mul,
     reduce_fraction,
     reflect,
 )
@@ -26,6 +24,7 @@ from .inner import (
     InnerCheck,
     InnerFunctionError,
     RationalInnerMatrix,
+    UnstableDenominatorError,
     builtin,
     builtin_descriptions,
     builtin_names,
@@ -58,7 +57,6 @@ from .modelspace import (
     Subspace,
     SweepVerdict,
     TruncGrid,
-    adjoint_mult,
     analytic_mult,
     backward_shift,
     commutator,
@@ -66,7 +64,6 @@ from .modelspace import (
     model_basis,
     numerical_rank,
     probe_model_basis,
-    project_model,
     rank_at_level,
     rank_sweep,
     shift_mult,

@@ -36,7 +36,7 @@ from .modelspace import (
     shift_mult,
 )
 from .polynomials import _convolve2d
-from .taylor import DecayClass, expand
+from .taylor import DecayClass
 from .tolerances import RANK_ABS_TOL, RANK_REL_TOL, TRUNC_NOISE_SLACK
 
 
@@ -84,17 +84,16 @@ def _invariance_block(theta: RationalInnerMatrix, basis: Subspace,
     """Stacked coefficients of Theta*(z1^k phi) for k = 0..K_depth.
 
     The k-th map only adds output rows below z1-degree zero of the k = 0
-    map, so one adjoint convolution of z1^K_depth phi on the grid raised by
-    K_depth degrees in z1 yields every constraint; the returned block has
-    one row per coefficient of the deepest map and one column per basis
-    vector.
+    map, so one adjoint application, built from Theta's numerator and
+    denominator, to z1^K_depth phi on the grid raised by K_depth degrees in
+    z1 yields every constraint; the returned block has one row per
+    coefficient of the deepest map and one column per basis vector.
     """
     grid = basis.grid
     deep = TruncGrid(grid.A + K_depth, grid.B, grid.d)
-    table = expand(theta, deep.A, deep.B)
     lifted = np.zeros((deep.A + 1, grid.B + 1, grid.d, basis.dim), dtype=complex)
     lifted[K_depth:] = grid.as_box(basis.basis)
-    return BlockToeplitz(table, deep).H @ lifted.reshape(deep.dim, basis.dim)
+    return BlockToeplitz(theta, deep).H @ lifted.reshape(deep.dim, basis.dim)
 
 
 def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
@@ -241,19 +240,6 @@ def agler_kernel_residual(theta: RationalInnerMatrix, spaces: AglerSpaces,
 # commutator action on the summand reproducing kernels
 # ----------------------------------------------------------------------
 
-def _series_inverse(c: np.ndarray, n: int) -> np.ndarray:
-    """Power series of 1 / c(z2) through degree n - 1 (c[0] != 0)."""
-    c = np.asarray(c, dtype=complex)
-    out = np.zeros(n, dtype=complex)
-    out[0] = 1.0 / c[0]
-    for k in range(1, n):
-        acc = 0.0
-        for j in range(1, min(k, len(c) - 1) + 1):
-            acc += c[j] * out[k - j]
-        out[k] = -acc / c[0]
-    return out
-
-
 def _den_polys(theta: RationalInnerMatrix, cols: np.ndarray, grid: TruncGrid):
     """Clear the denominator of numerical columns: f_i = p * phi_i.
 
@@ -327,17 +313,14 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     pw = complex(theta.p(w1, w2))
     fvals = eval_columns(fbox.reshape(-1, phi.dim), fgrid, (w1, w2))
     weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
-    p0 = theta.p.coeffs[0, :]
-    inv0 = _series_inverse(p0, ws.padded.B + 1)
+    # division by p(0, z2) on the padded z2-range is a product by R_0
+    nB = min(ws.padded.B + 1, fbox.shape[1])
+    inv0 = ws.mult.inv_p0[:, :nB]
 
     # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
-    g1 = np.einsum("bdn,n->bd", fbox[0], weights1)
-    num1 = np.zeros((ws.padded.B + 1, theta.d), dtype=complex)
-    for k in range(theta.d):
-        conv = np.convolve(g1[:, k], inv0)
-        num1[:, k] = conv[: ws.padded.B + 1]
+    g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
     vec1 = np.zeros((ws.padded.A + 1, ws.padded.B + 1, theta.d), dtype=complex)
-    vec1[0] = num1
+    vec1[0] = inv0 @ g1
     formula1 = ws.padded.restrict(ws.proj @ vec1.ravel(), grid)
 
     # backward z1-shift of the phi columns, evaluated at w, and of the f_i
@@ -345,13 +328,9 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     tvals = eval_columns(tphi, grid, (w1, w2))
     weights2 = tvals.conj().T @ e
     tf = fbox[1:]  # backward shift of the cleared numerators
-    g2 = np.einsum("abdn,n->abd", tf, weights2)
+    g2 = np.einsum("abdn,n->abd", tf[: ws.padded.A + 1, :nB], weights2)
     vec2 = np.zeros((ws.padded.A + 1, ws.padded.B + 1, theta.d), dtype=complex)
-    amax = min(g2.shape[0], ws.padded.A + 1)
-    for k in range(theta.d):
-        for a in range(amax):
-            conv = np.convolve(g2[a, :, k], inv0)
-            vec2[a, :, k] = conv[: ws.padded.B + 1]
+    vec2[: g2.shape[0]] = np.matmul(inv0, g2)
     formula2 = ws.padded.restrict(ws.proj @ vec2.ravel(), grid)
 
     return KernelCommutatorComparison(formula1, matrix1, formula2, matrix2)

@@ -2,14 +2,14 @@
 
 A function here is a square matrix of rational functions written over a
 single scalar denominator, Theta = Q / p, with Q a polynomial matrix and
-p a polynomial that does not vanish at the origin.  Theta is *inner* when
+p a polynomial with no zero in the open bidisk.  Theta is *inner* when
 its boundary values on the torus are unitary; in coefficient form that is
 the exact Laurent identity
 
     Q(z) Q~(1/z) = Q~(1/z) Q(z) = p(z) conj-p(1/z) I,
 
-where ~ conjugates coefficients.  Constructors in this module validate
-that identity eagerly, so everything downstream may assume innerness.
+where ~ conjugates coefficients.  Constructors validate that identity and
+the stability of p eagerly, so everything downstream may assume innerness.
 """
 
 from __future__ import annotations
@@ -30,11 +30,17 @@ from .polynomials import (
     reduce_fraction,
     reflect,
 )
-from .tolerances import INNER_EXACT_TOL, UNITARY_TOL
+from .tolerances import DENOMINATOR_ROOT_TOL, INNER_EXACT_TOL, UNITARY_TOL
 
 
 class InnerFunctionError(ValueError):
     """A constructed candidate failed the innerness validation."""
+
+
+class UnstableDenominatorError(InnerFunctionError):
+    """p vanishes in the open bidisk, which the Laurent identity does not see."""
+
+    reason = "UNSTABLE_DENOMINATOR"
 
 
 @dataclass(frozen=True)
@@ -140,13 +146,59 @@ def verify_inner_grid(theta: RationalInnerMatrix, N: int) -> InnerCheck:
     return InnerCheck(worst <= 1e-9, worst, f"grid{N}")
 
 
+# Points of the unit circle where the torus half of the stability test
+# solves for z2-roots, offset by half a step from z1 = 1, where
+# boundary-singular denominators such as 2 - z1 - z2 vanish.
+_TORUS = np.exp(2j * np.pi * (np.arange(128) + 0.5) / 128)
+
+
+def _open_bidisk_zero(p: BiPoly):
+    """A zero (z1, z2) of p in the open bidisk, or None when p has none.
+
+    Torus-plus-slice test (Huang 1972; DeCarlo, Murray & Saeks 1977): p has
+    no zero there exactly when p(z1, 0) has none with |z1| < 1 and p(z1, .)
+    has none with |z2| < 1 for every |z1| = 1.  The torus roots of sampled
+    z1 come from one batched eigenvalue call on companion matrices.  Roots
+    inside by at most ``DENOMINATOR_ROOT_TOL`` are boundary zeros, allowed.
+    """
+    inside, m = 1.0 - DENOMINATOR_ROOT_TOL, p.deg2
+    for root in np.roots(p.coeffs[::-1, 0]):
+        if abs(root) < inside:
+            return complex(root), 0j
+    if m == 0:
+        return None
+    rows = np.vander(_TORUS, p.deg1 + 1, increasing=True) @ p.coeffs  # z2-coefficients
+    keep = np.abs(rows[:, m]) > 1e-12 * np.abs(rows).max(axis=1)
+    companion = np.zeros((keep.sum(), m, m), dtype=complex)
+    companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    companion[:, :, -1] = -rows[keep, :m] / rows[keep, m:]
+    roots = np.linalg.eigvals(companion)
+    k, j = np.unravel_index(np.argmin(np.abs(roots)), roots.shape)
+    if abs(roots[k, j]) < inside:
+        return complex(_TORUS[keep][k]), complex(roots[k, j])
+    return None
+
+
+def require_stable_denominator(theta: RationalInnerMatrix) -> RationalInnerMatrix:
+    """Reject Theta whose denominator has a zero in the open bidisk.
+
+    Boundary zeros are allowed: ``scalar_favorite`` vanishes at (1, 1).
+    """
+    zero = None if theta.p.is_constant else _open_bidisk_zero(theta.p)
+    if zero is not None:
+        raise UnstableDenominatorError(
+            f"candidate {theta.label or '<unnamed>'} is not inner: UNSTABLE_DENOMINATOR, "
+            f"p vanishes near ({zero[0]:.4g}, {zero[1]:.4g}) inside the bidisk")
+    return theta
+
+
 def _require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
     check = verify_inner_exact(theta)
     if not check.passed:
         raise InnerFunctionError(
             f"candidate {theta.label or '<unnamed>'} is not inner: "
             f"Laurent residual {check.residual:.3e}")
-    return theta
+    return require_stable_denominator(theta)
 
 
 # ----------------------------------------------------------------------
@@ -223,10 +275,9 @@ def from_stable_poly(p: BiPoly, m: int | None = None, n: int | None = None,
                      label: str = "") -> RationalInnerMatrix:
     """Scalar inner function reflect(p) / p for a stable polynomial p.
 
-    The reflection degrees default to the degrees of p.  Stability (no
-    zeros on the closed bidisk, boundary zeros allowed) is the caller's
-    responsibility; the Laurent identity below holds for any p, and an
-    unstable p shows up downstream as a divergent Taylor expansion.
+    The reflection degrees default to the degrees of p.  The Laurent
+    identity holds for any p, so a p with a zero in the open bidisk raises
+    ``UnstableDenominatorError``; boundary zeros are allowed.
     """
     m = p.deg1 if m is None else m
     n = p.deg2 if n is None else n

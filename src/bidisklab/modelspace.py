@@ -8,11 +8,11 @@ adjoint and the induced truncated model projection, and builds
 orthonormal model-space bases, compressed shifts, self-commutators, and
 numerical rank estimates swept over a truncation schedule.
 
-No operator is stored as an n x n matrix.  Multiplication by Theta is
-block Toeplitz in both degree indices, so ``BlockToeplitz`` applies it as
-a 2-D block convolution by FFT, and ``ModelProjection`` applies I - M M*
-on top of it; memory grows with the grid, not with its square.
-``analytic_mult`` keeps the dense matrix as a reference for tests.
+No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
+is causal, so on a lower box it is T_Q T_p^-1: ``BlockToeplitz`` applies
+T_Q by shifted adds and T_p^-1 by a recursion over z1-rows, and
+``ModelProjection`` applies I - M M* on top of it; memory grows with the
+grid, not with its square.  ``analytic_mult`` is the dense test reference.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -154,9 +154,6 @@ class Subspace:
     def coords(self, vec: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ vec
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        return self.basis @ self.coords(vec)
-
 
 @dataclass(frozen=True)
 class OpMatrix:
@@ -172,7 +169,7 @@ class OpMatrix:
 
 
 # ----------------------------------------------------------------------
-# block-Toeplitz multiplication operators
+# multiplication by Theta = Q / p on a box
 # ----------------------------------------------------------------------
 
 def analytic_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
@@ -201,101 +198,97 @@ def analytic_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
     return M
 
 
-def adjoint_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
-    """Matrix of the adjoint multiplication operator on the grid.
+def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices of a stack of series (..., n)."""
+    lag = np.subtract.outer(np.arange(series.shape[-1]), np.arange(series.shape[-1]))
+    return np.where(lag >= 0, series[..., np.maximum(lag, 0)], 0.0)
 
-    Equals the conjugate transpose of ``analytic_mult`` on the same grid;
-    restricting the padded-grid construction gives the identical block,
-    which the test suite checks as a property.
+
+def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
+    """Q's nonzero (c, e) blocks, R_0 and the (c, R_c, R_c^H) of p on the box.
+
+    For constant p, 1 / p is folded into the blocks and there are no rows.
     """
-    return analytic_mult(table, grid).conj().T
-
-
-def project_model(table: TaylorTable, grid: TruncGrid, f: np.ndarray) -> np.ndarray:
-    """Apply the truncated model-space projection f - Theta (Theta* f)."""
-    return ModelProjection(BlockToeplitz(table, grid)) @ f
-
-
-# ----------------------------------------------------------------------
-# convolution engine
-# ----------------------------------------------------------------------
-
-def _fast_len(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 5 (a fast FFT size).
-
-    scipy.fft.next_fast_len would serve, but importing scipy.fft adds about
-    0.1 s to ``import bidisklab``, which takes 0.36-0.60 s with
-    ``python -X importtime`` on 2 vCPUs.
-    """
-    while True:
-        m = n
-        for f in (2, 3, 5):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
-
-
-def _block_product(blocks: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
-    """Blockwise blocks @ x (blocks^H @ x if adjoint) over the leading axes.
-
-    blocks has shape (..., p, q) and x (..., q, k) ((..., p, k) if adjoint),
-    broadcasting over the leading axes; the blocks are tiny, so the
-    products are unrolled.
-    """
-    if adjoint:
-        blocks = blocks.conj().swapaxes(-1, -2)
-    out = np.empty(x.shape[:-2] + (blocks.shape[-2], x.shape[-1]), dtype=complex)
-    for i in range(blocks.shape[-2]):
-        acc = blocks[..., i, 0, None] * x[..., 0, :]
-        for j in range(1, blocks.shape[-1]):
-            acc += blocks[..., i, j, None] * x[..., j, :]
-        out[..., i, :] = acc
-    return out
-
-
-# Tables with at most this many nonzero coefficient blocks (polynomial
-# Theta) are applied as shifted block products.  At 16 blocks these match
-# the FFT on one column and beat it 1.3-4x on blocks of 30-60 columns on
-# boxes (12,12) to (30,30); on rank-deep they take the median pass from
-# 1.70 s to 1.07 s (BENCH_3.json, "direct_vs_fft").
-_DIRECT_MAX_BLOCKS = 16
+    A, B, d = grid.A, grid.B, grid.d
+    p = np.zeros((min(A, theta.p.deg1) + 1, B + 1), dtype=complex)
+    for a, b, v in theta.p.terms():
+        if a <= A and b <= B:
+            p[a, b] = v
+    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
+    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
+    P = _lower_toeplitz(p)
+    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
+    scale = p[0, 0] if theta.p.is_constant else 1.0
+    blocks = {}
+    for i in range(d):
+        for j in range(d):
+            q = theta.Q[i, j].coeffs[: A + 1, : B + 1] / scale
+            for c, e in zip(*np.nonzero(q)):
+                blocks.setdefault((c, e), np.zeros((d, d), dtype=complex))[i, j] = q[c, e]
+    rows = None if theta.p.is_constant else []
+    for c in range(1, len(p)):
+        if p[c].any():
+            Rc = -R0 @ P[c]
+            rows.append((c, Rc, Rc.conj().T))
+    return list(blocks.items()), R0, rows
 
 
 class BlockToeplitz:
-    """Multiplication by Theta on one degree box, applied as a convolution.
+    """Multiplication by Theta = Q / p on one degree box.
 
     ``M @ x`` and ``M.H @ x`` take a flat vector on the box or a block of
     such columns.  Output degrees beyond the box are dropped, as in
-    ``analytic_mult``, whose matrix this operator never forms.  It stores
-    either the few nonzero coefficient blocks of a polynomial Theta, applied
-    by shifted adds, or the spectrum of the box's Taylor coefficients,
-    applied by FFT.
+    ``analytic_mult``, whose matrix this operator never forms.  M is causal
+    and the box a lower box, so compressions multiply: M = T_Q T_p^-1 on
+    the box and M* = T_p^-* T_Q*.  T_Q is one shifted block product per
+    nonzero coefficient block of Q.  T_p^-1 solves p y = x one z1-row at a
+    time: with p = sum_c p_c(z2) z1^c,
+
+        y[a] = R_0 x[a] + sum_{c = 1..m1} R_c y[a - c],
+
+    where R_0 (``inv_p0``) and R_c are the (B + 1) x (B + 1) lower-triangular
+    Toeplitz matrices of the series 1 / p_0 and -p_c / p_0.  The adjoint runs
+    the same recursion from the top row down with R_c^H; lower-triangular
+    Toeplitz matrices commute, so it needs no others.  This is a
+    quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
+    Digital Signal Processing*, 1984).
     """
 
-    def __init__(self, table: TaylorTable, grid: TruncGrid, adjoint: bool = False,
-                 _kernel=None):
-        if table.A < grid.A or table.B < grid.B or table.d != grid.d:
-            raise ValueError("Taylor table does not cover the grid")
-        self.table = table
-        self.grid = grid
-        self.adjoint = adjoint
-        # 2A + 1 points keep the circular wrap-around off degrees 0..A, for
-        # the causal product and the anti-causal adjoint alike
-        self.fft_shape = (_fast_len(2 * grid.A + 1), _fast_len(2 * grid.B + 1))
-        if _kernel is None:
-            coeffs = table.coeffs[: grid.A + 1, : grid.B + 1]
-            taps = np.argwhere(np.abs(coeffs).max(axis=(2, 3)) > 0.0)
-            if len(taps) <= _DIRECT_MAX_BLOCKS:
-                _kernel = [(c, e, coeffs[c, e]) for c, e in taps]
-            else:
-                _kernel = np.fft.fft2(coeffs, s=self.fft_shape, axes=(0, 1))
-        self._kernel = _kernel
+    def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
+                 adjoint: bool = False, _kernel=None):
+        if theta.d != grid.d:
+            raise ValueError("grid dimension disagrees with Theta")
+        self.theta, self.grid, self.adjoint = theta, grid, adjoint
+        self._kernel = _kernel or _rational_kernel(theta, grid)
+        self.inv_p0 = self._kernel[1]
 
     @property
     def H(self) -> "BlockToeplitz":
-        return BlockToeplitz(self.table, self.grid, not self.adjoint, self._kernel)
+        return BlockToeplitz(self.theta, self.grid, not self.adjoint, self._kernel)
+
+    def _numerator(self, box: np.ndarray) -> np.ndarray:
+        A, B = self.grid.A, self.grid.B
+        out = np.zeros(box.shape, dtype=complex)
+        for (c, e), blk in self._kernel[0]:
+            low, high = np.s_[: A + 1 - c, : B + 1 - e], np.s_[c:, e:]
+            if self.adjoint:
+                blk, src, dst = blk.conj().T, box[high], out[low]
+            else:
+                src, dst = box[low], out[high]
+            # a scalar product streams about twice as fast as a 1 x 1 matmul
+            dst += blk[0, 0] * src if blk.shape == (1, 1) else blk @ src
+        return out
+
+    def _denominator(self, box: np.ndarray) -> np.ndarray:
+        _, R0, rows = self._kernel
+        A, step = self.grid.A, 1 if self.adjoint else -1
+        y = np.matmul(R0.conj().T if self.adjoint else R0,
+                      box.reshape(A + 1, self.grid.B + 1, -1))
+        for a in (range(A - 1, -1, -1) if self.adjoint else range(1, A + 1)):
+            for c, Rc, RcH in rows:
+                if 0 <= a + step * c <= A:
+                    y[a] += (RcH if self.adjoint else Rc) @ y[a + step * c]
+        return y.reshape(box.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -305,17 +298,12 @@ class BlockToeplitz:
         if x.size == 0:
             return np.zeros(x.shape, dtype=complex)
         box = x.reshape(g.A + 1, g.B + 1, g.d, -1)
-        if isinstance(self._kernel, list):
-            out = np.zeros(box.shape, dtype=complex)
-            for c, e, blk in self._kernel:
-                if self.adjoint:
-                    out[: g.A + 1 - c, : g.B + 1 - e] += _block_product(blk, box[c:, e:], True)
-                else:
-                    out[c:, e:] += _block_product(blk, box[: g.A + 1 - c, : g.B + 1 - e], False)
+        if self._kernel[2] is None:
+            out = self._numerator(box)
+        elif self.adjoint:
+            out = self._denominator(self._numerator(box))
         else:
-            spec = np.fft.fft2(box, s=self.fft_shape, axes=(0, 1))
-            out = np.fft.ifft2(_block_product(self._kernel, spec, self.adjoint),
-                               axes=(0, 1))[: g.A + 1, : g.B + 1]
+            out = self._numerator(self._denominator(box))
         return out.reshape(x.shape)
 
 
@@ -349,16 +337,16 @@ _SKETCH_SEED = 0
 # projected probe columns sits near 1e-15 of the largest, far below.
 _FRAME_TOL_REL = 1e-3 * RANK_REL_TOL
 
-# Complex entries of the column spectra one defect batch may hold (16 MB).
+# Complex entries of the probe-box column block one defect batch may hold (16 MB).
 _DEFECT_BATCH_ENTRIES = 1 << 20
 
 
 class ModelWorkspace:
     """Shared truncation machinery for one (Theta, grid, pad) triple.
 
-    Holds the padded grid, the Taylor table on it, and the multiplication
-    operator ``mult`` and truncated model projection ``proj`` on the padded
-    grid, both convolution operators.  Bases and shifts run on the working
+    Holds the padded grid, the Taylor table on it (for the decay class and
+    the chopped defect), and the multiplication operator ``mult`` and the
+    truncated model projection ``proj`` on the padded grid.  Bases and shifts run on the working
     grid or one degree beyond it, where the anti-causal identity (module
     docstring) makes them agree with the padded projection; the chopped-mass
     defect uses the padded grid only as its points outside the working grid.
@@ -376,7 +364,7 @@ class ModelWorkspace:
         self.padded = TruncGrid(grid.A + self.pad[0], grid.B + self.pad[1], grid.d)
         self.table = expand(theta, self.padded.A, self.padded.B)
         self.decay = tail_diagnostic(self.table)
-        self.mult = BlockToeplitz(self.table, self.padded)
+        self.mult = BlockToeplitz(theta, self.padded)
         self.proj = ModelProjection(self.mult)
         self._mults: dict[tuple[int, int], BlockToeplitz] = {}
 
@@ -384,7 +372,7 @@ class ModelWorkspace:
         """Multiplication by Theta on a box inside the padded grid (cached)."""
         key = (grid.A, grid.B)
         if key not in self._mults:
-            self._mults[key] = BlockToeplitz(self.table, grid)
+            self._mults[key] = BlockToeplitz(self.theta, grid)
         return self._mults[key]
 
     def project_grid_vec(self, vec: np.ndarray) -> np.ndarray:
@@ -441,7 +429,7 @@ class ModelWorkspace:
         and the mass of probe column m is the m-th row norm of
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
         conj(Theta_{p-q}[k, j]) at (q, j), gathered from the Taylor table;
-        M_{Q,Q} is the convolution on the probe box.  Outside points are
+        M_{Q,Q} is the operator on the probe box.  Outside points are
         taken in batches of bounded memory.
         """
         outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
@@ -450,8 +438,7 @@ class ModelWorkspace:
         if pa.size == 0 or probe.dim == 0:
             return 0.0
         mult, d = self.mult_on(probe), probe.d
-        L1, L2 = mult.fft_shape
-        batch = max(1, _DEFECT_BATCH_ENTRIES // (L1 * L2 * d * d))
+        batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * d))
         mass = np.zeros(probe.dim)
         for start in range(0, pa.size, batch):
             da = pa[None, start: start + batch] - np.arange(probe.A + 1)[:, None]

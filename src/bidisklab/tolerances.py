@@ -23,6 +23,9 @@ RANK_ABS_TOL = 1e-10
 # Orthonormality slack allowed on stored subspace bases.
 BASIS_ORTHO_TOL = 1e-10
 
+# Denominator roots at most this far inside the unit circle are boundary zeros.
+DENOMINATOR_ROOT_TOL = 1e-6
+
 # Unitarity slack for constant conjugating matrices.
 UNITARY_TOL = 1e-12
 

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 from bidisklab import serialize
 from bidisklab.cli import main, run
 from bidisklab.inner import RationalInnerMatrix, builtin
-from bidisklab.polynomials import BiPoly, MatPoly
+from bidisklab.polynomials import BiPoly, MatPoly, reflect
 
 
 def invoke(*args):
@@ -36,6 +36,19 @@ def test_inner_check_non_inner_file_exits_2(tmp_path):
     res = invoke("inner", "check", str(path))
     assert res.exit_code == 2
     assert "FAIL" in res.output
+
+
+def test_unstable_denominator_file_exits_2(tmp_path):
+    p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
+    data = {"d": 1, "p": serialize.poly_to_terms(p),
+            "Q": [[serialize.poly_to_terms(reflect(p, 1, 1))]], "label": "unstable"}
+    path = tmp_path / "unstable.json"
+    serialize.save_json(data, path)
+    for args in (("inner", "check", str(path)), ("rank", str(path))):
+        res = invoke(*args)
+        assert res.exit_code == 2
+        assert "UNSTABLE_DENOMINATOR" in res.output
+    assert run(["rank", str(path), "-q"]) == 2
 
 
 def test_inner_expand_writes_table(tmp_path):

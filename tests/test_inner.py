@@ -5,6 +5,7 @@ from bidisklab import inner
 from bidisklab.inner import (
     InnerFunctionError,
     RationalInnerMatrix,
+    UnstableDenominatorError,
     builtin,
     builtin_names,
     degree,
@@ -144,6 +145,60 @@ def test_from_stable_poly_boundary_singular():
     assert verify_inner_exact(th).passed
     # boundary zero at tau = (1, 1): both numerator and denominator vanish
     assert abs(th.p(1.0, 1.0)) < 1e-14
+
+
+def test_unstable_denominator_rejected():
+    # p(z1, 0) = 1 - 2 z1 vanishes at z1 = 1/2; the Laurent identity holds
+    # anyway, and before the gate a sweep over (4,4), (6,6), (8,8) read
+    # ranks [4, 6, 6], INCONCLUSIVE, with only SLOW_TAYLOR_DECAY
+    p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
+    with pytest.raises(UnstableDenominatorError) as info:
+        from_stable_poly(p)
+    assert info.value.reason == "UNSTABLE_DENOMINATOR"
+    assert "UNSTABLE_DENOMINATOR" in str(info.value)
+    assert isinstance(info.value, InnerFunctionError)
+    # the slice p(z1, 0) = 1 + 0.1 z1 is stable; only the torus half sees
+    # the zero of 1 - 2 z2 + 0.1 z1
+    with pytest.raises(UnstableDenominatorError):
+        from_stable_poly(p.swap_vars())
+
+
+def test_stability_gate_keeps_boundary_zeros():
+    # 2 - z1 - z2 vanishes at (1, 1) and 1 - z1 z2 on the whole curve
+    # z2 = conj(z1) of the torus; neither has a zero inside
+    assert inner._open_bidisk_zero(builtin("scalar_favorite").p) is None
+    assert inner._open_bidisk_zero(one - z1 * z2) is None
+
+
+def _interior_zero_margin(p, rng):
+    """Smallest |z2|-root of p(z1, .) over random z1 in the disk, minus 1."""
+    r = np.sqrt(rng.uniform(size=400))
+    pts = r * np.exp(2j * np.pi * rng.uniform(size=400))
+    best = np.inf
+    for w in pts:
+        col = np.polynomial.polynomial.polyval(w, p.coeffs)  # coefficients in z2
+        roots = np.roots(col[::-1])
+        if roots.size:
+            best = min(best, np.abs(roots).min())
+    return best - 1.0
+
+
+def test_stability_gate_matches_interior_root_sampling():
+    # an oracle that shares no code with the gate: z2-roots of p(w, .) for
+    # sampled w inside the disk; only clear-cut polynomials are compared
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(60):
+        shape = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[0, 0] = rng.uniform(0.5, 4.0) * np.abs(c).sum() / 2
+        p = BiPoly(c)
+        margin = _interior_zero_margin(p, rng)
+        if abs(margin) < 0.05:
+            continue
+        assert (inner._open_bidisk_zero(p) is None) == (margin > 0)
+        checked += 1
+    assert checked >= 30
 
 
 def test_diagonal_matches_builtin():

@@ -6,9 +6,10 @@ from scipy.signal import convolve2d
 from bidisklab import modelspace
 from bidisklab.inner import builtin, diagonal, from_scalar, scalar_z2n, unitary_conjugate
 from bidisklab.modelspace import (
+    BlockToeplitz,
+    ModelProjection,
     ModelWorkspace,
     TruncGrid,
-    adjoint_mult,
     analytic_mult,
     commutator,
     compressed_shift,
@@ -16,7 +17,6 @@ from bidisklab.modelspace import (
     model_basis,
     numerical_rank,
     probe_model_basis,
-    project_model,
     rank_at_level,
     rank_sweep,
     shift_mult,
@@ -83,7 +83,7 @@ def test_analytic_mult_cutoff_mismatch():
 def test_adjoint_backward_shift():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    M = adjoint_mult(expand(th, 3, 3), g)
+    M = BlockToeplitz(th, g).H @ np.eye(g.dim)
     for a in range(4):
         for b in range(4):
             col = M[:, g.flat(a, b, 0)]
@@ -98,7 +98,7 @@ def test_adjoint_backward_shift():
 def test_adjoint_double_backward_shift():
     th = scalar_z2n(2)
     g = TruncGrid(2, 4, 1)
-    M = adjoint_mult(expand(th, 2, 4), g)
+    M = BlockToeplitz(th, g).H @ np.eye(g.dim)
     f = np.zeros(g.dim)
     f[g.flat(0, 3, 0)] = 1.0  # z2^3
     out = M @ f
@@ -112,7 +112,7 @@ def test_adjoint_equals_restricted_padded_transpose():
     g = TruncGrid(4, 4, 2)
     big = TruncGrid(7, 6, 2)
     table = expand(th, 7, 6)
-    direct = adjoint_mult(table, g)
+    direct = BlockToeplitz(th, g).H @ np.eye(g.dim)
     padded = analytic_mult(table, big).conj().T
     idx = g.indices_in(big)
     assert np.allclose(direct, padded[np.ix_(idx, idx)])
@@ -121,20 +121,19 @@ def test_adjoint_equals_restricted_padded_transpose():
 def test_project_model_constants_fixed():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    t = expand(th, 3, 3)
     f = np.zeros(g.dim)
     f[g.flat(0, 0, 0)] = 1.0
-    assert np.allclose(project_model(t, g, f), f)
+    assert np.allclose(ModelProjection(BlockToeplitz(th, g)) @ f, f)
 
 
 def test_project_model_kills_range():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    t = expand(th, 3, 3)
+    proj = ModelProjection(BlockToeplitz(th, g))
     for (a, b) in [(1, 1), (2, 1)]:
         f = np.zeros(g.dim)
         f[g.flat(a, b, 0)] = 1.0
-        assert np.linalg.norm(project_model(t, g, f)) < 1e-14
+        assert np.linalg.norm(proj @ f) < 1e-14
 
 
 def test_model_basis_monomial_dimension():
@@ -338,19 +337,56 @@ BUILTINS = ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2", "scalar_favorite",
             "scalar_stable4", "scalar_z1z2")
 
 
-@pytest.mark.parametrize("path", ["direct", "fft"])
-@pytest.mark.parametrize("name", BUILTINS)
+def _defect_theta(name):
+    if name != "conjugated_stable4_favorite":
+        return builtin(name)
+    # a non-diagonal d = 2 rational Theta
+    rng = np.random.default_rng(11)
+    U, V = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    return unitary_conjugate(diagonal([builtin("scalar_stable4"), builtin("scalar_favorite")]), U, V)
+
+
+ALL_THETAS = list(BUILTINS) + ["scalar_z2n(3)", "conjugated_stable4_favorite"]
+
+
+def _fft_mult(table, grid, x, adjoint=False):
+    """Multiplication by the Taylor table on the grid as an FFT convolution.
+
+    The circular length 2A + 1 (2B + 1) keeps the wrap-around off degrees
+    0..A (0..B) for the causal product and the anti-causal adjoint alike.
+    """
+    shape = (2 * grid.A + 1, 2 * grid.B + 1)
+    kernel = np.fft.fft2(table.coeffs[: grid.A + 1, : grid.B + 1], s=shape, axes=(0, 1))
+    box = np.asarray(x).reshape(grid.A + 1, grid.B + 1, grid.d, -1)
+    spec = np.fft.fft2(box, s=shape, axes=(0, 1))
+    if adjoint:
+        kernel = kernel.conj().swapaxes(2, 3)
+    out = np.fft.ifft2(kernel @ spec, axes=(0, 1))[: grid.A + 1, : grid.B + 1]
+    return out.reshape(np.shape(x))
+
+
+# The reference is the dense matrix ("direct") or an FFT convolution of the
+# Taylor table ("fft").  Inputs are real unit vectors and complex columns:
+# a complex-coefficient Theta fed a real input must keep its imaginary part.
+@pytest.mark.parametrize("reference", ["direct", "fft"])
+@pytest.mark.parametrize("name", ALL_THETAS)
 @pytest.mark.parametrize("A,B", [(3, 3), (4, 2), (2, 5)])
-def test_convolution_operators_match_dense(name, A, B, path, monkeypatch):
-    # polynomial builtins take the shifted-add path unless it is switched off
-    if path == "fft":
-        monkeypatch.setattr(modelspace, "_DIRECT_MAX_BLOCKS", 0)
-    th = builtin(name)
+def test_convolution_operators_match_dense(name, A, B, reference):
+    th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(A, B, th.d))
+    n = ws.padded.dim
     M = analytic_mult(ws.table, ws.padded)
-    eye = np.eye(ws.padded.dim)
-    assert np.abs(ws.mult @ eye - M).max() < 1e-13
-    assert np.abs(ws.mult.H @ eye - M.conj().T).max() < 1e-13
+    rng = np.random.default_rng(A + 10 * B)
+    for x in (np.eye(n), rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
+        if reference == "direct":
+            ref, ref_h = M @ x, M.conj().T @ x
+        else:
+            ref = _fft_mult(ws.table, ws.padded, x)
+            ref_h = _fft_mult(ws.table, ws.padded, x, adjoint=True)
+        assert np.abs(ws.mult @ x - ref).max() < 1e-13
+        assert np.abs(ws.mult.H @ x - ref_h).max() < 1e-13
+    eye = np.eye(n)
     proj = eye - M @ M.conj().T
     assert np.abs(ws.proj @ eye - proj).max() < 1e-13
     # anti-causal identity: the padded projection cut to the working grid
@@ -360,14 +396,20 @@ def test_convolution_operators_match_dense(name, A, B, path, monkeypatch):
                   - proj[np.ix_(work, work)]).max() < 1e-13
 
 
-def _defect_theta(name):
-    if name != "conjugated_stable4_favorite":
-        return builtin(name)
-    # a non-diagonal d = 2 rational Theta
-    rng = np.random.default_rng(11)
-    U, V = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-            for _ in range(2))
-    return unitary_conjugate(diagonal([builtin("scalar_stable4"), builtin("scalar_favorite")]), U, V)
+@pytest.mark.parametrize("name", ["scalar_favorite", "scalar_stable4",
+                                  "conjugated_stable4_favorite"])
+def test_recursion_forward_error_at_64(name):
+    # the z1-row recursion against an FFT convolution of the Taylor table on
+    # the padded (64,64) window, where a dense matrix would take about 320 MB
+    th = _defect_theta(name)
+    ws = ModelWorkspace(th, TruncGrid(64, 64, th.d))
+    rng = np.random.default_rng(64)
+    n = ws.padded.dim
+    x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+    for op, adjoint in ((ws.mult, False), (ws.mult.H, True)):
+        ref = _fft_mult(ws.table, ws.padded, x, adjoint)
+        err = np.linalg.norm(op @ x - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert err.max() < 1e-12
 
 
 def _outside_points(ws):
@@ -382,7 +424,7 @@ DEFECT_CASES = [((5, 4), (8, 7), (3, 3)), ((6, 6), (6, 6), (1, 1)),
                 ((3, 7), (4, 8), (2, 1)), ((7, 2), (7, 2), (1, 4))]
 
 
-@pytest.mark.parametrize("name", list(BUILTINS) + ["conjugated_stable4_favorite"])
+@pytest.mark.parametrize("name", ALL_THETAS)
 def test_chopped_defect_matches_dense_columns(name, monkeypatch):
     th = _defect_theta(name)
     for (pa, pb), (wa, wb), pad in DEFECT_CASES:

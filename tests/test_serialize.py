@@ -1,11 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from bidisklab import serialize
-from bidisklab.inner import builtin, verify_inner_exact
+from bidisklab.inner import UnstableDenominatorError, builtin, verify_inner_exact
 from bidisklab.modelspace import TruncGrid, analytic_mult, rank_sweep
-from bidisklab.polynomials import BiPoly
+from bidisklab.polynomials import BiPoly, reflect
 from bidisklab.taylor import expand
 
 
@@ -30,6 +31,14 @@ def test_theta_loading_does_not_validate():
             "Q": [[[{"a": 0, "b": 0, "re": 2.0, "im": 0.0}]]], "label": "x"}
     th = serialize.theta_from_json(data)
     assert not verify_inner_exact(th).passed
+
+
+def test_theta_loading_rejects_unstable_denominator():
+    p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
+    data = {"d": 1, "p": serialize.poly_to_terms(p),
+            "Q": [[serialize.poly_to_terms(reflect(p, 1, 1))]], "label": "unstable"}
+    with pytest.raises(UnstableDenominatorError):
+        serialize.theta_from_json(data)
 
 
 def test_taylor_roundtrip_reproduces_operators(tmp_path):
