@@ -14,9 +14,11 @@ from .polynomials import (
     LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
+    laurent_identity_residual,
     mat_determinant,
     mul_star,
     poly_divexact,
+    poly_mul,
     reduce_fraction,
     reflect,
 )
@@ -57,6 +59,7 @@ from .modelspace import (
     Subspace,
     SweepVerdict,
     TruncGrid,
+    adjoint_mult,
     analytic_mult,
     backward_shift,
     commutator,

@@ -18,48 +18,53 @@ import numpy as np
 from . import agler as agler_mod
 from . import experiments, serialize
 from .inner import (
-    InnerFunctionError,
     RationalInnerMatrix,
-    _require_inner,
+    UnstableDenominatorError,
     builtin,
     builtin_descriptions,
     verify_inner_exact,
     verify_inner_grid,
 )
-from .modelspace import _validate_schedule, rank_sweep
+from .modelspace import rank_sweep
 from .taylor import expand, tail_diagnostic
-from .tolerances import RANK_REL_TOL
 
 
-def _load_theta(source: str, require_inner: bool = True) -> RationalInnerMatrix:
-    """Builtin or JSON candidate; exits 2 when it is not inner.
-
-    The Laurent identity is skipped when `require_inner` is False, but a
-    JSON denominator with a zero in the open bidisk is always rejected.
-    """
+def _load_theta(source: str) -> RationalInnerMatrix:
     path = Path(source)
+    if path.suffix == ".json" or path.exists():
+        try:
+            return serialize.theta_from_json(serialize.load_json(path))
+        except UnstableDenominatorError as exc:
+            click.echo(f"input rejected: {exc}")
+            sys.exit(2)
     try:
-        if path.suffix == ".json" or path.exists():
-            theta = serialize.theta_from_json(serialize.load_json(path))
-        else:
-            theta = builtin(source)
-        return _require_inner(theta) if require_inner else theta
+        return builtin(source)
     except KeyError as exc:
         raise click.UsageError(str(exc)) from exc
-    except InnerFunctionError as exc:
-        click.echo(f"input rejected: {exc}")
+
+
+def _require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
+    check = verify_inner_exact(theta)
+    if not check.passed:
+        click.echo(f"input is not inner: exact residual {check.residual:.6e}")
         sys.exit(2)
+    return theta
 
 
 def _parse_schedule(text: str):
     try:
         levels = [tuple(int(x) for x in part.split(","))
                   for part in text.split(";") if part.strip()]
-        if any(len(lv) != 2 for lv in levels):
-            raise ValueError("schedule levels must be 'A,B' pairs")
-        return _validate_schedule(levels)
-    except ValueError as exc:
-        raise click.UsageError(f"bad schedule {text!r}: {exc}")
+    except ValueError:
+        raise click.UsageError(f"cannot parse schedule {text!r}")
+    if any(len(lv) != 2 for lv in levels):
+        raise click.UsageError("schedule levels must be 'A,B' pairs")
+    if len(levels) < 3:
+        raise click.UsageError("schedule needs at least three levels")
+    for (a0, b0), (a1, b1) in zip(levels, levels[1:]):
+        if a1 <= a0 or b1 <= b0:
+            raise click.UsageError("schedule must increase strictly in both coordinates")
+    return levels
 
 
 def _echo_table(rows, header):
@@ -101,7 +106,7 @@ def inner_group():
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def inner_check(source, grid_n, exact, quiet):
     """Verify that SOURCE is inner; exit 2 if not."""
-    theta = _load_theta(source, require_inner=False)
+    theta = _load_theta(source)
     checks = []
     if grid_n is not None:
         checks.append(verify_inner_grid(theta, grid_n))
@@ -122,7 +127,7 @@ def inner_check(source, grid_n, exact, quiet):
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def inner_expand(source, trunc, out_path, quiet):
     """Expand SOURCE into matrix Taylor coefficients up to degrees A, B."""
-    theta = _load_theta(source)
+    theta = _require_inner(_load_theta(source))
     A, B = trunc
     table = expand(theta, A, B)
     diag = tail_diagnostic(table)
@@ -141,13 +146,13 @@ def inner_expand(source, trunc, out_path, quiet):
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True,
               help="Semicolon-separated truncation levels 'A,B'.")
 @click.option("--pad", nargs=2, type=int, default=None, metavar="P1 P2")
-@click.option("--tol", type=float, default=RANK_REL_TOL, show_default=True,
+@click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Relative singular-value tolerance for the rank count.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def rank_cmd(source, schedule, pad, tol, out_path, quiet):
     """Sweep the self-commutator rank of the first compressed shift."""
-    theta = _load_theta(source)
+    theta = _require_inner(_load_theta(source))
     levels = _parse_schedule(schedule)
     report = rank_sweep(theta, levels, pad, tol_rel=tol)
     if out_path:
@@ -175,7 +180,7 @@ def agler_group():
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def agler_dims(source, trunc, out_path, quiet):
     """Dimensions of the wandering quotient spaces at truncation A, B."""
-    theta = _load_theta(source)
+    theta = _require_inner(_load_theta(source))
     A, B = trunc
     spaces = agler_mod.agler_spaces(theta, A, B)
     payload = serialize.agler_summary_to_json(
@@ -197,7 +202,7 @@ def agler_dims(source, trunc, out_path, quiet):
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def agler_verify(source, trunc, samples, seed, out_path, quiet):
     """Check the two-kernel decomposition identity on sampled point pairs."""
-    theta = _load_theta(source)
+    theta = _require_inner(_load_theta(source))
     A, B = trunc
     spaces = agler_mod.agler_spaces(theta, A, B)
     rng = np.random.default_rng(seed)

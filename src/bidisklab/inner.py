@@ -160,15 +160,20 @@ def _open_bidisk_zero(p: BiPoly):
     has none with |z2| < 1 for every |z1| = 1.  The torus roots of sampled
     z1 come from one batched eigenvalue call on companion matrices.  Roots
     inside by at most ``DENOMINATOR_ROOT_TOL`` are boundary zeros, allowed.
+    z2-powers whose coefficients are negligible at every sample only carry
+    roots near infinity, so the z2-degree m is cut below them.
     """
-    inside, m = 1.0 - DENOMINATOR_ROOT_TOL, p.deg2
+    inside = 1.0 - DENOMINATOR_ROOT_TOL
     for root in np.roots(p.coeffs[::-1, 0]):
         if abs(root) < inside:
             return complex(root), 0j
+    rows = np.vander(_TORUS, p.deg1 + 1, increasing=True) @ p.coeffs  # z2-coefficients
+    mags = np.abs(rows)
+    m = int(np.flatnonzero(mags.max(axis=0) > 1e-12 * mags.max())[-1])
     if m == 0:
         return None
-    rows = np.vander(_TORUS, p.deg1 + 1, increasing=True) @ p.coeffs  # z2-coefficients
-    keep = np.abs(rows[:, m]) > 1e-12 * np.abs(rows).max(axis=1)
+    # the sample where column m is largest passes, so keep is never empty
+    keep = mags[:, m] > 1e-12 * mags.max(axis=1)
     companion = np.zeros((keep.sum(), m, m), dtype=complex)
     companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
     companion[:, :, -1] = -rows[keep, :m] / rows[keep, m:]

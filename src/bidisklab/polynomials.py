@@ -162,6 +162,9 @@ class BiPoly:
     def scale(self, factor) -> "BiPoly":
         return BiPoly(self.coeffs * complex(factor))
 
+    def conj_coeffs(self) -> "BiPoly":
+        return BiPoly(np.conj(self.coeffs))
+
     def swap_vars(self) -> "BiPoly":
         """Exchange the roles of z1 and z2 (transpose the grid)."""
         return BiPoly(self.coeffs.T)
@@ -177,6 +180,11 @@ class BiPoly:
     def __repr__(self) -> str:
         parts = [f"({v:.4g})*z1^{a}*z2^{b}" for a, b, v in self.terms()]
         return "BiPoly(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+def poly_mul(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Product of two bivariate polynomials (2-D coefficient convolution)."""
+    return f * g
 
 
 def reflect(p: BiPoly, m: int, n: int) -> BiPoly:
@@ -267,6 +275,11 @@ def mul_star(f: BiPoly, g: BiPoly) -> LaurentBiPoly:
     out = np.zeros((2 * w1 + 1, 2 * w2 + 1), dtype=complex)
     out[w1 - g.deg1: w1 + f.deg1 + 1, w2 - g.deg2: w2 + f.deg2 + 1] = prod
     return LaurentBiPoly(out, w1, w2)
+
+
+def laurent_identity_residual(L: LaurentBiPoly) -> float:
+    """Largest coefficient modulus; zero exactly when L vanishes identically."""
+    return L.max_abs()
 
 
 # ----------------------------------------------------------------------
@@ -593,6 +606,12 @@ class MatPoly:
     def from_scalar(cls, p: BiPoly) -> "MatPoly":
         return cls([[p]])
 
+    @classmethod
+    def from_constant(cls, M) -> "MatPoly":
+        M = np.asarray(M, dtype=complex)
+        return cls([[BiPoly.const(M[i, j]) for j in range(M.shape[1])]
+                    for i in range(M.shape[0])])
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -651,6 +670,9 @@ class MatPoly:
 
     def scale(self, factor) -> "MatPoly":
         return MatPoly([[e.scale(factor) for e in row] for row in self.entries])
+
+    def mul_poly(self, p: BiPoly) -> "MatPoly":
+        return MatPoly([[e * p for e in row] for row in self.entries])
 
     def swap_vars(self) -> "MatPoly":
         return MatPoly([[e.swap_vars() for e in row] for row in self.entries])

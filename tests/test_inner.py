@@ -168,6 +168,10 @@ def test_stability_gate_keeps_boundary_zeros():
     # z2 = conj(z1) of the torus; neither has a zero inside
     assert inner._open_bidisk_zero(builtin("scalar_favorite").p) is None
     assert inner._open_bidisk_zero(one - z1 * z2) is None
+    # the z2-coefficient is negligible at every torus sample; the only
+    # z2-root is near -5e12
+    assert inner._open_bidisk_zero(BiPoly.from_terms([(0, 0, 10), (0, 1, 2e-12)])) is None
+    assert inner._open_bidisk_zero(BiPoly.from_terms([(0, 0, 10), (1, 1, 2e-12)])) is None
 
 
 def _interior_zero_margin(p, rng):

@@ -6,9 +6,11 @@ from bidisklab.polynomials import (
     LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
+    laurent_identity_residual,
     mat_determinant,
     mul_star,
     poly_divexact,
+    poly_mul,
     reduce_fraction,
     reflect,
 )
@@ -19,18 +21,18 @@ one = BiPoly.one()
 
 
 def test_monomial_product():
-    assert z1 * z2 == BiPoly.monomial(1, 1)
+    assert poly_mul(z1, z2) == BiPoly.monomial(1, 1)
 
 
 def test_multiplicative_identity():
     f = BiPoly.from_terms([(0, 0, 2), (1, 2, -1.5 + 1j), (3, 0, 0.25)])
-    assert one * f == f
+    assert poly_mul(one, f) == f
 
 
 def test_square_of_sum():
     s = z1 + z2
     expected = BiPoly.from_terms([(2, 0, 1), (1, 1, 2), (0, 2, 1)])
-    assert s * s == expected
+    assert poly_mul(s, s) == expected
 
 
 def test_convolution_degrees_random():
@@ -110,17 +112,17 @@ def test_reduce_fraction_back_multiplication_random():
 
 
 def test_laurent_residual_zero():
-    assert LaurentBiPoly.zero(2, 2).max_abs() == 0.0
+    assert laurent_identity_residual(LaurentBiPoly.zero(2, 2)) == 0.0
 
 
 def test_laurent_residual_cancellation():
     L = mul_star(z1, one)
-    assert (L - L).max_abs() == 0.0
+    assert laurent_identity_residual(L - L) == 0.0
 
 
 def test_laurent_residual_max_modulus():
     L = LaurentBiPoly.from_terms([(-1, 0, 1.0), (0, 0, 2.0)])
-    assert L.max_abs() == 2.0
+    assert laurent_identity_residual(L) == 2.0
 
 
 def test_mul_star_is_torus_product():
@@ -183,4 +185,4 @@ def test_reflection_preserves_torus_modulus():
     p = BiPoly(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     r = reflect(p, p.deg1, p.deg2)
     diff = mul_star(p, p) - mul_star(r, r)
-    assert diff.max_abs() < 1e-12
+    assert laurent_identity_residual(diff) < 1e-12
