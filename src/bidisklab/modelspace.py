@@ -27,7 +27,9 @@ Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
 sketches the span of the projected probe monomials, and a pivoted QR of
 the small coordinate matrix restores the orientation and the rank rule of
-a pivoted QR over all probe columns.
+a pivoted QR over all probe columns.  The sketch is sized by det_deg Theta
+(falling back to a bound proven from deg Theta), and one projection pass per
+rank level gives the basis, its Theta* image and its projection.
 
 Truncation is the artifact here, not an afterthought: every operator is
 computed with degree headroom ("pad") so that one variable multiplication
@@ -365,7 +367,7 @@ class ModelWorkspace:
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
-                 pad: tuple[int, int] | None = None):
+                 pad: tuple[int, int] | None = None, _table: TaylorTable | None = None):
         if grid.d != theta.d:
             raise ValueError("grid dimension disagrees with Theta")
         self.theta = theta
@@ -374,7 +376,8 @@ class ModelWorkspace:
         if self.pad[0] < 1 or self.pad[1] < 1:
             raise ValueError("pad must be at least (1, 1)")
         self.padded = TruncGrid(grid.A + self.pad[0], grid.B + self.pad[1], grid.d)
-        self.table = expand(theta, self.padded.A, self.padded.B)
+        self.table = (expand(theta, self.padded.A, self.padded.B) if _table is None
+                      else _table.leading(self.padded.A, self.padded.B))
         self.decay = tail_diagnostic(self.table)
         self.mult = BlockToeplitz(theta, self.padded)
         self.proj = ModelProjection(self.mult)
@@ -387,48 +390,48 @@ class ModelWorkspace:
             self._mults[key] = BlockToeplitz(self.theta, grid)
         return self._mults[key]
 
-    def project_grid_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Project working-grid vectors (or columns), staying on the working grid."""
-        return ModelProjection(self.mult_on(self.grid)) @ vec
+    def grid_images(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Theta* vec and P vec = vec - Theta Theta* vec for working-grid vectors (or columns)."""
+        mult = self.mult_on(self.grid)
+        adj = mult.H @ vec
+        return adj, vec - mult @ adj
 
-    def probe_coords(self, frame: np.ndarray, probe: TruncGrid) -> np.ndarray:
-        """Coordinates in `frame` of the projected probe monomials.
+    def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Orthonormal basis B, on the working grid, of the projected probe monomials.
 
-        Equals frame* P e_m over the lattice points m of `probe`, computed
-        as (P frame)* restricted to those points since P is self-adjoint.
-        """
-        return self.project_grid_vec(frame)[probe.indices_in(self.grid)].conj().T
-
-    def model_span(self, probe: TruncGrid) -> np.ndarray:
-        """Orthonormal basis, on the working grid, of the projected probe monomials.
-
-        Sketches the span with a seeded complex Gaussian test block whose
-        width is a rank bound plus oversampling, doubling the width while
-        the sketch comes back full.  With (m1, m2) = deg Theta, the bound
-        d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
-        d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
-        degree (A - m1, B - m2), which the projection annihilates; when Q
-        has higher degree the doubling makes up for it.  The frame of the
-        sketch is cut only far below the rank rule, so a pivoted QR of the
-        small coordinate matrix alone picks the basis and its rank, as a
-        pivoted QR over every probe column would.
+        Returns B, Theta* B and P B.  The frame F of a seeded complex
+        Gaussian sketch is projected once (``grid_images``); the rows of P F
+        at the probe monomials are the coordinates, and their pivoted QR Qc
+        gives B = F Qc, Theta* B = (Theta* F) Qc and P B = (P F) Qc.  F is
+        cut only far below the rank rule, so that QR alone picks the basis
+        and its rank, as a pivoted QR over every probe column would.  With
+        (m1, m2) = deg Theta, the proven bound d (m1 (B + 1) + m2 (A + 1))
+        counts the probe monomials beyond the d (A + 1 - m1) (B + 1 - m2)
+        dimensions of Q g = Theta (p g), g of degree (A - m1, B - m2), which
+        P annihilates.  The first sketch is the smaller of that bound and the
+        model dimension n2 (A + 1) + n1 (B + 1), (n1, n2) = det_deg Theta, plus
+        oversampling; while a sketch comes back full the next takes at least
+        the bound, then doubles, so B is right whatever det_deg returns.
         """
         idx = probe.indices_in(self.grid)
-        m1, m2 = self.theta.deg
-        width = probe.d * (m1 * (probe.B + 1) + m2 * (probe.A + 1)) + _SKETCH_OVERSAMPLE
+        (m1, m2), (n1, n2) = self.theta.deg, self.theta.det_deg
+        bound = probe.d * (m1 * (probe.B + 1) + m2 * (probe.A + 1)) + _SKETCH_OVERSAMPLE
+        width = min(bound, n2 * (probe.A + 1) + n1 * (probe.B + 1) + _SKETCH_OVERSAMPLE)
         rng = np.random.default_rng(_SKETCH_SEED)
         while True:
             sample = np.zeros((self.grid.dim, min(width, idx.size)), dtype=complex)
             if width >= idx.size:
                 sample[idx, np.arange(idx.size)] = 1.0
             else:
-                sample[idx] = (rng.standard_normal((idx.size, width))
-                               + 1j * rng.standard_normal((idx.size, width)))
-            frame = _orth_columns(self.project_grid_vec(sample), _FRAME_TOL_REL)
+                sample.real[idx] = rng.standard_normal((idx.size, width))
+                sample.imag[idx] = rng.standard_normal((idx.size, width))
+            frame = _orth_columns(self.grid_images(sample)[1], _FRAME_TOL_REL)
             if width >= idx.size or frame.shape[1] < width:
                 break
-            width *= 2
-        return frame @ _orth_columns(self.probe_coords(frame, probe))
+            width = max(2 * width, bound)
+        adj, proj = self.grid_images(frame)
+        coords = _orth_columns(proj[idx].conj().T)
+        return frame @ coords, adj @ coords, proj @ coords
 
     def chopped_defect(self, probe: TruncGrid) -> float:
         """Largest mass a projected probe monomial carries outside the working grid.
@@ -486,7 +489,7 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
     grid, with the rank decided by the pivoted-QR rule.
     """
     ws = ModelWorkspace(theta, grid, pad)
-    return Subspace(grid, ws.model_span(grid), f"model({theta.label})", ws)
+    return Subspace(grid, ws.model_span(grid)[0], f"model({theta.label})", ws)
 
 
 @one_blas_thread
@@ -503,7 +506,7 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
     pad = pad if pad is not None else default_pad(theta)
     work = TruncGrid(A + pad[0], B + pad[1], theta.d)
     ws = ModelWorkspace(theta, work, pad)
-    basis = ws.model_span(TruncGrid(A, B, theta.d))
+    basis = ws.model_span(TruncGrid(A, B, theta.d))[0]
     return Subspace(work, basis, f"model({theta.label})@({A},{B})", ws)
 
 
@@ -513,27 +516,33 @@ def _workspace_for(theta: RationalInnerMatrix, basis: Subspace) -> ModelWorkspac
     return ModelWorkspace(theta, basis.grid)
 
 
-@one_blas_thread
-def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpMatrix:
-    """Matrix of the compressed shift: project z_j times each basis column.
+def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
+                  j: int) -> OpMatrix:
+    """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis.
 
     Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
     - <Theta*(z_j phi_beta), Theta* phi_alpha>, evaluated on the basis grid
-    raised by one degree in z_j, so the multiplication never overflows and
-    the anti-causal adjoint needs no further headroom.
+    raised by one degree in z_j, so the multiplication never overflows.
+    Theta* is anti-causal, so on that grid Theta* of the embedded basis is
+    `adj` embedded, and only z_j times the basis needs the adjoint.
     """
+    g = basis.grid
+    big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
+    Z = shift_mult(g.embed(basis.basis, big), big, j)
+    rows = g.indices_in(big)
+    S = basis.basis.conj().T @ Z[rows] - adj.conj().T @ (ws.mult_on(big).H @ Z)[rows]
+    return OpMatrix(S, basis, basis)
+
+
+@one_blas_thread
+def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpMatrix:
+    """Matrix of the compressed shift: project z_j times each basis column."""
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
     ws = _workspace_for(theta, basis)
     if ws.pad[j - 1] < 1:
         raise ValueError("pad too small for a shift in this variable")
-    g = basis.grid
-    big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
-    Bb = g.embed(basis.basis, big)
-    Z = shift_mult(Bb, big, j)
-    adj = ws.mult_on(big).H
-    S = Bb.conj().T @ Z - (adj @ Bb).conj().T @ (adj @ Z)
-    return OpMatrix(S, basis, basis)
+    return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
 
 
 def commutator(S: OpMatrix) -> OpMatrix:
@@ -596,13 +605,18 @@ class RankReport:
 DECAY_PROBE_DEPTH = 40
 
 
-def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
-    """Decay class of Theta's expansion, probed at a trustworthy depth."""
+def decay_class(theta: RationalInnerMatrix, schedule=None,
+                _table: TaylorTable | None = None) -> DecayClass:
+    """Decay class of Theta's expansion, probed at a trustworthy depth.
+
+    `_table`, a deeper expansion of Theta, is cut to that depth instead.
+    """
     depth_a = depth_b = DECAY_PROBE_DEPTH
     if schedule:
         depth_a = max(depth_a, schedule[-1][0] + 2)
         depth_b = max(depth_b, schedule[-1][1] + 2)
-    return tail_diagnostic(expand(theta, depth_a, depth_b)).decay_class
+    table = expand(theta, depth_a, depth_b) if _table is None else _table.leading(depth_a, depth_b)
+    return tail_diagnostic(table).decay_class
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
@@ -619,7 +633,8 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
                   pad: tuple[int, int] | None = None,
                   tol_rel: float = RANK_REL_TOL,
-                  tol_abs: float = RANK_ABS_TOL) -> RankLevel:
+                  tol_abs: float = RANK_ABS_TOL,
+                  _table: TaylorTable | None = None) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
 
     The shift and its commutator are computed on a working grid with
@@ -628,15 +643,18 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     values; the compression keeps truncation-edge reflections out of the
     estimate.  For non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
+    The basis, the shift and the compression share one projection of the
+    sketch's frame; `_table`, an expansion of Theta at least as deep as the
+    padded grid, is cut to it.
     """
     pad = pad if pad is not None else default_pad(theta)
     work = TruncGrid(A + pad[0], B + pad[1], theta.d)
-    basis = model_basis(theta, work, pad)
-    ws = basis.workspace
-    S = compressed_shift(theta, basis, 1)
-    C = commutator(S)
+    ws = ModelWorkspace(theta, work, pad, _table)
+    span, adj, proj = ws.model_span(work)
+    basis = Subspace(work, span, f"model({theta.label})", ws)
+    C = commutator(_shift_matrix(ws, basis, adj, 1))
     probe = TruncGrid(A, B, theta.d)
-    X = _orth_columns(ws.probe_coords(basis.basis, probe))
+    X = _orth_columns(proj[probe.indices_in(work)].conj().T)
     CX = X.conj().T @ C.matrix @ X
     floor = tol_abs
     if ws.decay.decay_class is not DecayClass.FINITE:
@@ -655,10 +673,14 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     STABLE requires the last three levels to agree; ranks strictly
     increasing across every level mean DIVERGENT; anything else is
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
-    estimates then carry substantial truncation noise.
+    estimates then carry substantial truncation noise.  Theta is expanded
+    once, deep enough for the decay probe and for every level's padded grid.
     """
     sched = _validate_schedule(schedule)
-    levels = [rank_at_level(theta, A, B, pad, tol_rel, tol_abs) for A, B in sched]
+    pad = pad if pad is not None else default_pad(theta)
+    (A, B), depth = sched[-1], DECAY_PROBE_DEPTH
+    table = expand(theta, max(depth, A + 2, A + 2 * pad[0]), max(depth, B + 2, B + 2 * pad[1]))
+    levels = [rank_at_level(theta, A, B, pad, tol_rel, tol_abs, table) for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]
@@ -667,7 +689,7 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     else:
         verdict, stabilized = SweepVerdict.INCONCLUSIVE, None
     warnings: list[str] = []
-    if decay_class(theta, schedule=sched) is DecayClass.SLOW:
+    if decay_class(theta, schedule=sched, _table=table) is DecayClass.SLOW:
         warnings.append("SLOW_TAYLOR_DECAY")
     return RankReport(theta.label, theta.deg, theta.det_deg, tuple(levels),
                       stabilized, verdict, tuple(warnings))

@@ -42,6 +42,13 @@ class TaylorTable:
     def coeff(self, a: int, b: int) -> np.ndarray:
         return self.coeffs[a, b]
 
+    def leading(self, A: int, B: int) -> "TaylorTable":
+        """Block [0..A] x [0..B]: bitwise a fresh expansion, as the recursion is causal."""
+        if not (0 <= A <= self.A and 0 <= B <= self.B):
+            raise ValueError("cutoffs outside the table")
+        coeffs = self.coeffs[: A + 1, : B + 1].copy()
+        return TaylorTable(self.d, A, B, coeffs, _tail_norm(coeffs), self.finite_support)
+
     def frame_norms(self) -> np.ndarray:
         """Max Frobenius norm on each complete L-frame max(a, b) = k."""
         norms = np.linalg.norm(self.coeffs, axis=(2, 3))
@@ -90,9 +97,13 @@ def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
                 if i < j:
                     acc[i:j] -= v * coeffs[a[i:j] - c, s - a[i:j] - e]
             coeffs[a, s - a] = acc / p00
+    return TaylorTable(d, A, B, coeffs, _tail_norm(coeffs), not p_terms)
+
+
+def _tail_norm(coeffs: np.ndarray) -> float:
+    """Largest coefficient norm on the outer edges a = A and b = B."""
     norms = np.linalg.norm(coeffs, axis=(2, 3))
-    tail = max(norms[A, :].max(), norms[:, B].max())
-    return TaylorTable(d, A, B, coeffs, float(tail), not p_terms)
+    return float(max(norms[-1, :].max(), norms[:, -1].max()))
 
 
 def recursion_residual(table: TaylorTable, theta: RationalInnerMatrix) -> float:

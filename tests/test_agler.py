@@ -112,7 +112,7 @@ def test_smax1_invariance_witness():
     shifted = shift_mult(sp.smax1.basis, sp.smax1.grid, 1)
     for col in range(sp.smax1.dim):
         v = shifted[:, col]
-        pv = ws.project_grid_vec(v)
+        pv = ws.grid_images(v)[1]
         assert np.linalg.norm(pv - v) <= 1e-7
 
 

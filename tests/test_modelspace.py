@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.signal import convolve2d
 
 from bidisklab import modelspace
-from bidisklab.inner import builtin, diagonal, from_scalar, scalar_z2n, unitary_conjugate
+from bidisklab.experiments import generate_family
+from bidisklab.inner import (
+    builtin,
+    diagonal,
+    from_scalar,
+    scalar_z2n,
+    swap_variables,
+    unitary_conjugate,
+)
 from bidisklab.modelspace import (
     BlockToeplitz,
     ModelProjection,
@@ -393,7 +402,7 @@ def test_convolution_operators_match_dense(name, A, B, reference):
     # anti-causal identity: the padded projection cut to the working grid
     # is the projection built on the working grid alone
     work = ws.grid.indices_in(ws.padded)
-    assert np.abs(ws.project_grid_vec(np.eye(ws.grid.dim))
+    assert np.abs(ws.grid_images(np.eye(ws.grid.dim))[1]
                   - proj[np.ix_(work, work)]).max() < 1e-13
 
 
@@ -501,8 +510,9 @@ def test_sketched_bases_span_dense_reference(name, A, B):
 def test_sketch_widens_until_it_is_not_full(monkeypatch):
     th = builtin("hadamard_z1z2")
     ref = probe_model_basis(th, 6, 6)
-    # the rank bound is 2 (7 + 7) = 28 for dimension 14; start the sketch at 4
-    monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -24)
+    # the first sketch takes min(rank bound 2 (7 + 7) = 28, model dimension
+    # 7 + 7 = 14) plus the oversampling: start it at 4, below dimension 14
+    monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -10)
     sub = probe_model_basis(th, 6, 6)
     assert sub.dim == ref.dim == 14
     assert _largest_angle_sine(sub.basis, ref.basis) < 1e-12
@@ -514,6 +524,8 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     # pivoted QR over the probe columns keeps the weak direction (pivot
     # 1.6e-8 of the largest), but the Gaussian sketch sees it below 1e-8 of
     # its own largest pivot, so a frame cut by the rank rule would drop it.
+    # H = I - S S* for the Hermitian S below, which stands in for Theta* in
+    # both projections that model_span makes.
     th = builtin("scalar_stable4")
     grid = TruncGrid(6, 6, 1)
     rng = np.random.default_rng(7)
@@ -522,15 +534,19 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     G[:, -1] = 0.0
     G[0, -1] = 1.0
     U, _ = np.linalg.qr(G)
-    H = (U * np.r_[np.ones(11), 1e-8]) @ U.conj().T
+    weights = np.r_[np.ones(11), 1e-8]
+    H = (U * weights) @ U.conj().T
+    S = np.eye(grid.dim) - (U * (1 - np.sqrt(1 - weights))) @ U.conj().T
     ws = ModelWorkspace(th, grid)
-    ws.project_grid_vec = lambda x: H @ x
+    ws.grid_images = lambda x: (S @ x, x - S @ (S @ x))
     _, R, _ = scipy.linalg.qr(H, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     assert np.sum(diag > 1e-8 * diag[0]) == 12
-    span = ws.model_span(grid)
+    span, adj, proj = ws.model_span(grid)
     assert span.shape[1] == 12
     assert _largest_angle_sine(span, U) < 1e-6
+    assert np.abs(adj - S @ span).max() < 1e-13
+    assert np.abs(proj - H @ span).max() < 1e-13
 
 
 def test_workspace_holds_no_square_array():
@@ -618,3 +634,111 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
     ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], 1), pad)
     assert abs(ws.chopped_defect(TruncGrid(N, N, 1)) - defect) <= 1e-12 * defect
 
+
+
+# -- one projection pass per level, one Taylor table per sweep ----------------
+
+def _sketch_widths(monkeypatch):
+    """Record, per model_span call, the widths of its frame sketches."""
+    calls, orth = [], modelspace._orth_columns
+
+    def spy_span(self, probe):
+        calls.append([])
+        return span(self, probe)
+
+    def spy_orth(cols, tol_rel=modelspace.RANK_REL_TOL):
+        out = orth(cols, tol_rel)
+        if tol_rel == modelspace._FRAME_TOL_REL:
+            calls[-1].append((cols.shape[1], out.shape[1]))
+        return out
+
+    span = ModelWorkspace.model_span
+    monkeypatch.setattr(ModelWorkspace, "model_span", spy_span)
+    monkeypatch.setattr(modelspace, "_orth_columns", spy_orth)
+    return calls
+
+
+def test_first_sketch_is_never_full(monkeypatch):
+    calls = _sketch_widths(monkeypatch)
+    for name in BUILTINS:
+        th = builtin(name)
+        for N in (4, 8, 16, 24):
+            rank_at_level(th, N, N)
+            probe_model_basis(th, N, N)
+    for kind in ("product", "diagonal"):
+        for th in generate_family(kind, 25, seed=42):
+            rank_sweep(th, [(4, 4), (6, 6), (8, 8)])
+    assert len(calls) == 2 * 4 * len(BUILTINS) + 2 * 25 * 3
+    for sketches in calls:
+        assert len(sketches) == 1
+        width, rank = sketches[0]
+        assert rank < width
+
+
+def _reference_level(th, N):
+    """rank_at_level rebuilt from the public stages, every projection applied afresh."""
+    pad = default_pad(th)
+    work = TruncGrid(N + pad[0], N + pad[1], th.d)
+    basis = model_basis(th, work, pad)
+    C = commutator(compressed_shift(th, basis, 1)).matrix
+    probe = TruncGrid(N, N, th.d)
+    P = ModelProjection(BlockToeplitz(th, work))
+    coords = (P @ basis.basis)[probe.indices_in(work)].conj().T
+    Q, R, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    X = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
+    floor = modelspace.RANK_ABS_TOL
+    if basis.workspace.decay.decay_class is not DecayClass.FINITE:
+        floor = max(floor, modelspace.TRUNC_NOISE_SLACK * basis.workspace.chopped_defect(probe))
+    return numerical_rank(X.conj().T @ C @ X, tol_abs=floor)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("N", [4, 12, 24])
+def test_rank_level_matches_fresh_projections(name, N):
+    th = builtin(name)
+    level = rank_at_level(th, N, N)
+    rank, sig = _reference_level(th, N)
+    assert (level.rank, level.dim_model, level.sigmas.size) == (rank, sig.size, sig.size)
+    assert np.abs(level.sigmas - sig).max() <= 1e-12 * sig[0]
+
+
+@pytest.mark.parametrize("name", list(BUILTINS) + ["scalar_z2n(3)"])
+def test_sweep_shares_one_table_bitwise(name):
+    th = builtin(name)
+    sched = [(4, 5), (6, 7), (9, 8)]
+    report = rank_sweep(th, sched)
+    for (A, B), level in zip(sched, report.levels):
+        fresh = rank_at_level(th, A, B)
+        assert (level.rank, level.dim_model) == (fresh.rank, fresh.dim_model)
+        assert np.array_equal(level.sigmas, fresh.sigmas)
+    deep = expand(th, 60, 60)
+    pad = default_pad(th)
+    ws = ModelWorkspace(th, TruncGrid(9 + pad[0], 8 + pad[1], th.d), pad, _table=deep)
+    fresh = ModelWorkspace(th, TruncGrid(9 + pad[0], 8 + pad[1], th.d), pad)
+    assert np.array_equal(ws.table.coeffs, fresh.table.coeffs)
+    assert ws.decay == fresh.decay
+    assert modelspace.decay_class(th, sched, _table=deep) is modelspace.decay_class(th, sched)
+
+
+def _haar_unitary(rng, d):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(BUILTINS), A=st.integers(2, 9), B=st.integers(2, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_level_invariant_under_conjugation_and_swap(name, A, B, seed):
+    # U Theta V H^2 = U Theta H^2 and U acts pointwise on the components,
+    # so the truncated model space and the commutator only rotate; on a
+    # square window, swapping the variables maps the model space onto that
+    # of the swapped function
+    th = builtin(name)
+    rng = np.random.default_rng(seed)
+    ref = rank_at_level(th, A, B)
+    conj = rank_at_level(unitary_conjugate(th, _haar_unitary(rng, th.d),
+                                           _haar_unitary(rng, th.d)), A, B)
+    assert (conj.rank, conj.dim_model) == (ref.rank, ref.dim_model)
+    square = ref if A == B else rank_at_level(th, A, A)
+    assert rank_at_level(swap_variables(th), A, A).dim_model == square.dim_model
