@@ -635,11 +635,10 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
     assert abs(ws.chopped_defect(TruncGrid(N, N, 1)) - defect) <= 1e-12 * defect
 
 
-
 # -- one projection pass per level, one Taylor table per sweep ----------------
 
 def _sketch_widths(monkeypatch):
-    """Record, per model_span call, the widths of its frame sketches."""
+    """Record, per model_span call, (width, frame rank) of each of its sketches."""
     calls, orth = [], modelspace._orth_columns
 
     def spy_span(self, probe):
