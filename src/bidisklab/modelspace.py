@@ -364,6 +364,8 @@ class ModelWorkspace:
     grid or one degree beyond it, where the anti-causal identity (module
     docstring) makes them agree with the padded projection; the chopped-mass
     defect uses the padded grid only as its points outside the working grid.
+    ``rank_sweep`` passes `_table`, one expansion of Theta as deep as its
+    last padded grid, and each workspace cuts its own table from it.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
@@ -396,22 +398,23 @@ class ModelWorkspace:
         adj = mult.H @ vec
         return adj, vec - mult @ adj
 
-    def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Orthonormal basis B, on the working grid, of the projected probe monomials.
+    def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, ...]:
+        """Frame F, Theta* F, P F and coordinates Qc of the projected probe monomials.
 
-        Returns B, Theta* B and P B.  The frame F of a seeded complex
-        Gaussian sketch is projected once (``grid_images``); the rows of P F
-        at the probe monomials are the coordinates, and their pivoted QR Qc
-        gives B = F Qc, Theta* B = (Theta* F) Qc and P B = (P F) Qc.  F is
-        cut only far below the rank rule, so that QR alone picks the basis
-        and its rank, as a pivoted QR over every probe column would.  With
-        (m1, m2) = deg Theta, the proven bound d (m1 (B + 1) + m2 (A + 1))
-        counts the probe monomials beyond the d (A + 1 - m1) (B + 1 - m2)
-        dimensions of Q g = Theta (p g), g of degree (A - m1, B - m2), which
-        P annihilates.  The first sketch is the smaller of that bound and the
-        model dimension n2 (A + 1) + n1 (B + 1), (n1, n2) = det_deg Theta, plus
-        oversampling; while a sketch comes back full the next takes at least
-        the bound, then doubles, so B is right whatever det_deg returns.
+        B = F Qc is an orthonormal basis, on the working grid, of their span,
+        and Theta* B = (Theta* F) Qc and P B = (P F) Qc cost one product each.
+        The frame F of a seeded complex Gaussian sketch is projected once
+        (``grid_images``); Qc is the pivoted QR of the rows of P F at the
+        probe monomials.  F is cut only far below the rank rule, so that QR
+        alone picks the basis and its rank, as a pivoted QR over every probe
+        column would.  With (m1, m2) = deg Theta, the proven bound
+        d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
+        d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
+        degree (A - m1, B - m2), which P annihilates.  The first sketch is
+        the smaller of that bound and the model dimension
+        n2 (A + 1) + n1 (B + 1), (n1, n2) = det_deg Theta, plus oversampling;
+        while a sketch comes back full the next takes at least the bound,
+        then doubles, so B is right whatever det_deg returns.
         """
         idx = probe.indices_in(self.grid)
         (m1, m2), (n1, n2) = self.theta.deg, self.theta.det_deg
@@ -430,8 +433,7 @@ class ModelWorkspace:
                 break
             width = max(2 * width, bound)
         adj, proj = self.grid_images(frame)
-        coords = _orth_columns(proj[idx].conj().T)
-        return frame @ coords, adj @ coords, proj @ coords
+        return frame, adj, proj, _orth_columns(proj[idx].conj().T)
 
     def chopped_defect(self, probe: TruncGrid) -> float:
         """Largest mass a projected probe monomial carries outside the working grid.
@@ -489,7 +491,8 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
     grid, with the rank decided by the pivoted-QR rule.
     """
     ws = ModelWorkspace(theta, grid, pad)
-    return Subspace(grid, ws.model_span(grid)[0], f"model({theta.label})", ws)
+    frame, _, _, coords = ws.model_span(grid)
+    return Subspace(grid, frame @ coords, f"model({theta.label})", ws)
 
 
 @one_blas_thread
@@ -506,14 +509,8 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
     pad = pad if pad is not None else default_pad(theta)
     work = TruncGrid(A + pad[0], B + pad[1], theta.d)
     ws = ModelWorkspace(theta, work, pad)
-    basis = ws.model_span(TruncGrid(A, B, theta.d))[0]
-    return Subspace(work, basis, f"model({theta.label})@({A},{B})", ws)
-
-
-def _workspace_for(theta: RationalInnerMatrix, basis: Subspace) -> ModelWorkspace:
-    if basis.workspace is not None and basis.workspace.theta is theta:
-        return basis.workspace
-    return ModelWorkspace(theta, basis.grid)
+    frame, _, _, coords = ws.model_span(TruncGrid(A, B, theta.d))
+    return Subspace(work, frame @ coords, f"model({theta.label})@({A},{B})", ws)
 
 
 def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
@@ -539,7 +536,9 @@ def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpM
     """Matrix of the compressed shift: project z_j times each basis column."""
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
-    ws = _workspace_for(theta, basis)
+    ws = basis.workspace
+    if ws is None or ws.theta is not theta:
+        ws = ModelWorkspace(theta, basis.grid)
     if ws.pad[j - 1] < 1:
         raise ValueError("pad too small for a shift in this variable")
     return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
@@ -605,18 +604,15 @@ class RankReport:
 DECAY_PROBE_DEPTH = 40
 
 
-def decay_class(theta: RationalInnerMatrix, schedule=None,
-                _table: TaylorTable | None = None) -> DecayClass:
-    """Decay class of Theta's expansion, probed at a trustworthy depth.
+def _decay_depth(schedule) -> tuple[int, int]:
+    """Cutoffs at which ``decay_class`` probes Theta's expansion."""
+    last = schedule[-1] if schedule else (0, 0)
+    return max(DECAY_PROBE_DEPTH, last[0] + 2), max(DECAY_PROBE_DEPTH, last[1] + 2)
 
-    `_table`, a deeper expansion of Theta, is cut to that depth instead.
-    """
-    depth_a = depth_b = DECAY_PROBE_DEPTH
-    if schedule:
-        depth_a = max(depth_a, schedule[-1][0] + 2)
-        depth_b = max(depth_b, schedule[-1][1] + 2)
-    table = expand(theta, depth_a, depth_b) if _table is None else _table.leading(depth_a, depth_b)
-    return tail_diagnostic(table).decay_class
+
+def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
+    """Decay class of Theta's expansion, probed at a trustworthy depth."""
+    return tail_diagnostic(expand(theta, *_decay_depth(schedule))).decay_class
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
@@ -629,12 +625,29 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
     return sched
 
 
+def _rank_level(ws: ModelWorkspace, A: int, B: int, tol_rel: float,
+                tol_abs: float) -> RankLevel:
+    """``rank_at_level`` on a workspace whose working grid pads the (A, B) window."""
+    frame, adj, proj, coords = ws.model_span(ws.grid)
+    probe = TruncGrid(A, B, ws.grid.d)
+    X = _orth_columns((proj[probe.indices_in(ws.grid)] @ coords).conj().T)
+    basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
+    adj = adj @ coords
+    del frame, proj  # only B and Theta* B outlive the frame
+    C = commutator(_shift_matrix(ws, basis, adj, 1))
+    CX = X.conj().T @ C.matrix @ X
+    floor = tol_abs
+    if ws.decay.decay_class is not DecayClass.FINITE:
+        floor = max(floor, TRUNC_NOISE_SLACK * ws.chopped_defect(probe))
+    rank, sig = numerical_rank(CX, tol_rel, floor)
+    return RankLevel(A, B, X.shape[1], sig, rank)
+
+
 @one_blas_thread
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
                   pad: tuple[int, int] | None = None,
                   tol_rel: float = RANK_REL_TOL,
-                  tol_abs: float = RANK_ABS_TOL,
-                  _table: TaylorTable | None = None) -> RankLevel:
+                  tol_abs: float = RANK_ABS_TOL) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
 
     The shift and its commutator are computed on a working grid with
@@ -644,23 +657,11 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     estimate.  For non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
     The basis, the shift and the compression share one projection of the
-    sketch's frame; `_table`, an expansion of Theta at least as deep as the
-    padded grid, is cut to it.
+    sketch's frame.
     """
     pad = pad if pad is not None else default_pad(theta)
-    work = TruncGrid(A + pad[0], B + pad[1], theta.d)
-    ws = ModelWorkspace(theta, work, pad, _table)
-    span, adj, proj = ws.model_span(work)
-    basis = Subspace(work, span, f"model({theta.label})", ws)
-    C = commutator(_shift_matrix(ws, basis, adj, 1))
-    probe = TruncGrid(A, B, theta.d)
-    X = _orth_columns(proj[probe.indices_in(work)].conj().T)
-    CX = X.conj().T @ C.matrix @ X
-    floor = tol_abs
-    if ws.decay.decay_class is not DecayClass.FINITE:
-        floor = max(floor, TRUNC_NOISE_SLACK * ws.chopped_defect(probe))
-    rank, sig = numerical_rank(CX, tol_rel, floor)
-    return RankLevel(A, B, X.shape[1], sig, rank)
+    ws = ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d), pad)
+    return _rank_level(ws, A, B, tol_rel, tol_abs)
 
 
 @one_blas_thread
@@ -678,9 +679,11 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     """
     sched = _validate_schedule(schedule)
     pad = pad if pad is not None else default_pad(theta)
-    (A, B), depth = sched[-1], DECAY_PROBE_DEPTH
-    table = expand(theta, max(depth, A + 2, A + 2 * pad[0]), max(depth, B + 2, B + 2 * pad[1]))
-    levels = [rank_at_level(theta, A, B, pad, tol_rel, tol_abs, table) for A, B in sched]
+    (A, B), depth = sched[-1], _decay_depth(sched)
+    table = expand(theta, max(depth[0], A + 2 * pad[0]), max(depth[1], B + 2 * pad[1]))
+    levels = [_rank_level(ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d),
+                                         pad, table), A, B, tol_rel, tol_abs)
+              for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]
@@ -689,7 +692,7 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     else:
         verdict, stabilized = SweepVerdict.INCONCLUSIVE, None
     warnings: list[str] = []
-    if decay_class(theta, schedule=sched, _table=table) is DecayClass.SLOW:
+    if tail_diagnostic(table.leading(*depth)).decay_class is DecayClass.SLOW:
         warnings.append("SLOW_TAYLOR_DECAY")
     return RankReport(theta.label, theta.deg, theta.det_deg, tuple(levels),
                       stabilized, verdict, tuple(warnings))
