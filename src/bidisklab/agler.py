@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,6 +56,24 @@ class AglerSpaces:
     def shift(self) -> OpMatrix:
         """Compressed z1-shift on the model basis, computed on first use."""
         return compressed_shift(self.model.workspace.theta, self.model, 1)
+
+    @cached_property
+    def _formula_data(self) -> SimpleNamespace:
+        """What ``commutator_kernel_formula`` reads of these spaces, computed once.
+
+        [S*, S] on the model basis, the model coordinates of smax1 and smin2,
+        and for the z1-wandering basis phi its cleared numerators
+        f = p phi (``_den_polys``) and its backward z1-shift.
+        """
+        model, phi = self.model, self.hkmax1
+        S = self.shift.matrix
+        data = SimpleNamespace(comm=S.conj().T @ S - S @ S.conj().T,
+                               Xmax=model.coords(self.smax1.basis),
+                               Xmin=model.coords(self.smin2.basis))
+        if phi.dim:
+            data.fbox, data.fgrid = _den_polys(model.workspace.theta, phi.basis, phi.grid)
+            data.tphi = backward_shift(phi.basis, phi.grid, 1)
+        return data
 
 
 def _null_vectors(G: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
@@ -286,53 +305,41 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     model = spaces.model
     grid = model.grid
     ws = model.workspace or ModelWorkspace(theta, grid)
+    data = spaces._formula_data
     e = np.asarray(e, dtype=complex).reshape(theta.d)
     w1, w2 = w
+    padded = ws.padded
+    # the padded-grid vectors to project: the Szego kernel at w times e, then
+    # the formula route's two numerators (zero without a wandering space)
+    vecs = np.zeros((padded.A + 1, padded.B + 1, theta.d, 3), dtype=complex)
+    pw1 = np.conj(w1) ** np.arange(padded.A + 1)
+    pw2 = np.conj(w2) ** np.arange(padded.B + 1)
+    vecs[..., 0] = pw1[:, None, None] * pw2[None, :, None] * e[None, None, :]
+
+    phi = spaces.hkmax1
+    if phi.dim:
+        fbox = data.fbox
+        pw = complex(theta.p(w1, w2))
+        fvals = eval_columns(fbox.reshape(-1, phi.dim), data.fgrid, (w1, w2))
+        weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
+        # division by p(0, z2) on the padded z2-range is a product by R_0
+        nB = min(padded.B + 1, fbox.shape[1])
+        inv0 = ws.mult.inv_p0[:, :nB]
+        # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
+        g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
+        vecs[0, :, :, 1] = inv0 @ g1
+        # backward z1-shift of the phi columns, evaluated at w, and of the f_i
+        weights2 = eval_columns(data.tphi, grid, (w1, w2)).conj().T @ e
+        g2 = np.einsum("abdn,n->abd", fbox[1:][: padded.A + 1, :nB], weights2)
+        vecs[: g2.shape[0], :, :, 2] = np.matmul(inv0, g2)
+    kw, formula1, formula2 = padded.restrict(ws.proj @ vecs.reshape(padded.dim, 3), grid).T
 
     # matrix route: coordinates of the kernel at w, split by summand
-    pw1 = np.conj(w1) ** np.arange(ws.padded.A + 1)
-    pw2 = np.conj(w2) ** np.arange(ws.padded.B + 1)
-    szego = (pw1[:, None, None] * pw2[None, :, None] * e[None, None, :]).ravel()
-    kw = ws.padded.restrict(ws.proj @ szego, grid)
     y = model.coords(kw)
-    S = spaces.shift.matrix
-    comm = S.conj().T @ S - S @ S.conj().T  # [S*, S]
-    Xmax = model.coords(spaces.smax1.basis)
-    Xmin = model.coords(spaces.smin2.basis)
-    y1 = Xmax @ (Xmax.conj().T @ y)
-    y2 = Xmin @ (Xmin.conj().T @ y)
-    matrix1 = model.basis @ (comm @ y1)
-    matrix2 = model.basis @ (comm @ y2)
-
-    # formula route
-    phi = spaces.hkmax1
-    if phi.dim == 0:
-        zero = np.zeros(grid.dim, dtype=complex)
-        return KernelCommutatorComparison(zero, matrix1, zero.copy(), matrix2)
-    fbox, fgrid = _den_polys(theta, phi.basis, grid)
-    pw = complex(theta.p(w1, w2))
-    fvals = eval_columns(fbox.reshape(-1, phi.dim), fgrid, (w1, w2))
-    weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
-    # division by p(0, z2) on the padded z2-range is a product by R_0
-    nB = min(ws.padded.B + 1, fbox.shape[1])
-    inv0 = ws.mult.inv_p0[:, :nB]
-
-    # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
-    g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
-    vec1 = np.zeros((ws.padded.A + 1, ws.padded.B + 1, theta.d), dtype=complex)
-    vec1[0] = inv0 @ g1
-    formula1 = ws.padded.restrict(ws.proj @ vec1.ravel(), grid)
-
-    # backward z1-shift of the phi columns, evaluated at w, and of the f_i
-    tphi = backward_shift(phi.basis, grid, 1)
-    tvals = eval_columns(tphi, grid, (w1, w2))
-    weights2 = tvals.conj().T @ e
-    tf = fbox[1:]  # backward shift of the cleared numerators
-    g2 = np.einsum("abdn,n->abd", tf[: ws.padded.A + 1, :nB], weights2)
-    vec2 = np.zeros((ws.padded.A + 1, ws.padded.B + 1, theta.d), dtype=complex)
-    vec2[: g2.shape[0]] = np.matmul(inv0, g2)
-    formula2 = ws.padded.restrict(ws.proj @ vec2.ravel(), grid)
-
+    y1 = data.Xmax @ (data.Xmax.conj().T @ y)
+    y2 = data.Xmin @ (data.Xmin.conj().T @ y)
+    matrix1 = model.basis @ (data.comm @ y1)
+    matrix2 = model.basis @ (data.comm @ y2)
     return KernelCommutatorComparison(formula1, matrix1, formula2, matrix2)
 
 

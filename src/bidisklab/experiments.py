@@ -11,15 +11,13 @@ as INCONCLUSIVE rather than dressed up as counterexamples.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import serialize
-from ._blas import one_blas_thread
+from ._blas import one_blas_thread, thread_map
 from .inner import (
     RationalInnerMatrix,
     builtin,
@@ -32,8 +30,6 @@ from .inner import (
 )
 from .modelspace import RankReport, SweepVerdict, rank_sweep
 from .polynomials import BiPoly, MatPoly
-
-THREADS_ENV = "BIDISK_LAB_THREADS"
 
 CONSISTENT = "CONSISTENT"
 VIOLATION_CANDIDATE = "VIOLATION_CANDIDATE"
@@ -224,17 +220,6 @@ class BatchSummary:
         return counts
 
 
-def _worker_count(requested: int | None) -> int:
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get(THREADS_ENV, "0")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(4, os.cpu_count() or 1)
-
-
 @one_blas_thread
 def run_batch(family, schedule, out_dir=None,
               pad: tuple[int, int] | None = None,
@@ -246,7 +231,9 @@ def run_batch(family, schedule, out_dir=None,
     a proven bound and aborts the whole batch: that is an implementation
     bug, not mathematics.  Writes one JSON file per item plus a
     ``summary.csv`` (stable byte-for-byte across reruns) when ``out_dir``
-    is given.
+    is given.  Items run on ``_blas.thread_map`` threads (``max_workers``,
+    else ``BIDISK_LAB_THREADS``, else min(4, cpus)); on more than one, each
+    item's sweep runs its levels inline.
     """
     family = list(family)
 
@@ -272,13 +259,7 @@ def run_batch(family, schedule, out_dir=None,
         except Exception as exc:  # error isolation: record and continue
             return BatchItem(idx, label, None, f"{type(exc).__name__}: {exc}")
 
-    workers = _worker_count(max_workers)
-    if workers > 1 and len(family) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            items = list(pool.map(run_one, enumerate(family)))
-    else:
-        items = [run_one(pair) for pair in enumerate(family)]
-    items.sort(key=lambda it: it.index)
+    items = thread_map(run_one, enumerate(family), max_workers)
 
     csv_path = None
     if out_dir is not None:

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from ._blas import one_blas_thread
+from ._blas import one_blas_thread, pivoted_qr, thread_map
 from .inner import RationalInnerMatrix
 from .taylor import DecayClass, TaylorTable, expand, tail_diagnostic
 from .tolerances import (
@@ -358,12 +358,14 @@ _DEFECT_BATCH_ENTRIES = 1 << 20
 class ModelWorkspace:
     """Shared truncation machinery for one (Theta, grid, pad) triple.
 
-    Holds the padded grid, the Taylor table on it (for the decay class and
-    the chopped defect), and the multiplication operator ``mult`` and the
-    truncated model projection ``proj`` on the padded grid.  Bases and shifts run on the working
-    grid or one degree beyond it, where the anti-causal identity (module
-    docstring) makes them agree with the padded projection; the chopped-mass
-    defect uses the padded grid only as its points outside the working grid.
+    Holds the padded grid and the Taylor table on it (for the decay class
+    and the chopped defect).  The multiplication operator ``mult`` and the
+    truncated model projection ``proj`` on the padded grid are built on
+    first use; a rank level never reads them.  Bases and shifts run on the
+    working grid or one degree beyond it, where the anti-causal identity
+    (module docstring) makes them agree with the padded projection; the
+    chopped-mass defect uses the padded grid only as its points outside the
+    working grid.
     ``rank_sweep`` passes `_table`, one expansion of Theta as deep as its
     last padded grid, and each workspace cuts its own table from it.
     """
@@ -381,9 +383,17 @@ class ModelWorkspace:
         self.table = (expand(theta, self.padded.A, self.padded.B) if _table is None
                       else _table.leading(self.padded.A, self.padded.B))
         self.decay = tail_diagnostic(self.table)
-        self.mult = BlockToeplitz(theta, self.padded)
-        self.proj = ModelProjection(self.mult)
         self._mults: dict[tuple[int, int], BlockToeplitz] = {}
+
+    @cached_property
+    def mult(self) -> BlockToeplitz:
+        """Multiplication by Theta on the padded grid."""
+        return BlockToeplitz(self.theta, self.padded)
+
+    @cached_property
+    def proj(self) -> ModelProjection:
+        """Truncated model projection on the padded grid."""
+        return ModelProjection(self.mult)
 
     def mult_on(self, grid: TruncGrid) -> BlockToeplitz:
         """Multiplication by Theta on a box inside the padded grid (cached)."""
@@ -470,11 +480,20 @@ class ModelWorkspace:
 
 
 def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray:
-    """Rank-revealing orthonormalization (pivoted QR) of a column family."""
+    """Rank-revealing orthonormalization (pivoted QR) of a column family.
+
+    The QR is ``_blas.pivoted_qr`` on numpy's LAPACK; scipy's, imported
+    here, only where numpy's BLAS exports no LAPACKE.
+    """
     n = cols.shape[0]
     if cols.size == 0:
         return np.zeros((n, 0), dtype=complex)
-    Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    factors = pivoted_qr(cols)
+    if factors is None:
+        import scipy.linalg
+
+        factors = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    Q, R, _ = factors
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag[0] <= RANK_ABS_TOL:
         return np.zeros((n, 0), dtype=complex)
@@ -676,14 +695,21 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise.  Theta is expanded
     once, deep enough for the decay probe and for every level's padded grid.
+    The levels are independent and run on ``_blas.thread_map`` threads, the
+    largest first; each level's numbers do not depend on the thread count.
     """
     sched = _validate_schedule(schedule)
     pad = pad if pad is not None else default_pad(theta)
     (A, B), depth = sched[-1], _decay_depth(sched)
     table = expand(theta, max(depth[0], A + 2 * pad[0]), max(depth[1], B + 2 * pad[1]))
-    levels = [_rank_level(ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d),
-                                         pad, table), A, B, tol_rel, tol_abs)
-              for A, B in sched]
+    _ = theta.deg, theta.det_deg  # cached on theta: fill them here, not on the workers
+
+    def level(window: tuple[int, int]) -> RankLevel:
+        A, B = window
+        ws = ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d), pad, table)
+        return _rank_level(ws, A, B, tol_rel, tol_abs)
+
+    levels = thread_map(level, sched)
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

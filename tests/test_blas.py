@@ -1,11 +1,18 @@
+import os
+import subprocess
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bidisklab import _blas
-from bidisklab.inner import builtin
+import bidisklab
+from bidisklab import _blas, modelspace
+from bidisklab.experiments import generate_family, run_batch
+from bidisklab.inner import builtin, builtin_names
 from bidisklab.modelspace import rank_sweep
 
 setter = _blas._thread_setter()
@@ -143,3 +150,181 @@ def test_rank_sweep_does_not_depend_on_the_scope(name, monkeypatch):
     for a, b in zip(capped.levels, free.levels, strict=True):
         assert (a.rank, a.dim_model) == (b.rank, b.dim_model)
         assert np.abs(a.sigmas - b.sigmas).max() <= 1e-12
+
+
+# -- pivoted QR on numpy's LAPACK ------------------------------------------
+
+needs_lapacke = pytest.mark.skipif(_blas._lapack_qr() is None,
+                                   reason="numpy's BLAS exports no LAPACKE")
+
+
+def _complex(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _qr_cases():
+    rng = np.random.default_rng(11)
+    low_rank = _complex(rng, 40, 3) @ _complex(rng, 3, 25)
+    near = _complex(rng, 60, 12)
+    near[:, 7] = near[:, 2] + 1e-12 * _complex(rng, 60, 1)[:, 0]
+    return {"tall": _complex(rng, 50, 9), "wide": _complex(rng, 9, 50),
+            "rank_deficient": low_rank, "near_dependent": near,
+            "empty_cols": _complex(rng, 5, 0), "empty_rows": _complex(rng, 0, 5),
+            "level_frame": _complex(rng, 1568, 66), "level_coords": _complex(rng, 56, 1568)}
+
+
+@needs_lapacke
+@pytest.mark.parametrize("case", sorted(_qr_cases()))
+def test_pivoted_qr_matches_scipy(case):
+    a = _qr_cases()[case]
+    before = a.copy()
+    Q, R, piv = _blas.pivoted_qr(a)
+    Q0, R0, piv0 = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    assert np.array_equal(a, before)  # the input is not overwritten
+    assert (Q.shape, R.shape) == (Q0.shape, R0.shape)
+    assert np.array_equal(piv, piv0)
+    if a.size == 0:
+        return
+    scale = abs(R0[0, 0])
+    assert np.abs(np.abs(np.diag(R)) - np.abs(np.diag(R0))).max() <= 1e-14 * scale
+    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
+    assert np.abs(Q @ R - a[:, piv]).max() <= 1e-13 * scale
+
+
+@needs_lapacke
+def test_orth_columns_falls_back_to_scipy(monkeypatch):
+    cases = _qr_cases()
+    native = {k: modelspace._orth_columns(a) for k, a in cases.items()}
+    monkeypatch.setattr(_blas, "_lapack_qr", lambda: None)
+    for key, a in cases.items():
+        fallback = modelspace._orth_columns(a)
+        assert fallback.shape == native[key].shape, key
+        assert np.abs(fallback - native[key]).max(initial=0.0) <= 1e-13, key
+
+
+@needs_lapacke
+def test_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(bidisklab.__file__).resolve().parents[1])
+    code = "import sys, bidisklab; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# -- thread_map and concurrent sweep levels --------------------------------
+
+def test_thread_map_keeps_input_order(monkeypatch):
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "2")
+    started = []
+
+    def slow_square(x):
+        started.append(x)
+        time.sleep(0.01 * (5 - x))
+        return x * x
+
+    assert _blas.thread_map(slow_square, range(5)) == [0, 1, 4, 9, 16]
+    assert sorted(started) == list(range(5))
+    assert started[0] == 4 or started[1] == 4  # the last item goes in first
+
+
+def test_thread_map_raises_the_first_failure_in_input_order(monkeypatch):
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "2")
+
+    def fails_late(x):
+        if x in (1, 3):
+            time.sleep(0.05 if x == 1 else 0.0)
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        _blas.thread_map(fails_late, range(4))
+
+
+def test_thread_map_never_nests(monkeypatch):
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "2")
+    outer_threads = set()
+
+    def inner(x):
+        return threading.get_ident()
+
+    def outer(x):
+        outer_threads.add(threading.get_ident())
+        return set(_blas.thread_map(inner, range(3)))
+
+    for inner_threads in _blas.thread_map(outer, range(4)):
+        assert len(inner_threads) == 1 and inner_threads <= outer_threads
+    assert threading.get_ident() not in outer_threads
+
+
+def _sweep_fingerprint(report):
+    levels = [(lv.A, lv.B, lv.dim_model, lv.rank, lv.sigmas.tobytes()) for lv in report.levels]
+    return (report.label, report.stabilized_rank, report.verdict, report.warnings, levels)
+
+
+def test_rank_sweep_is_bitwise_equal_on_one_and_two_threads(monkeypatch):
+    thetas = [builtin(name) for name in builtin_names() if name != "scalar_z2n(k)"]
+    thetas.append(builtin("scalar_z2n(3)"))
+    thetas += generate_family("product", 25, seed=42) + generate_family("diagonal", 25, seed=42)
+    schedule = [(4, 4), (6, 6), (8, 8)]
+    seen = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BIDISK_LAB_THREADS", threads)
+        seen[threads] = [_sweep_fingerprint(rank_sweep(th, schedule)) for th in thetas]
+    assert seen["1"] == seen["2"]
+
+
+def test_failing_level_raises_as_the_sequential_sweep(monkeypatch):
+    real = modelspace._rank_level
+
+    def fails_beyond_four(ws, A, B, tol_rel, tol_abs):
+        if A > 4:
+            raise ValueError(f"level {A}")
+        return real(ws, A, B, tol_rel, tol_abs)
+
+    monkeypatch.setattr(modelspace, "_rank_level", fails_beyond_four)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BIDISK_LAB_THREADS", threads)
+        with pytest.raises(ValueError, match="level 6"):
+            rank_sweep(builtin("hadamard_z1z2"), [(4, 4), (6, 6), (8, 8)])
+
+
+def test_run_batch_workers_run_their_levels_inline(monkeypatch, tmp_path):
+    pools, level_threads = [], {}
+    real_level, real_pool = modelspace._rank_level, _blas.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return real_pool(*args, **kwargs)
+
+    def recording_level(ws, A, B, tol_rel, tol_abs):
+        level_threads.setdefault(ws.theta.label, []).append(threading.get_ident())
+        return real_level(ws, A, B, tol_rel, tol_abs)
+
+    monkeypatch.setattr(_blas, "ThreadPoolExecutor", counting_pool)
+    monkeypatch.setattr(modelspace, "_rank_level", recording_level)
+    fam = generate_family("diagonal", 4, d=2, seed=9)
+    summary = run_batch(fam, [(4, 4), (6, 6), (8, 8)], out_dir=tmp_path, max_workers=2)
+    assert all(it.record is not None for it in summary.items)
+    assert pools == [2]  # the batch's pool, and none per sweep
+    assert sorted(level_threads) == sorted(th.label for th in fam)
+    for threads in level_threads.values():
+        assert len(threads) == 3 and len(set(threads)) == 1
+
+
+def test_rank_sweep_levels_share_no_state_under_thread_stress(monkeypatch):
+    # more level threads than cores and a short switch interval: state shared
+    # between levels (theta's cached degrees, the shared Taylor table) would
+    # show as a level that differs from the sequential sweep
+    theta = builtin("scalar_stable4")
+    schedule = [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10), (11, 11)]
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "1")
+    expected = _sweep_fingerprint(rank_sweep(theta, schedule))
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert _sweep_fingerprint(rank_sweep(builtin("scalar_stable4"), schedule)) == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -647,17 +649,22 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
 # -- one projection pass per level, one Taylor table per sweep ----------------
 
 def _sketch_widths(monkeypatch):
-    """Record, per model_span call, (width, frame rank) of each of its sketches."""
-    calls, orth = [], modelspace._orth_columns
+    """Record, per model_span call, (width, frame rank) of each of its sketches.
+
+    A sweep's levels run on several threads, so each sketch is filed under
+    the model_span call running on its own thread.
+    """
+    calls, orth, current = [], modelspace._orth_columns, threading.local()
 
     def spy_span(self, probe):
-        calls.append([])
+        current.sketches = []
+        calls.append(current.sketches)
         return span(self, probe)
 
     def spy_orth(cols, tol_rel=modelspace.RANK_REL_TOL):
         out = orth(cols, tol_rel)
         if tol_rel == modelspace._FRAME_TOL_REL:
-            calls[-1].append((cols.shape[1], out.shape[1]))
+            current.sketches.append((cols.shape[1], out.shape[1]))
         return out
 
     span = ModelWorkspace.model_span
@@ -681,6 +688,23 @@ def test_first_sketch_is_never_full(monkeypatch):
         assert len(sketches) == 1
         width, rank = sketches[0]
         assert rank < width
+
+
+def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
+    built, kernel = [], modelspace._rational_kernel
+
+    def spy(theta, grid):
+        built.append((grid.A, grid.B))
+        return kernel(theta, grid)
+
+    monkeypatch.setattr(modelspace, "_rational_kernel", spy)
+    th = builtin("scalar_stable4")
+    pad = default_pad(th)
+    rank_at_level(th, 8, 8)
+    assert built and (8 + 2 * pad[0], 8 + 2 * pad[1]) not in built
+    ws = probe_model_basis(th, 8, 8).workspace
+    _ = ws.proj  # first use builds the padded operator
+    assert built[-1] == (ws.padded.A, ws.padded.B)
 
 
 def _reference_level(th, N):
