@@ -5,21 +5,19 @@ own extension, so dlsym searches that library whatever its file is called.
 
 ``one_blas_thread`` caps numpy's pool at one thread while a decorated call
 runs and puts the previous count back when the last such call returns.  The
-matrices here are small, so a second BLAS thread only spins; the cores go
-to ``thread_map`` instead, which runs a sweep's levels or a batch's items
-side by side.  The setter is OpenBLAS's ``openblas_set_num_threads_local``.
-In the pthreads builds that numpy ships it sets the count of the whole
-process, not of the calling thread, so entries are counted: the first of
-overlapping calls (nested, or on ``thread_map`` workers) caps the pool and
-the last restores it.  Without the symbol (MKL, Accelerate, an older
-OpenBLAS) the decorator does nothing.
+matrices here are small, so a second BLAS thread only spins.  The setter is
+OpenBLAS's ``openblas_set_num_threads_local``.  In the pthreads builds that
+numpy ships it sets the count of the whole process, not of the calling
+thread, so entries are counted: the first of overlapping calls (nested, or
+on ``thread_map`` workers) caps the pool and the last restores it.  Without
+the symbol (MKL, Accelerate, an older OpenBLAS) the decorator does nothing.
 
 ``pivoted_qr`` is LAPACK's column-pivoted QR, xGEQP3 (Quintana-Orti, Sun &
 Bischof, SIAM J. Sci. Comput. 19, 1998), and xUNGQR, called through the
-LAPACKE interface that numpy's OpenBLAS exports.  ctypes releases the GIL
-for the call, so levels on ``thread_map`` workers factor concurrently.
-Where numpy's BLAS exports no LAPACKE it returns None and the caller falls
-back to scipy.
+LAPACKE interface that numpy's OpenBLAS exports.  Where numpy's BLAS
+exports no LAPACKE it returns None and the caller falls back to scipy.
+
+``thread_map`` runs a batch's items side by side.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ THREADS_ENV = "BIDISK_LAB_THREADS"
 # Overlapping capped calls and the count to restore after the last one; one
 # record for the process, as the thread count it guards is process-wide.
 _entries = SimpleNamespace(lock=threading.Lock(), depth=0, saved=0)
-
-# Set on ``thread_map`` workers, whose own maps run inline.
-_worker = threading.local()
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
@@ -130,25 +125,14 @@ def thread_map(fn, items, max_workers: int | None = None) -> list:
     """``[fn(x) for x in items]`` on up to ``_worker_count(max_workers)`` threads.
 
     Results come back in input order, and the first item in input order that
-    fails raises, as in the loop.  Items are started last first: in a sweep
-    the last are the largest, and starting the longest jobs first keeps the
-    threads busy to the end.  On a worker of another map, or with one
-    thread, the loop runs inline, so threads never nest.
+    fails raises, as in the loop.  With one thread the loop runs inline.
     """
     items = list(items)
     workers = min(_worker_count(max_workers), len(items))
-    if workers <= 1 or getattr(_worker, "active", False):
+    if workers <= 1:
         return [fn(x) for x in items]
-
-    def run(x):
-        _worker.active = True
-        try:
-            return fn(x)
-        finally:
-            _worker.active = False
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, x) for x in reversed(items)][::-1]
+        futures = [pool.submit(fn, x) for x in items]
         try:
             return [f.result() for f in futures]
         except BaseException:

@@ -232,8 +232,7 @@ def run_batch(family, schedule, out_dir=None,
     bug, not mathematics.  Writes one JSON file per item plus a
     ``summary.csv`` (stable byte-for-byte across reruns) when ``out_dir``
     is given.  Items run on ``_blas.thread_map`` threads (``max_workers``,
-    else ``BIDISK_LAB_THREADS``, else min(4, cpus)); on more than one, each
-    item's sweep runs its levels inline.
+    else ``BIDISK_LAB_THREADS``, else min(4, cpus)).
     """
     family = list(family)
 

@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import one_blas_thread, pivoted_qr, thread_map
+from ._blas import one_blas_thread, pivoted_qr
 from .inner import RationalInnerMatrix
 from .taylor import DecayClass, TaylorTable, expand, tail_diagnostic
 from .tolerances import (
@@ -695,21 +695,17 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise.  Theta is expanded
     once, deep enough for the decay probe and for every level's padded grid.
-    The levels are independent and run on ``_blas.thread_map`` threads, the
-    largest first; each level's numbers do not depend on the thread count.
+    The levels run one after another on the calling thread: on two threads
+    they contend for the GIL, and the time a sweep takes then follows the
+    load on the host rather than the work.
     """
     sched = _validate_schedule(schedule)
     pad = pad if pad is not None else default_pad(theta)
     (A, B), depth = sched[-1], _decay_depth(sched)
     table = expand(theta, max(depth[0], A + 2 * pad[0]), max(depth[1], B + 2 * pad[1]))
-    _ = theta.deg, theta.det_deg  # cached on theta: fill them here, not on the workers
-
-    def level(window: tuple[int, int]) -> RankLevel:
-        A, B = window
-        ws = ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d), pad, table)
-        return _rank_level(ws, A, B, tol_rel, tol_abs)
-
-    levels = thread_map(level, sched)
+    levels = [_rank_level(ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d),
+                                         pad, table), A, B, tol_rel, tol_abs)
+              for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

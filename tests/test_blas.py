@@ -212,7 +212,7 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-# -- thread_map and concurrent sweep levels --------------------------------
+# -- thread_map and batch workers ------------------------------------------
 
 def test_thread_map_keeps_input_order(monkeypatch):
     monkeypatch.setenv("BIDISK_LAB_THREADS", "2")
@@ -225,7 +225,6 @@ def test_thread_map_keeps_input_order(monkeypatch):
 
     assert _blas.thread_map(slow_square, range(5)) == [0, 1, 4, 9, 16]
     assert sorted(started) == list(range(5))
-    assert started[0] == 4 or started[1] == 4  # the last item goes in first
 
 
 def test_thread_map_raises_the_first_failure_in_input_order(monkeypatch):
@@ -241,52 +240,36 @@ def test_thread_map_raises_the_first_failure_in_input_order(monkeypatch):
         _blas.thread_map(fails_late, range(4))
 
 
-def test_thread_map_never_nests(monkeypatch):
-    monkeypatch.setenv("BIDISK_LAB_THREADS", "2")
-    outer_threads = set()
-
-    def inner(x):
-        return threading.get_ident()
-
-    def outer(x):
-        outer_threads.add(threading.get_ident())
-        return set(_blas.thread_map(inner, range(3)))
-
-    for inner_threads in _blas.thread_map(outer, range(4)):
-        assert len(inner_threads) == 1 and inner_threads <= outer_threads
-    assert threading.get_ident() not in outer_threads
-
-
 def _sweep_fingerprint(report):
     levels = [(lv.A, lv.B, lv.dim_model, lv.rank, lv.sigmas.tobytes()) for lv in report.levels]
     return (report.label, report.stabilized_rank, report.verdict, report.warnings, levels)
 
 
-def test_rank_sweep_is_bitwise_equal_on_one_and_two_threads(monkeypatch):
+def _batch_fingerprints(family, schedule, workers):
+    items = run_batch(family, schedule, max_workers=workers).items
+    return [(it.label, it.error, it.record and _sweep_fingerprint(it.record.report))
+            for it in items]
+
+
+def test_run_batch_reports_are_bitwise_equal_on_one_and_two_workers():
     thetas = [builtin(name) for name in builtin_names() if name != "scalar_z2n(k)"]
     thetas.append(builtin("scalar_z2n(3)"))
     thetas += generate_family("product", 25, seed=42) + generate_family("diagonal", 25, seed=42)
     schedule = [(4, 4), (6, 6), (8, 8)]
-    seen = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BIDISK_LAB_THREADS", threads)
-        seen[threads] = [_sweep_fingerprint(rank_sweep(th, schedule)) for th in thetas]
-    assert seen["1"] == seen["2"]
+    assert _batch_fingerprints(thetas, schedule, 1) == _batch_fingerprints(thetas, schedule, 2)
 
 
-def test_failing_level_raises_as_the_sequential_sweep(monkeypatch):
-    real = modelspace._rank_level
+def test_rank_sweep_runs_its_levels_on_the_calling_thread(monkeypatch):
+    level_threads, real = [], modelspace._rank_level
 
-    def fails_beyond_four(ws, A, B, tol_rel, tol_abs):
-        if A > 4:
-            raise ValueError(f"level {A}")
+    def recording_level(ws, A, B, tol_rel, tol_abs):
+        level_threads.append(threading.get_ident())
         return real(ws, A, B, tol_rel, tol_abs)
 
-    monkeypatch.setattr(modelspace, "_rank_level", fails_beyond_four)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BIDISK_LAB_THREADS", threads)
-        with pytest.raises(ValueError, match="level 6"):
-            rank_sweep(builtin("hadamard_z1z2"), [(4, 4), (6, 6), (8, 8)])
+    monkeypatch.setattr(modelspace, "_rank_level", recording_level)
+    monkeypatch.setenv("BIDISK_LAB_THREADS", "4")
+    rank_sweep(builtin("hadamard_z1z2"), [(4, 4), (6, 6), (8, 8)])
+    assert level_threads == [threading.get_ident()] * 3
 
 
 def test_run_batch_workers_run_their_levels_inline(monkeypatch, tmp_path):
@@ -312,19 +295,17 @@ def test_run_batch_workers_run_their_levels_inline(monkeypatch, tmp_path):
         assert len(threads) == 3 and len(set(threads)) == 1
 
 
-def test_rank_sweep_levels_share_no_state_under_thread_stress(monkeypatch):
-    # more level threads than cores and a short switch interval: state shared
-    # between levels (theta's cached degrees, the shared Taylor table) would
-    # show as a level that differs from the sequential sweep
+def test_batch_items_share_no_state_under_thread_stress():
+    # more workers than cores and a short switch interval, on items that share
+    # one theta: state shared between sweeps (theta's cached degrees) would
+    # show as an item that differs from the sequential sweep
     theta = builtin("scalar_stable4")
-    schedule = [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10), (11, 11)]
-    monkeypatch.setenv("BIDISK_LAB_THREADS", "1")
-    expected = _sweep_fingerprint(rank_sweep(theta, schedule))
-    monkeypatch.setenv("BIDISK_LAB_THREADS", "8")
+    schedule = [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8)]
+    expected = _sweep_fingerprint(rank_sweep(builtin("scalar_stable4"), schedule))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            assert _sweep_fingerprint(rank_sweep(builtin("scalar_stable4"), schedule)) == expected
+        items = run_batch([theta] * 8, schedule, max_workers=8).items
     finally:
         sys.setswitchinterval(interval)
+    assert [_sweep_fingerprint(it.record.report) for it in items] == [expected] * 8

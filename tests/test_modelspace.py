@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -649,22 +647,17 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
 # -- one projection pass per level, one Taylor table per sweep ----------------
 
 def _sketch_widths(monkeypatch):
-    """Record, per model_span call, (width, frame rank) of each of its sketches.
-
-    A sweep's levels run on several threads, so each sketch is filed under
-    the model_span call running on its own thread.
-    """
-    calls, orth, current = [], modelspace._orth_columns, threading.local()
+    """Record, per model_span call, (width, frame rank) of each of its sketches."""
+    calls, orth = [], modelspace._orth_columns
 
     def spy_span(self, probe):
-        current.sketches = []
-        calls.append(current.sketches)
+        calls.append([])
         return span(self, probe)
 
     def spy_orth(cols, tol_rel=modelspace.RANK_REL_TOL):
         out = orth(cols, tol_rel)
         if tol_rel == modelspace._FRAME_TOL_REL:
-            current.sketches.append((cols.shape[1], out.shape[1]))
+            calls[-1].append((cols.shape[1], out.shape[1]))
         return out
 
     span = ModelWorkspace.model_span
