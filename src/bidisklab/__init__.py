@@ -14,11 +14,9 @@ from .polynomials import (
     LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
-    laurent_identity_residual,
     mat_determinant,
     mul_star,
     poly_divexact,
-    poly_mul,
     reduce_fraction,
     reflect,
 )
@@ -59,7 +57,6 @@ from .modelspace import (
     Subspace,
     SweepVerdict,
     TruncGrid,
-    adjoint_mult,
     analytic_mult,
     backward_shift,
     commutator,

@@ -27,6 +27,7 @@ from .inner import (
 )
 from .modelspace import rank_sweep
 from .taylor import expand, tail_diagnostic
+from .tolerances import RANK_REL_TOL
 
 
 def _load_theta(source: str) -> RationalInnerMatrix:
@@ -146,7 +147,7 @@ def inner_expand(source, trunc, out_path, quiet):
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True,
               help="Semicolon-separated truncation levels 'A,B'.")
 @click.option("--pad", nargs=2, type=int, default=None, metavar="P1 P2")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
+@click.option("--tol", type=float, default=RANK_REL_TOL, show_default=True,
               help="Relative singular-value tolerance for the rank count.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)

@@ -237,10 +237,10 @@ def det_degree(theta: RationalInnerMatrix) -> tuple[int, int]:
 
     Computes det Q exactly and reduces det Q / p^d one denominator copy at
     a time: whole copies cancel by exact division, stray common factors by
-    small GCDs.  Working copy by copy keeps every polynomial division at
-    the degree of p itself, which floats handle far more reliably than a
-    single GCD against p^d.  A slice-oracle disagreement inside a
-    reduction surfaces as a GcdSliceWarning.
+    ``reduce_fraction``.  Working copy by copy keeps every Sylvester
+    matrix at the size of a GCD against p rather than against p^d.  A
+    slice-oracle disagreement inside a reduction surfaces as a
+    GcdSliceWarning.
     """
     num = mat_determinant(theta.Q)
     if theta.p.is_constant:

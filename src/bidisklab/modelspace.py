@@ -156,9 +156,6 @@ class Subspace:
     def coords(self, vec: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ vec
 
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        return self.basis @ self.coords(vec)
-
 
 @dataclass(frozen=True)
 class OpMatrix:
@@ -201,16 +198,6 @@ def analytic_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
         cols = src[:, :, None, None] + kd[None, None, None, :]
         M[rows, cols] += blk[None, None, :, :]
     return M
-
-
-def adjoint_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
-    """Matrix of the adjoint multiplication operator on the grid.
-
-    Equals the conjugate transpose of ``analytic_mult`` on the same grid;
-    restricting the padded-grid construction gives the identical block,
-    which the test suite checks as a property.
-    """
-    return analytic_mult(table, grid).conj().T
 
 
 def _lower_toeplitz(series: np.ndarray) -> np.ndarray:

@@ -8,8 +8,14 @@ coefficient above the trim tolerance unless the polynomial is zero.
 The module also provides the Laurent-grid carrier used to state torus
 identities such as ``|p(tau)|**2`` in coefficient form, matrices with
 polynomial entries, exact determinants, conjugate reflection, and the
-float-tolerant fraction reduction (bivariate GCD with a slice oracle
-cross-check) everything downstream relies on.
+float-tolerant fraction reduction everything downstream relies on.
+
+Fractions are reduced by singular value decompositions of Sylvester
+matrices, the matrices of (u, v) -> u f - v g over bivariate coefficient
+grids: the GCD degree is read off their rank deficiency and the reduced
+numerator and denominator off a null vector (Corless, Gianni, Trager &
+Watt, ISSAC 1995; Zeng & Dayton, ISSAC 2004).  The same rank rule on
+univariate slices cross-checks the GCD degree in z1.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .tolerances import GCD_ZERO_REL, RANK_REL_TOL, TRIM_TOL
+from .tolerances import DIVISION_ZERO_REL, RANK_REL_TOL, TRIM_TOL
 
 
 class PolyDivisionError(ArithmeticError):
@@ -162,9 +168,6 @@ class BiPoly:
     def scale(self, factor) -> "BiPoly":
         return BiPoly(self.coeffs * complex(factor))
 
-    def conj_coeffs(self) -> "BiPoly":
-        return BiPoly(np.conj(self.coeffs))
-
     def swap_vars(self) -> "BiPoly":
         """Exchange the roles of z1 and z2 (transpose the grid)."""
         return BiPoly(self.coeffs.T)
@@ -180,11 +183,6 @@ class BiPoly:
     def __repr__(self) -> str:
         parts = [f"({v:.4g})*z1^{a}*z2^{b}" for a, b, v in self.terms()]
         return "BiPoly(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def poly_mul(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Product of two bivariate polynomials (2-D coefficient convolution)."""
-    return f * g
 
 
 def reflect(p: BiPoly, m: int, n: int) -> BiPoly:
@@ -277,11 +275,6 @@ def mul_star(f: BiPoly, g: BiPoly) -> LaurentBiPoly:
     return LaurentBiPoly(out, w1, w2)
 
 
-def laurent_identity_residual(L: LaurentBiPoly) -> float:
-    """Largest coefficient modulus; zero exactly when L vanishes identically."""
-    return L.max_abs()
-
-
 # ----------------------------------------------------------------------
 # Univariate helpers (coefficient arrays, ascending powers)
 # ----------------------------------------------------------------------
@@ -311,50 +304,18 @@ def _uv_divmod(f, g):
     return q, rem
 
 
-def _uv_gcd(f, g):
-    """Euclidean GCD of univariate float polynomials, largest coefficient 1."""
-    a = _uv_trim(f)
-    b = _uv_trim(g)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    thr = GCD_ZERO_REL * scale
-    while np.max(np.abs(b)) > thr:
-        _, r = _uv_divmod(a, b)
-        a, b = b, _uv_trim(r, thr)
-    top = np.argmax(np.abs(a))
-    if np.abs(a[top]) <= thr:
-        return np.ones(1, dtype=complex)
-    return a / a[top]
-
-
-def _uv_gcd_many(polys):
-    g = np.ones(1, dtype=complex)
-    first = True
-    for p in polys:
-        p = _uv_trim(p)
-        if np.max(np.abs(p)) <= TRIM_TOL:
-            continue
-        g = p.copy() if first else _uv_gcd(g, p)
-        first = False
-        if len(g) == 1:
-            break
-    if first:
-        return np.ones(1, dtype=complex)
-    top = np.argmax(np.abs(g))
-    return g / g[top]
-
-
 def _uv_divexact(f, g, scale):
     q, r = _uv_divmod(f, g)
-    if np.max(np.abs(r)) > GCD_ZERO_REL * max(scale, 1e-300):
+    if np.max(np.abs(r)) > DIVISION_ZERO_REL * max(scale, 1e-300):
         raise PolyDivisionError("univariate division left a remainder")
     return _uv_trim(q)
 
 
 # ----------------------------------------------------------------------
-# Exact bivariate division, GCD, fraction reduction
+# Exact bivariate division
 # ----------------------------------------------------------------------
 
-def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = GCD_ZERO_REL) -> BiPoly:
+def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = DIVISION_ZERO_REL) -> BiPoly:
     """Quotient f / g when the division is exact; raises PolyDivisionError else.
 
     Long division in z1 with coefficients in C[z2]; each leading-row
@@ -383,7 +344,7 @@ def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = GCD_ZERO_REL) -> BiPoly
         for i in range(dg1 + 1):
             conv = np.convolve(qa, G[i])
             if len(conv) > width:
-                conv = _uv_trim(conv, GCD_ZERO_REL * scale)
+                conv = _uv_trim(conv, DIVISION_ZERO_REL * scale)
                 if len(conv) > width:
                     raise PolyDivisionError("quotient degree overflow")
             F[a + i, : len(conv)] -= conv
@@ -392,140 +353,63 @@ def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = GCD_ZERO_REL) -> BiPoly
     return BiPoly(Q)
 
 
-def _rows_content(C: np.ndarray):
-    """Content in C[z2] of a grid viewed as a z1-polynomial over C[z2]."""
-    return _uv_gcd_many([C[a] for a in range(C.shape[0])])
+# ----------------------------------------------------------------------
+# GCD from Sylvester null spaces, fraction reduction
+# ----------------------------------------------------------------------
+
+def _mult_matrix(f: np.ndarray, shape, out) -> np.ndarray:
+    """Matrix of u -> u f, from coefficient grids of `shape` to grids of `out`."""
+    M = np.zeros(out + shape, dtype=complex)
+    for a, b in np.ndindex(*shape):
+        M[a: a + f.shape[0], b: b + f.shape[1], a, b] = f
+    return M.reshape(out[0] * out[1], shape[0] * shape[1])
 
 
-def _rows_div_uv(C: np.ndarray, u, scale):
-    """Divide every z2-row of a grid by the univariate z2-polynomial u."""
-    if len(u) == 1:
-        return C / u[0]
-    rows = [_uv_divexact(C[a], u, scale) for a in range(C.shape[0])]
-    width = max(len(r) for r in rows)
-    out = np.zeros((C.shape[0], width), dtype=complex)
-    for a, r in enumerate(rows):
-        out[a, : len(r)] = r
-    return out
+def _sylvester(f: np.ndarray, g: np.ndarray, j1: int, j2: int):
+    """Matrix of the Sylvester map (u, v) -> u f - v g on grids f and g.
+
+    u ranges over bidegree <= deg g - j and v over bidegree <= deg f - j,
+    with u's coefficients first; f and g enter with unit norm.  None when
+    j exceeds the degrees of f or g.
+    """
+    ushape = (g.shape[0] - j1, g.shape[1] - j2)
+    vshape = (f.shape[0] - j1, f.shape[1] - j2)
+    if min(ushape + vshape) < 1:
+        return None
+    out = (f.shape[0] + ushape[0] - 1, f.shape[1] + ushape[1] - 1)
+    return np.hstack([_mult_matrix(f / np.linalg.norm(f), ushape, out),
+                      -_mult_matrix(g / np.linalg.norm(g), vshape, out)])
 
 
-def _rows_trim_top(C: np.ndarray, thr: float) -> np.ndarray:
-    keep = C.shape[0]
-    while keep > 1 and np.max(np.abs(C[keep - 1])) <= thr:
-        keep -= 1
-    if keep == 1 and np.max(np.abs(C[0])) <= thr:
-        return np.zeros((1, 1), dtype=complex)
-    return C[:keep]
+def _nullity(f: np.ndarray, g: np.ndarray, j1: int = 0, j2: int = 0) -> int:
+    """Numerical nullity of the Sylvester map at j = (j1, j2).
+
+    With h = gcd(f, g), the solutions are u = w g/h, v = w f/h for w of
+    bidegree <= deg h - j, so the nullity is (h1 - j1 + 1)(h2 - j2 + 1),
+    or 0 once j exceeds h.  A singular value counts toward the rank above
+    RANK_REL_TOL times the largest, as in ``numerical_rank``.
+    """
+    S = _sylvester(f, g, j1, j2)
+    if S is None:
+        return 0
+    # S.T has the same singular values; LAPACK's path for a wide matrix
+    # leaves the heap fragmented, which raised a later pass's peak memory
+    sig = np.linalg.svd(S if S.shape[0] >= S.shape[1] else S.T, compute_uv=False)
+    return S.shape[1] - int(np.sum(sig > RANK_REL_TOL * sig[0]))
 
 
-def _pseudo_rem(A: np.ndarray, B: np.ndarray, thr: float) -> np.ndarray:
-    """Pseudo-remainder of A by B as z1-polynomials over C[z2]."""
-    R = A.copy()
-    db = B.shape[0] - 1
-    b_lead = _uv_trim(B[db])
-    while R.shape[0] - 1 >= db and np.max(np.abs(R)) > thr:
-        dr = R.shape[0] - 1
-        r_lead = _uv_trim(R[dr])
-        width = max(R.shape[1] + len(b_lead) - 1, B.shape[1] + len(r_lead) - 1)
-        new = np.zeros((dr + 1, width), dtype=complex)
-        for a in range(dr + 1):
-            conv = np.convolve(R[a], b_lead)
-            new[a, : len(conv)] += conv
-        shift = dr - db
-        for a in range(db + 1):
-            conv = np.convolve(B[a], r_lead)
-            new[a + shift, : len(conv)] -= conv
-        if dr == 0:
-            # divisor has z1-degree 0: elimination exhausts every row
-            return np.zeros((1, 1), dtype=complex)
-        # leading rows cancel by construction; force the trim
-        new = _rows_trim_top(new[:dr], max(thr, TRIM_TOL * np.max(np.abs(new))))
-        R = new
-        # keep coefficients in range
-        m = np.max(np.abs(R))
-        if m > 1e6:
-            R = R / m
-    return R
-
-
-def _poly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """GCD up to scale, normalized so its largest coefficient equals 1."""
-    if f.is_zero and g.is_zero:
-        return BiPoly.one()
-    if f.is_zero:
-        return _normalize_max(g)
-    if g.is_zero:
-        return _normalize_max(f)
-    if f.is_constant or g.is_constant:
-        return BiPoly.one()
-    scale = max(f.max_abs(), g.max_abs())
-    thr = GCD_ZERO_REL * scale
-    A, B = f.coeffs, g.coeffs
-    if A.shape[0] == 1 and B.shape[0] == 1:
-        return BiPoly(_uv_gcd(A[0], B[0])[None, :])
-    cont_a = _rows_content(A)
-    cont_b = _rows_content(B)
-    cont = _uv_gcd(cont_a, cont_b) if (len(cont_a) > 1 and len(cont_b) > 1) \
-        else np.ones(1, dtype=complex)
-    Ap = _rows_div_uv(A, cont_a, scale) if len(cont_a) > 1 else A
-    Bp = _rows_div_uv(B, cont_b, scale) if len(cont_b) > 1 else B
-    if Ap.shape[0] < Bp.shape[0]:
-        Ap, Bp = Bp, Ap
-    while True:
-        if Bp.shape[0] == 1 and np.max(np.abs(Bp)) <= thr:
-            prim = Ap
-            break
-        R = _pseudo_rem(Ap, Bp, thr)
-        if np.max(np.abs(R)) <= thr:
-            prim = Bp
-            break
-        rc = _rows_content(R)
-        if len(rc) > 1:
-            R = _rows_div_uv(R, rc, np.max(np.abs(R)))
-        if R.shape[0] >= Bp.shape[0]:
-            # no z1-degree progress: numerically coprime in z1
-            prim = np.ones((1, 1), dtype=complex)
-            break
-        Ap, Bp = Bp, R
-    if prim.shape[0] == 1:
-        prim_poly = BiPoly(np.ones((1, 1)))
-    else:
-        pc = _rows_content(prim)
-        if len(pc) > 1:
-            prim = _rows_div_uv(prim, pc, np.max(np.abs(prim)))
-        prim_poly = BiPoly(prim)
-    out = prim_poly * BiPoly(cont[None, :]) if len(cont) > 1 else prim_poly
-    return _normalize_max(out)
-
-
-def _normalize_max(p: BiPoly) -> BiPoly:
-    flat = np.argmax(np.abs(p.coeffs))
-    top = p.coeffs.ravel()[flat]
-    if np.abs(top) <= TRIM_TOL:
-        return BiPoly.one()
-    return BiPoly(p.coeffs / top)
+def _gcd_degree(f: np.ndarray, g: np.ndarray) -> tuple[int, int]:
+    """Bidegree (h1, h2) of gcd(f, g) from the nullities at j = (0, 0) and (1, 0)."""
+    n0 = _nullity(f, g)
+    n1 = _nullity(f, g, 1, 0)
+    h2 = n0 - n1 - 1
+    return n1 // (h2 + 1), h2
 
 
 # slice oracle ---------------------------------------------------------
 
 _SLICE_RNG_SEED = 0x51D3
 _N_SLICES = 5
-
-
-def _sylvester_gcd_degree(u, v) -> int:
-    u = _uv_trim(u)
-    v = _uv_trim(v)
-    m, n = len(u) - 1, len(v) - 1
-    if m == 0 or n == 0:
-        return 0
-    S = np.zeros((m + n, m + n), dtype=complex)
-    for i in range(n):
-        S[i, i: i + m + 1] = u[::-1]
-    for i in range(m):
-        S[n + i, i: i + n + 1] = v[::-1]
-    sig = np.linalg.svd(S, compute_uv=False)
-    rank = int(np.sum(sig > RANK_REL_TOL * sig[0]))
-    return m + n - rank
 
 
 def _slice_gcd_deg1(f: BiPoly, g: BiPoly) -> int:
@@ -537,7 +421,7 @@ def _slice_gcd_deg1(f: BiPoly, g: BiPoly) -> int:
         t = r * np.exp(2j * np.pi * rng.uniform())
         u = f.coeffs @ (t ** np.arange(f.coeffs.shape[1]))
         v = g.coeffs @ (t ** np.arange(g.coeffs.shape[1]))
-        degs.append(_sylvester_gcd_degree(u, v))
+        degs.append(_nullity(_uv_trim(u)[:, None], _uv_trim(v)[:, None]) - 1)
     counts = np.bincount(degs)
     return int(np.argmax(counts))
 
@@ -545,28 +429,38 @@ def _slice_gcd_deg1(f: BiPoly, g: BiPoly) -> int:
 def reduce_fraction(q: BiPoly, p: BiPoly, slice_check: bool = True):
     """Cancel the common factor of q and p, returning (q', p') with q/p = q'/p'.
 
-    The cancelled factor is computed by a Euclidean remainder sequence over
-    C[z2]; its z1-degree is cross-checked against Sylvester-rank GCD degrees
-    on random z2 slices, and a GcdSliceWarning flags any disagreement.
-    Coprime inputs are returned unchanged.
+    The bidegree h of gcd(q, p) is read off the rank deficiency of two
+    Sylvester matrices (Corless, Gianni, Trager & Watt, ISSAC 1995), and
+    the cofactors q/h, p/h are the null vector of the Sylvester matrix at
+    j = h (Zeng & Dayton, ISSAC 2004).  The z1-degree of h is cross-checked
+    against the same rank rule on random z2 slices, and a GcdSliceWarning
+    flags any disagreement.  Coprime inputs are returned unchanged.
     """
     if p.is_zero:
         raise ZeroDivisionError("denominator is identically zero")
     if q.is_zero:
         return BiPoly.zero(), BiPoly.one()
-    g = _poly_gcd(q, p)
-    if slice_check and not (q.is_constant or p.is_constant):
+    if q.is_constant or p.is_constant:
+        return q, p
+    h1, h2 = _gcd_degree(q.coeffs, p.coeffs)
+    if slice_check:
         oracle = _slice_gcd_deg1(q, p)
-        if oracle != g.deg1:
+        if oracle != h1:
             warnings.warn(
-                f"GCD z1-degree {g.deg1} disagrees with slice oracle {oracle}; "
-                "keeping the Euclidean result",
+                f"GCD z1-degree {h1} disagrees with slice oracle {oracle}; "
+                "keeping the Sylvester result",
                 GcdSliceWarning,
                 stacklevel=2,
             )
-    if g.is_constant:
+    if h1 == h2 == 0:
         return q, p
-    return poly_divexact(q, g), poly_divexact(p, g)
+    # at j = h the null space is spanned by (u, v) = (p/h, q/h), scaled:
+    # u q/|q| = v p/|p|, so q/p = (|q| v)/(|p| u)
+    x = np.linalg.svd(_sylvester(q.coeffs, p.coeffs, h1, h2))[2][-1].conj()
+    nu = (p.deg1 - h1 + 1) * (p.deg2 - h2 + 1)
+    u = x[:nu].reshape(p.deg1 - h1 + 1, p.deg2 - h2 + 1)
+    v = x[nu:].reshape(q.deg1 - h1 + 1, q.deg2 - h2 + 1)
+    return BiPoly(np.linalg.norm(q.coeffs) * v), BiPoly(np.linalg.norm(p.coeffs) * u)
 
 
 # ----------------------------------------------------------------------
@@ -605,12 +499,6 @@ class MatPoly:
     @classmethod
     def from_scalar(cls, p: BiPoly) -> "MatPoly":
         return cls([[p]])
-
-    @classmethod
-    def from_constant(cls, M) -> "MatPoly":
-        M = np.asarray(M, dtype=complex)
-        return cls([[BiPoly.const(M[i, j]) for j in range(M.shape[1])]
-                    for i in range(M.shape[0])])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -670,9 +558,6 @@ class MatPoly:
 
     def scale(self, factor) -> "MatPoly":
         return MatPoly([[e.scale(factor) for e in row] for row in self.entries])
-
-    def mul_poly(self, p: BiPoly) -> "MatPoly":
-        return MatPoly([[e * p for e in row] for row in self.entries])
 
     def swap_vars(self) -> "MatPoly":
         return MatPoly([[e.swap_vars() for e in row] for row in self.entries])

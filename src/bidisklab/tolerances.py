@@ -10,8 +10,8 @@ TRIM_TOL = 1e-12
 # Max Laurent-coefficient residual accepted by the exact innerness check.
 INNER_EXACT_TOL = 1e-9
 
-# Relative threshold declaring a remainder zero inside the Euclidean GCD.
-GCD_ZERO_REL = 1e-9
+# Relative threshold declaring the remainder of an exact polynomial division zero.
+DIVISION_ZERO_REL = 1e-9
 
 # Relative tolerance shared by every rank-revealing factorization
 # (model-space bases, invariant-subspace null spaces, numerical rank).

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from bidisklab.inner import (
     verify_inner_exact,
     verify_inner_grid,
 )
-from bidisklab.polynomials import BiPoly, MatPoly
+from bidisklab.experiments import generate_family
+from bidisklab.polynomials import BiPoly, GcdSliceWarning, MatPoly
 
 z1 = BiPoly.monomial(1, 0)
 z2 = BiPoly.monomial(0, 1)
@@ -117,6 +120,43 @@ def test_det_degree_repeated_denominator():
     fav = builtin("scalar_favorite")
     th = diagonal([fav, fav], "fafa")
     assert th.det_deg == (2, 2)
+
+
+# (deg, det_deg) of every builtin, and "m1m2n1n2" per item of the seed-42
+# families: the values the earlier Euclidean GCD gave, which the Sylvester
+# GCD must reproduce
+GOLDEN_BUILTIN_DEGREES = {
+    "diag_z1z2_1": ((1, 1), (1, 1)),
+    "hadamard_deg21": ((2, 1), (2, 1)),
+    "hadamard_z1z2": ((1, 1), (1, 1)),
+    "scalar_favorite": ((1, 1), (1, 1)),
+    "scalar_stable4": ((1, 1), (1, 1)),
+    "scalar_z1z2": ((1, 1), (1, 1)),
+    "scalar_z2n(3)": ((0, 3), (0, 3)),
+}
+GOLDEN_FAMILY_DEGREES = {
+    "product": """
+        0202 1111 0102 0101 1212 1214 1213 0204 0202 0202 1112 1111 0204
+        0101 0202 0203 0102 1214 0102 0204 1112 0101 1111 0203 0101""",
+    "diagonal": """
+        0204 0202 1122 1111 1223 0203 1223 1122 1121 1213 1223 1213 1010
+        1212 1111 1213 1213 1213 1121 1223 0204 1122 1121 1222 1213""",
+    "conjugated": """
+        1111 1111 2121 1111 1111 2121 1111 1111 2121 1111 1111 2121 1111
+        1111 2121 1111 1111 2121 1111 1111 2121 1111 1111 2121 1111""",
+}
+
+
+def test_degrees_match_golden_values_without_slice_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GcdSliceWarning)
+        assert set(GOLDEN_BUILTIN_DEGREES) == {th.label for th in all_builtins()}
+        for th in all_builtins():
+            assert (th.deg, th.det_deg) == GOLDEN_BUILTIN_DEGREES[th.label], th.label
+        for kind, codes in GOLDEN_FAMILY_DEGREES.items():
+            got = ["%d%d%d%d" % (th.deg + th.det_deg)
+                   for th in generate_family(kind, 25, d=2, seed=42)]
+            assert got == codes.split(), kind
 
 
 # -- constructors ------------------------------------------------------
