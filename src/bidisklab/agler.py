@@ -26,7 +26,6 @@ from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .modelspace import (
     BlockToeplitz,
-    ModelWorkspace,
     OpMatrix,
     Subspace,
     TruncGrid,
@@ -37,7 +36,6 @@ from .modelspace import (
     shift_mult,
 )
 from .polynomials import _convolve2d
-from .taylor import DecayClass
 from .tolerances import RANK_ABS_TOL, RANK_REL_TOL, TRUNC_NOISE_SLACK
 
 
@@ -120,25 +118,17 @@ def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
     """Maximal z1-invariant subspace of the truncated model space.
 
     Returns the combinations f of basis columns with Theta*(z1^k f) = 0
-    for k = 0..K_depth, orthonormal in the ambient grid.  For slowly
-    decaying expansions the zero test is widened by the measured basis
-    truncation defect.
+    for k = 0..K_depth, orthonormal in the ambient grid.  Unless Theta is a
+    polynomial (constant p), the zero test is widened by the measured
+    basis truncation defect.
     """
     if K_depth < 1:
         raise ValueError("invariance depth must be at least 1")
     G = _invariance_block(theta, basis, K_depth)
-    floor = _noise_floor(theta, basis)
+    floor = 0.0 if theta.p.is_constant else TRUNC_NOISE_SLACK * _basis_defect(theta, basis)
     null = _null_vectors(G, floor)
     return Subspace(basis.grid, basis.basis @ null,
                     f"smax1({theta.label})", basis.workspace)
-
-
-def _noise_floor(theta: RationalInnerMatrix, basis: Subspace) -> float:
-    ws = basis.workspace
-    finite = ws is not None and ws.decay.decay_class is DecayClass.FINITE
-    if finite:
-        return 0.0
-    return TRUNC_NOISE_SLACK * _basis_defect(theta, basis)
 
 
 def compute_smin2(theta: RationalInnerMatrix, basis: Subspace,
@@ -179,7 +169,6 @@ def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
 
 @one_blas_thread
 def agler_spaces(theta: RationalInnerMatrix, A: int, B: int,
-                 pad: tuple[int, int] | None = None,
                  K_depth: int | None = None) -> AglerSpaces:
     """Compute the invariant subspaces and wandering quotients at (A, B).
 
@@ -189,12 +178,11 @@ def agler_spaces(theta: RationalInnerMatrix, A: int, B: int,
     deeper z1-powers leave the degree window, so further constraints are
     vacuous at this truncation.
     """
-    basis = probe_model_basis(theta, A, B, pad)
+    basis = probe_model_basis(theta, A, B)
     K_depth = A if K_depth is None else K_depth
     smax1 = compute_smax1(theta, basis, K_depth)
     smin2 = compute_smin2(theta, basis, smax1)
-    ws = basis.workspace
-    exact = ws is not None and ws.decay.decay_class is DecayClass.FINITE
+    exact = theta.p.is_constant
     hkmax1 = _wandering(theta, smax1, 1, exact)
     hkmin2 = _wandering(theta, smin2, 2, exact)
     return AglerSpaces(smax1, smin2, hkmax1, hkmin2, K_depth, basis)
@@ -303,8 +291,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     if theta.deg[0] > 1:
         raise ValueError("closed-form commutator action requires deg1 Theta <= 1")
     model = spaces.model
-    grid = model.grid
-    ws = model.workspace or ModelWorkspace(theta, grid)
+    grid, ws = model.grid, model.workspace
     data = spaces._formula_data
     e = np.asarray(e, dtype=complex).reshape(theta.d)
     w1, w2 = w

@@ -25,7 +25,7 @@ from .inner import (
     verify_inner_exact,
     verify_inner_grid,
 )
-from .modelspace import rank_sweep
+from .modelspace import _validate_schedule, rank_sweep
 from .taylor import expand, tail_diagnostic
 from .tolerances import RANK_REL_TOL
 
@@ -60,12 +60,10 @@ def _parse_schedule(text: str):
         raise click.UsageError(f"cannot parse schedule {text!r}")
     if any(len(lv) != 2 for lv in levels):
         raise click.UsageError("schedule levels must be 'A,B' pairs")
-    if len(levels) < 3:
-        raise click.UsageError("schedule needs at least three levels")
-    for (a0, b0), (a1, b1) in zip(levels, levels[1:]):
-        if a1 <= a0 or b1 <= b0:
-            raise click.UsageError("schedule must increase strictly in both coordinates")
-    return levels
+    try:
+        return _validate_schedule(levels)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _echo_table(rows, header):
@@ -123,7 +121,7 @@ def inner_check(source, grid_n, exact, quiet):
 
 @inner_group.command("expand")
 @click.argument("source")
-@click.option("--trunc", nargs=2, type=int, required=True, metavar="A B")
+@click.option("--trunc", nargs=2, type=click.IntRange(min=0), required=True, metavar="A B")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def inner_expand(source, trunc, out_path, quiet):
@@ -146,16 +144,15 @@ def inner_expand(source, trunc, out_path, quiet):
 @click.argument("source")
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True,
               help="Semicolon-separated truncation levels 'A,B'.")
-@click.option("--pad", nargs=2, type=int, default=None, metavar="P1 P2")
 @click.option("--tol", type=float, default=RANK_REL_TOL, show_default=True,
               help="Relative singular-value tolerance for the rank count.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
-def rank_cmd(source, schedule, pad, tol, out_path, quiet):
+def rank_cmd(source, schedule, tol, out_path, quiet):
     """Sweep the self-commutator rank of the first compressed shift."""
     theta = _require_inner(_load_theta(source))
     levels = _parse_schedule(schedule)
-    report = rank_sweep(theta, levels, pad, tol_rel=tol)
+    report = rank_sweep(theta, levels, tol_rel=tol)
     if out_path:
         serialize.save_json(serialize.rank_report_to_json(report), out_path)
     if not quiet:
@@ -169,6 +166,10 @@ def rank_cmd(source, schedule, pad, tol, out_path, quiet):
         click.echo(f"stabilized_rank: {stab}, verdict: {report.verdict.value}")
 
 
+# the invariance test takes at least one z1-step, so A >= 1
+_AGLER_TRUNC = (click.IntRange(min=1), click.IntRange(min=0))
+
+
 @main.group("agler")
 def agler_group():
     """Invariant subspaces and kernel decomposition checks."""
@@ -176,7 +177,7 @@ def agler_group():
 
 @agler_group.command("dims")
 @click.argument("source")
-@click.option("--trunc", nargs=2, type=int, default=(8, 8), show_default=True)
+@click.option("--trunc", nargs=2, type=_AGLER_TRUNC, default=(8, 8), show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def agler_dims(source, trunc, out_path, quiet):
@@ -196,7 +197,7 @@ def agler_dims(source, trunc, out_path, quiet):
 
 @agler_group.command("verify")
 @click.argument("source")
-@click.option("--trunc", nargs=2, type=int, default=(10, 10), show_default=True)
+@click.option("--trunc", nargs=2, type=_AGLER_TRUNC, default=(10, 10), show_default=True)
 @click.option("--samples", type=int, default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)

@@ -52,8 +52,7 @@ class ConjectureRecord:
 
 
 @one_blas_thread
-def conjecture_report(theta: RationalInnerMatrix, schedule,
-                      pad: tuple[int, int] | None = None) -> ConjectureRecord:
+def conjecture_report(theta: RationalInnerMatrix, schedule) -> ConjectureRecord:
     """Grade one inner function against the rank-degree conjecture.
 
     CONSISTENT needs either a stabilized rank equal to the determinant
@@ -62,7 +61,7 @@ def conjecture_report(theta: RationalInnerMatrix, schedule,
     VIOLATION_CANDIDATE when no truncation warning is present; with
     warnings it degrades to INCONCLUSIVE, mismatch noted.
     """
-    report = rank_sweep(theta, schedule, pad)
+    report = rank_sweep(theta, schedule)
     m1, _ = report.deg
     d2 = report.det_deg[1]
     predicted = d2 if m1 <= 1 else None
@@ -222,7 +221,6 @@ class BatchSummary:
 
 @one_blas_thread
 def run_batch(family, schedule, out_dir=None,
-              pad: tuple[int, int] | None = None,
               max_workers: int | None = None) -> BatchSummary:
     """Run the conjecture report over a family, persisting per-item records.
 
@@ -243,7 +241,7 @@ def run_batch(family, schedule, out_dir=None,
             check = verify_inner_exact(theta)
             if not check.passed:
                 raise ValueError(f"input is not inner (residual {check.residual:.3e})")
-            record = conjecture_report(theta, schedule, pad)
+            record = conjecture_report(theta, schedule)
             m1, m2 = record.deg
             if m1 <= 1:
                 bound = theta.d * m2

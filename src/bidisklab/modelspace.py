@@ -31,11 +31,13 @@ a pivoted QR over all probe columns.  The sketch is sized by det_deg Theta
 (falling back to a bound proven from deg Theta), and one projection pass per
 rank level gives the basis, its Theta* image and its projection.
 
-Truncation is the artifact here, not an afterthought: every operator is
-computed with degree headroom ("pad") so that one variable multiplication
-plus one application of the function never spills over the edge, and rank
-estimates are read off after compressing back to the nominal window,
-which keeps edge reflections away from the reported singular values.
+Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
+is one window: the nominal (A, B) box that estimates are read on, the
+working box raised by the headroom deg Theta + (2, 2), so that one variable
+multiplication plus one application of the function never spills over its
+edge, and the padded box raised by the headroom again.  Rank estimates are
+read off after compressing back to the nominal box, which keeps edge
+reflections away from the reported singular values.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ class TruncGrid:
     A: int
     B: int
     d: int
+
+    def __post_init__(self):
+        if self.A < 0 or self.B < 0:
+            raise ValueError(f"degree box ({self.A}, {self.B}) has a negative side")
 
     @property
     def dim(self) -> int:
@@ -319,13 +325,13 @@ class ModelProjection:
 
 
 # ----------------------------------------------------------------------
-# workspace: padded grids shared by the operator constructions
+# workspace: one truncation window
 # ----------------------------------------------------------------------
 
-def default_pad(theta: RationalInnerMatrix) -> tuple[int, int]:
-    """Degree headroom (m1 + 2, m2 + 2) so z_j then Theta never overflow."""
+def _headroom(grid: TruncGrid, theta: RationalInnerMatrix) -> TruncGrid:
+    """`grid` raised by deg Theta + (2, 2), so z_j then Theta never overflow it."""
     m1, m2 = theta.deg
-    return m1 + 2, m2 + 2
+    return TruncGrid(grid.A + m1 + 2, grid.B + m2 + 2, grid.d)
 
 
 # The range finder samples this many columns beyond its rank bound, and
@@ -343,34 +349,48 @@ _DEFECT_BATCH_ENTRIES = 1 << 20
 
 
 class ModelWorkspace:
-    """Shared truncation machinery for one (Theta, grid, pad) triple.
+    """One truncation window of Theta: nominal, working and padded boxes.
 
-    Holds the padded grid and the Taylor table on it (for the decay class
-    and the chopped defect).  The multiplication operator ``mult`` and the
-    truncated model projection ``proj`` on the padded grid are built on
-    first use; a rank level never reads them.  Bases and shifts run on the
-    working grid or one degree beyond it, where the anti-causal identity
-    (module docstring) makes them agree with the padded projection; the
-    chopped-mass defect uses the padded grid only as its points outside the
-    working grid.
+    Estimates are read on the ``nominal`` box, bases live on the working
+    ``grid``, and ``padded`` is the working grid raised by the headroom; its
+    points outside the working grid are where ``chopped_defect`` measures
+    truncation noise.  ``ModelWorkspace(theta, grid)`` takes the working grid
+    as its nominal box; ``ModelWorkspace.window(theta, A, B)`` raises the
+    nominal (A, B) box by the headroom first.  The multiplication operator
+    ``mult`` and the truncated model projection ``proj`` on the padded grid,
+    and the Taylor table on it, are built on first use; a rank level reads
+    only the table, and only for rational Theta.  Bases and shifts run on
+    the working grid or one degree beyond it, where the anti-causal identity
+    (module docstring) makes them agree with the padded projection.
     ``rank_sweep`` passes `_table`, one expansion of Theta as deep as its
     last padded grid, and each workspace cuts its own table from it.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
-                 pad: tuple[int, int] | None = None, _table: TaylorTable | None = None):
+                 _table: TaylorTable | None = None):
         if grid.d != theta.d:
             raise ValueError("grid dimension disagrees with Theta")
         self.theta = theta
-        self.grid = grid
-        self.pad = tuple(pad) if pad is not None else default_pad(theta)
-        if self.pad[0] < 1 or self.pad[1] < 1:
-            raise ValueError("pad must be at least (1, 1)")
-        self.padded = TruncGrid(grid.A + self.pad[0], grid.B + self.pad[1], grid.d)
-        self.table = (expand(theta, self.padded.A, self.padded.B) if _table is None
-                      else _table.leading(self.padded.A, self.padded.B))
-        self.decay = tail_diagnostic(self.table)
+        self.grid = self.nominal = grid
+        self.padded = _headroom(grid, theta)
+        self._source = _table
         self._mults: dict[tuple[int, int], BlockToeplitz] = {}
+
+    @classmethod
+    def window(cls, theta: RationalInnerMatrix, A: int, B: int,
+               _table: TaylorTable | None = None) -> "ModelWorkspace":
+        """Workspace of the nominal (A, B) box, on that box raised by the headroom."""
+        nominal = TruncGrid(A, B, theta.d)
+        ws = cls(theta, _headroom(nominal, theta), _table)
+        ws.nominal = nominal
+        return ws
+
+    @cached_property
+    def table(self) -> TaylorTable:
+        """Taylor table of Theta on the padded grid."""
+        if self._source is None:
+            return expand(self.theta, self.padded.A, self.padded.B)
+        return self._source.leading(self.padded.A, self.padded.B)
 
     @cached_property
     def mult(self) -> BlockToeplitz:
@@ -436,8 +456,8 @@ class ModelWorkspace:
         """Largest mass a projected probe monomial carries outside the working grid.
 
         Measures the truncation noise that restricting to the working grid
-        introduces; it vanishes for polynomial Theta whenever the pad covers
-        the Taylor support.  Outside the working grid P e_m is -M M* e_m.
+        introduces; it vanishes for polynomial Theta, whose Taylor support
+        the headroom covers.  Outside the working grid P e_m is -M M* e_m.
         M is causal and the probe box Q is a lower box, so on the padded
         points O outside the working grid (M M*)_{O,Q} = M_{O,Q} M_{Q,Q}*,
         and the mass of probe column m is the m-th row norm of
@@ -489,34 +509,31 @@ def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray
 
 
 @one_blas_thread
-def model_basis(theta: RationalInnerMatrix, grid: TruncGrid,
-                pad: tuple[int, int] | None = None) -> Subspace:
+def model_basis(theta: RationalInnerMatrix, grid: TruncGrid) -> Subspace:
     """Orthonormal basis of the truncated model space on `grid`.
 
     Spans the projections of every monomial of the grid, restricted to the
     grid, with the rank decided by the pivoted-QR rule.
     """
-    ws = ModelWorkspace(theta, grid, pad)
+    ws = ModelWorkspace(theta, grid)
     frame, _, _, coords = ws.model_span(grid)
     return Subspace(grid, frame @ coords, f"model({theta.label})", ws)
 
 
 @one_blas_thread
-def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int,
-                      pad: tuple[int, int] | None = None) -> Subspace:
+def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int) -> Subspace:
     """Model-space span of the (A, B) monomial projections, with headroom.
 
-    Unlike ``model_basis`` the returned vectors live on a working grid
-    padded beyond (A, B), so for polynomial Theta nothing is chopped and
-    the span sits exactly inside the model space; the span itself is still
-    indexed by the nominal window.  This is the basis of choice when
-    invariant-subspace structure is read off the truncation.
+    Unlike ``model_basis`` the returned vectors live on the working grid of
+    the (A, B) window (``ModelWorkspace.window``), so for polynomial Theta
+    nothing is chopped and the span sits exactly inside the model space;
+    the span itself is still indexed by the nominal window.  This is the
+    basis of choice when invariant-subspace structure is read off the
+    truncation.
     """
-    pad = pad if pad is not None else default_pad(theta)
-    work = TruncGrid(A + pad[0], B + pad[1], theta.d)
-    ws = ModelWorkspace(theta, work, pad)
-    frame, _, _, coords = ws.model_span(TruncGrid(A, B, theta.d))
-    return Subspace(work, frame @ coords, f"model({theta.label})@({A},{B})", ws)
+    ws = ModelWorkspace.window(theta, A, B)
+    frame, _, _, coords = ws.model_span(ws.nominal)
+    return Subspace(ws.grid, frame @ coords, f"model({theta.label})@({A},{B})", ws)
 
 
 def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
@@ -545,8 +562,6 @@ def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpM
     ws = basis.workspace
     if ws is None or ws.theta is not theta:
         ws = ModelWorkspace(theta, basis.grid)
-    if ws.pad[j - 1] < 1:
-        raise ValueError("pad too small for a shift in this variable")
     return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
 
 
@@ -622,59 +637,54 @@ def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
+    """Levels as int pairs: at least three, increasing strictly from a box."""
     sched = [(int(a), int(b)) for a, b in schedule]
     if len(sched) < 3:
         raise ValueError("schedule needs at least three levels")
     for (a0, b0), (a1, b1) in zip(sched, sched[1:]):
         if a1 <= a0 or b1 <= b0:
             raise ValueError("schedule must increase strictly in both coordinates")
+    TruncGrid(*sched[0], 1)  # rejects a negative first level
     return sched
 
 
-def _rank_level(ws: ModelWorkspace, A: int, B: int, tol_rel: float,
-                tol_abs: float) -> RankLevel:
-    """``rank_at_level`` on a workspace whose working grid pads the (A, B) window."""
+def _rank_level(ws: ModelWorkspace, tol_rel: float) -> RankLevel:
+    """``rank_at_level`` on the workspace of a nominal window."""
     frame, adj, proj, coords = ws.model_span(ws.grid)
-    probe = TruncGrid(A, B, ws.grid.d)
+    probe = ws.nominal
     X = _orth_columns((proj[probe.indices_in(ws.grid)] @ coords).conj().T)
     basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
     adj = adj @ coords
     del frame, proj  # only B and Theta* B outlive the frame
     C = commutator(_shift_matrix(ws, basis, adj, 1))
     CX = X.conj().T @ C.matrix @ X
-    floor = tol_abs
-    if ws.decay.decay_class is not DecayClass.FINITE:
+    floor = RANK_ABS_TOL
+    if not ws.theta.p.is_constant:
         floor = max(floor, TRUNC_NOISE_SLACK * ws.chopped_defect(probe))
     rank, sig = numerical_rank(CX, tol_rel, floor)
-    return RankLevel(A, B, X.shape[1], sig, rank)
+    return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
 
 
 @one_blas_thread
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
-                  pad: tuple[int, int] | None = None,
-                  tol_rel: float = RANK_REL_TOL,
-                  tol_abs: float = RANK_ABS_TOL) -> RankLevel:
+                  tol_rel: float = RANK_REL_TOL) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
 
-    The shift and its commutator are computed on a working grid with
-    `pad` extra degrees, then compressed onto the span of the projected
-    monomials of the nominal (A, B) window before reading singular
-    values; the compression keeps truncation-edge reflections out of the
-    estimate.  For non-polynomial Theta an additional absolute floor
+    The shift and its commutator are computed on the working grid of the
+    (A, B) window (``ModelWorkspace.window``), then compressed onto the
+    span of the projected monomials of the nominal (A, B) box before
+    reading singular values; the compression keeps truncation-edge
+    reflections out of the estimate.  For non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
     The basis, the shift and the compression share one projection of the
     sketch's frame.
     """
-    pad = pad if pad is not None else default_pad(theta)
-    ws = ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d), pad)
-    return _rank_level(ws, A, B, tol_rel, tol_abs)
+    return _rank_level(ModelWorkspace.window(theta, A, B), tol_rel)
 
 
 @one_blas_thread
 def rank_sweep(theta: RationalInnerMatrix, schedule,
-               pad: tuple[int, int] | None = None,
-               tol_rel: float = RANK_REL_TOL,
-               tol_abs: float = RANK_ABS_TOL) -> RankReport:
+               tol_rel: float = RANK_REL_TOL) -> RankReport:
     """Sweep commutator rank estimates across a truncation schedule.
 
     STABLE requires the last three levels to agree; ranks strictly
@@ -687,11 +697,10 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     load on the host rather than the work.
     """
     sched = _validate_schedule(schedule)
-    pad = pad if pad is not None else default_pad(theta)
-    (A, B), depth = sched[-1], _decay_depth(sched)
-    table = expand(theta, max(depth[0], A + 2 * pad[0]), max(depth[1], B + 2 * pad[1]))
-    levels = [_rank_level(ModelWorkspace(theta, TruncGrid(A + pad[0], B + pad[1], theta.d),
-                                         pad, table), A, B, tol_rel, tol_abs)
+    depth = _decay_depth(sched)
+    edge = _headroom(_headroom(TruncGrid(*sched[-1], theta.d), theta), theta)
+    table = expand(theta, max(depth[0], edge.A), max(depth[1], edge.B))
+    levels = [_rank_level(ModelWorkspace.window(theta, A, B, table), tol_rel)
               for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:

@@ -74,6 +74,34 @@ def test_rank_table_output(tmp_path):
 def test_rank_rejects_bad_schedule():
     res = invoke("rank", "scalar_z1z2", "--schedule", "4,4;4,4;6,6")
     assert res.exit_code == 2
+    assert "schedule must increase strictly in both coordinates" in res.output
+    res = invoke("rank", "scalar_z1z2", "--schedule", "4,4;6,6")
+    assert res.exit_code == 2
+    assert "schedule needs at least three levels" in res.output
+
+
+def test_rank_rejects_negative_schedule():
+    assert run(["rank", "hadamard_z1z2", "--schedule", "-2,-2;-1,-1;0,0", "-q"]) == 2
+    res = invoke("rank", "hadamard_z1z2", "--schedule", "-2,-2;-1,-1;0,0")
+    assert res.exit_code == 2
+    assert "negative" in res.output and "INCONCLUSIVE" not in res.output
+
+
+def test_rank_has_no_pad_option():
+    assert run(["rank", "hadamard_z1z2", "--pad", "3", "3", "-q"]) == 2
+
+
+def test_truncations_out_of_range_exit_2():
+    for args in (("agler", "dims", "scalar_stable4", "--trunc", "-1", "3"),
+                 ("agler", "dims", "scalar_stable4", "--trunc", "0", "3"),
+                 ("agler", "verify", "scalar_stable4", "--trunc", "3", "-1"),
+                 ("inner", "expand", "scalar_stable4", "--trunc", "-1", "3")):
+        assert run(list(args) + ["-q"]) == 2
+        res = invoke(*args)
+        assert res.exit_code == 2 and "--trunc" in res.output
+    # the smallest truncations each command accepts still run
+    assert run(["agler", "dims", "scalar_stable4", "--trunc", "1", "0", "-q"]) == 0
+    assert run(["inner", "expand", "scalar_stable4", "--trunc", "0", "0", "-q"]) == 0
 
 
 def test_rank_rejects_unknown_builtin():

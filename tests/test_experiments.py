@@ -152,8 +152,8 @@ def test_screening_error_aborts_loudly(tmp_path, monkeypatch):
 
     real_report = xp.conjecture_report
 
-    def fake_report(theta, schedule, pad=None):
-        rec = real_report(theta, schedule, pad)
+    def fake_report(theta, schedule):
+        rec = real_report(theta, schedule)
         lv = rec.report.levels[0]
         forged = lv.__class__(lv.A, lv.B, lv.dim_model, lv.sigmas, 99)
         forged_report = rec.report.__class__(

@@ -20,7 +20,6 @@ from bidisklab.modelspace import (
     analytic_mult,
     commutator,
     compressed_shift,
-    default_pad,
     model_basis,
     numerical_rank,
     probe_model_basis,
@@ -284,6 +283,33 @@ def test_rank_sweep_schedule_validation():
         rank_sweep(th, [(4, 4), (6, 6)])
     with pytest.raises(ValueError):
         rank_sweep(th, [(4, 4), (6, 6), (6, 8)])
+    with pytest.raises(ValueError, match="negative"):
+        rank_sweep(th, [(-2, -2), (-1, -1), (0, 0)])
+
+
+def test_negative_boxes_are_rejected():
+    th = builtin("hadamard_z1z2")
+    for make in (lambda: TruncGrid(-1, 0, 2), lambda: ModelWorkspace.window(th, 0, -1),
+                 lambda: rank_at_level(th, -1, 3), lambda: probe_model_basis(th, 2, -2)):
+        with pytest.raises(ValueError, match="negative"):
+            make()
+    # the empty-degree box (0, 0) is a window
+    assert rank_at_level(th, 0, 0).dim_model == 2
+
+
+def test_decay_is_finite_exactly_for_constant_denominator():
+    # the padded grid's edge lies past deg Theta, so the Taylor tail there
+    # vanishes exactly when Theta is a polynomial: the rank floor and the
+    # Agler null-space floor read p's degree instead of classifying the tail
+    thetas = [builtin(name) for name in BUILTINS] + [scalar_z2n(3)]
+    for kind in ("product", "diagonal", "conjugated"):
+        thetas += generate_family(kind, 25, seed=42)
+    assert {th.p.is_constant for th in thetas} == {True, False}
+    for th in thetas:
+        for A, B in ((0, 0), (1, 2), (4, 4), (8, 8)):
+            ws = ModelWorkspace.window(th, A, B)
+            finite = tail_diagnostic(ws.table).decay_class is DecayClass.FINITE
+            assert finite == th.p.is_constant, (th.label, A, B)
 
 
 def test_rank_invariant_under_unitary_conjugation():
@@ -312,7 +338,7 @@ def test_interior_isometry_and_idempotence():
         pf = ws.proj @ fp
         idem = np.linalg.norm(ws.proj @ pf - pf)
         scale = np.linalg.norm(fp)
-        if ws.decay.decay_class is DecayClass.FINITE:
+        if th.p.is_constant:
             bound = 1e-8 * scale
         else:
             bound = 10 * ws.table.tail_norm * scale
@@ -425,18 +451,21 @@ def _outside_points(ws):
     return np.flatnonzero(outside)
 
 
-# (probe, working grid, pad): square and non-square probes, with more
-# outside points than probe points in the first and last, fewer in between
-DEFECT_CASES = [((5, 4), (8, 7), (3, 3)), ((6, 6), (6, 6), (1, 1)),
-                ((3, 7), (4, 8), (2, 1)), ((7, 2), (7, 2), (1, 4))]
+# (probe, working grid): square and non-square probes; for every Theta
+# here the padded grid has more outside points than probe points in the
+# first and third case, fewer in the second and fourth
+DEFECT_CASES = [((5, 4), (8, 7)), ((10, 10), (10, 10)),
+                ((3, 7), (4, 8)), ((14, 6), (14, 6))]
 
 
 @pytest.mark.parametrize("name", ALL_THETAS)
 def test_chopped_defect_matches_dense_columns(name, monkeypatch):
     th = _defect_theta(name)
-    for (pa, pb), (wa, wb), pad in DEFECT_CASES:
+    more = []
+    for (pa, pb), (wa, wb) in DEFECT_CASES:
         probe = TruncGrid(pa, pb, th.d)
-        ws = ModelWorkspace(th, TruncGrid(wa, wb, th.d), pad)
+        ws = ModelWorkspace(th, TruncGrid(wa, wb, th.d))
+        more.append(_outside_points(ws).size > probe.dim)
         M = analytic_mult(ws.table, ws.padded)
         cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
         ref = float(np.linalg.norm(cols[_outside_points(ws)], axis=0).max())
@@ -445,6 +474,7 @@ def test_chopped_defect_matches_dense_columns(name, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(modelspace, "_DEFECT_BATCH_ENTRIES", 1)
             assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
+    assert more == [True, False, True, False]
 
 
 def test_convolution_operators_vector_and_block_agree():
@@ -474,9 +504,9 @@ def test_polynomial_convolution_matches_scipy():
             assert np.abs(y[:, :, k, i] - convolve2d(a[:, :, k, i], b)).max() < 1e-14
 
 
-def _dense_reference_basis(theta, work, probe, pad):
+def _dense_reference_basis(theta, work, probe):
     """Pivoted QR over every restricted probe column of the dense projection."""
-    ws = ModelWorkspace(theta, work, pad)
+    ws = ModelWorkspace(theta, work)
     M = analytic_mult(ws.table, ws.padded)
     proj = np.eye(ws.padded.dim) - M @ M.conj().T
     cols = proj[:, probe.indices_in(ws.padded)][work.indices_in(ws.padded)]
@@ -494,13 +524,12 @@ def _largest_angle_sine(U, V):
 @pytest.mark.parametrize("A,B", [(3, 3), (5, 2)])
 def test_sketched_bases_span_dense_reference(name, A, B):
     th = builtin(name)
-    pad = modelspace.default_pad(th)
     grid = TruncGrid(A, B, th.d)
     sub = model_basis(th, grid)
-    ref = _dense_reference_basis(th, grid, grid, pad)
+    ref = _dense_reference_basis(th, grid, grid)
     assert _largest_angle_sine(sub.basis, ref) < 1e-12
     probe = probe_model_basis(th, A, B)
-    ref = _dense_reference_basis(th, probe.grid, grid, pad)
+    ref = _dense_reference_basis(th, probe.grid, grid)
     assert _largest_angle_sine(probe.basis, ref) < 1e-12
 
 
@@ -514,15 +543,19 @@ def test_sketch_widens_until_it_is_not_full(monkeypatch):
     monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -10)
     to_bound = probe_model_basis(th, 6, 6)
     # with deg and det_deg read as (0, 0) both rules give 4 columns at
-    # oversampling 4, so only doubling reaches past dimension 14
+    # oversampling 4, so only doubling reaches past dimension 14; the
+    # headroom shrinks to (2, 2), still past the degree-7 support of the
+    # projected probe monomials, so the span is the same on a smaller grid
     understated = builtin("hadamard_z1z2")
     understated.__dict__.update(deg=(0, 0), det_deg=(0, 0))
     monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", 4)
-    doubled = probe_model_basis(understated, 6, 6, pad=default_pad(th))
+    doubled = probe_model_basis(understated, 6, 6)
     assert calls == [[(4, 4), (18, 14)], [(4, 4), (8, 8), (16, 14)]]
+    assert (doubled.grid.A, doubled.grid.B) == (8, 8) != (ref.grid.A, ref.grid.B)
     for sub in (to_bound, doubled):
         assert sub.dim == ref.dim == 14
-        assert _largest_angle_sine(sub.basis, ref.basis) < 1e-12
+        basis = sub.grid.embed(sub.basis, ref.grid)
+        assert _largest_angle_sine(basis, ref.basis) < 1e-12
 
 
 def test_sketch_keeps_a_direction_just_above_the_rank_rule():
@@ -603,9 +636,8 @@ def test_chopped_defect_sides_agree(name, N):
     # the gathered-block defect against M M* on the padded grid, applied to
     # the probe monomials and to the outside unit vectors
     th = builtin(name)
-    pad = default_pad(th)
-    ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], th.d), pad)
-    probe = TruncGrid(N, N, th.d)
+    ws = ModelWorkspace.window(th, N, N)
+    probe = ws.nominal
     defect = ws.chopped_defect(probe)
     for from_probe in (True, False):
         ref = _padded_chopped_mass(ws, probe, from_probe)
@@ -635,12 +667,11 @@ RANK_GOLDENS = [
                          ids=[f"{g[0]}-{g[1]}" for g in RANK_GOLDENS])
 def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
     th = builtin(name)
-    pad = default_pad(th)
     level = rank_at_level(th, N, N)
     assert (level.rank, level.dim_model, level.sigmas.size) == (rank, dim, dim)
     assert np.abs(level.sigmas[: len(sigmas)] - sigmas).max() <= 1e-12 * sigmas[0]
-    ws = ModelWorkspace(th, TruncGrid(N + pad[0], N + pad[1], 1), pad)
-    assert abs(ws.chopped_defect(TruncGrid(N, N, 1)) - defect) <= 1e-12 * defect
+    ws = ModelWorkspace.window(th, N, N)
+    assert abs(ws.chopped_defect(ws.nominal) - defect) <= 1e-12 * defect
 
 
 # -- one projection pass per level, one Taylor table per sweep ----------------
@@ -691,9 +722,9 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
 
     monkeypatch.setattr(modelspace, "_rational_kernel", spy)
     th = builtin("scalar_stable4")
-    pad = default_pad(th)
+    padded = ModelWorkspace.window(th, 8, 8).padded
     rank_at_level(th, 8, 8)
-    assert built and (8 + 2 * pad[0], 8 + 2 * pad[1]) not in built
+    assert built and (padded.A, padded.B) not in built
     ws = probe_model_basis(th, 8, 8).workspace
     _ = ws.proj  # first use builds the padded operator
     assert built[-1] == (ws.padded.A, ws.padded.B)
@@ -701,9 +732,9 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
 
 def _reference_level(th, N):
     """rank_at_level rebuilt from the public stages, every projection applied afresh."""
-    pad = default_pad(th)
-    work = TruncGrid(N + pad[0], N + pad[1], th.d)
-    basis = model_basis(th, work, pad)
+    m1, m2 = th.deg
+    work = TruncGrid(N + m1 + 2, N + m2 + 2, th.d)
+    basis = model_basis(th, work)
     C = commutator(compressed_shift(th, basis, 1)).matrix
     probe = TruncGrid(N, N, th.d)
     P = ModelProjection(BlockToeplitz(th, work))
@@ -712,7 +743,7 @@ def _reference_level(th, N):
     diag = np.abs(np.diag(R))
     X = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
     floor = modelspace.RANK_ABS_TOL
-    if basis.workspace.decay.decay_class is not DecayClass.FINITE:
+    if not th.p.is_constant:
         floor = max(floor, modelspace.TRUNC_NOISE_SLACK * basis.workspace.chopped_defect(probe))
     return numerical_rank(X.conj().T @ C @ X, tol_abs=floor)
 
@@ -737,10 +768,8 @@ def test_sweep_shares_one_table_bitwise(name):
         assert (level.rank, level.dim_model) == (fresh.rank, fresh.dim_model)
         assert np.array_equal(level.sigmas, fresh.sigmas)
     deep = expand(th, 60, 60)
-    pad = default_pad(th)
-    ws = ModelWorkspace(th, TruncGrid(9 + pad[0], 8 + pad[1], th.d), pad, _table=deep)
-    fresh = ModelWorkspace(th, TruncGrid(9 + pad[0], 8 + pad[1], th.d), pad)
+    ws = ModelWorkspace.window(th, 9, 8, _table=deep)
+    fresh = ModelWorkspace.window(th, 9, 8)
     assert np.array_equal(ws.table.coeffs, fresh.table.coeffs)
-    assert ws.decay == fresh.decay
     shared = tail_diagnostic(deep.leading(*modelspace._decay_depth(sched)))
     assert shared.decay_class is modelspace.decay_class(th, sched)
