@@ -296,6 +296,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     e = np.asarray(e, dtype=complex).reshape(theta.d)
     w1, w2 = w
     padded = ws.padded
+    M = ws.mult_on(padded)
     # the padded-grid vectors to project: the Szego kernel at w times e, then
     # the formula route's two numerators (zero without a wandering space)
     vecs = np.zeros((padded.A + 1, padded.B + 1, theta.d, 3), dtype=complex)
@@ -311,7 +312,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
         weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
         # division by p(0, z2) on the padded z2-range is a product by R_0
         nB = min(padded.B + 1, fbox.shape[1])
-        inv0 = ws.mult.inv_p0[:, :nB]
+        inv0 = M.inv_p0[:, :nB]
         # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
         g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
         vecs[0, :, :, 1] = inv0 @ g1
@@ -319,7 +320,8 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
         weights2 = eval_columns(data.tphi, grid, (w1, w2)).conj().T @ e
         g2 = np.einsum("abdn,n->abd", fbox[1:][: padded.A + 1, :nB], weights2)
         vecs[: g2.shape[0], :, :, 2] = np.matmul(inv0, g2)
-    kw, formula1, formula2 = padded.restrict(ws.proj @ vecs.reshape(padded.dim, 3), grid).T
+    x = vecs.reshape(padded.dim, 3)
+    kw, formula1, formula2 = padded.restrict(x - M @ (M.H @ x), grid).T
 
     # matrix route: coordinates of the kernel at w, split by summand
     y = model.coords(kw)

@@ -25,8 +25,8 @@ from .inner import (
     verify_inner_exact,
     verify_inner_grid,
 )
-from .modelspace import _validate_schedule, rank_sweep
-from .taylor import expand, tail_diagnostic
+from .modelspace import _validate_schedule, decay_class, rank_sweep
+from .taylor import expand
 from .tolerances import RANK_REL_TOL
 
 
@@ -125,14 +125,18 @@ def inner_check(source, grid_n, exact, quiet):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def inner_expand(source, trunc, out_path, quiet):
-    """Expand SOURCE into matrix Taylor coefficients up to degrees A, B."""
+    """Expand SOURCE into matrix Taylor coefficients up to degrees A, B.
+
+    The decay column classifies the expansion at depth 40 or more, not the
+    table at A, B, which may be too shallow to tell a polynomial from slow
+    decay.
+    """
     theta = _require_inner(_load_theta(source))
     A, B = trunc
     table = expand(theta, A, B)
-    diag = tail_diagnostic(table)
     if not quiet:
         _echo_table([(theta.label, A, B, f"{table.tail_norm:.3e}",
-                      diag.decay_class.value)],
+                      decay_class(theta, [(A, B)]).value)],
                     ("label", "A", "B", "tail_norm", "decay"))
     if out_path:
         serialize.save_json(serialize.taylor_to_json(table), out_path)

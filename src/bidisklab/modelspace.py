@@ -10,9 +10,9 @@ numerical rank estimates swept over a truncation schedule.
 
 No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
 is causal, so on a lower box it is T_Q T_p^-1: ``BlockToeplitz`` applies
-T_Q by shifted adds and T_p^-1 by a recursion over z1-rows, and
-``ModelProjection`` applies I - M M* on top of it; memory grows with the
-grid, not with its square.  ``analytic_mult`` is the dense test reference.
+T_Q by shifted adds and T_p^-1 by a recursion over z1-rows, and the model
+projection is x - M (M* x); memory grows with the grid, not with its
+square.  ``analytic_mult`` is the dense test reference.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -20,8 +20,9 @@ columns at lattice points of W, cut back to W, equal I - M_W M_W* built
 on W alone.  So bases work on the working grid and the shift one degree
 beyond it.  The headroom grid ("padded") enters the rank pipeline only as
 the set of points outside the working grid, where ``chopped_defect``
-measures the coefficient mass a restriction chops off from Taylor blocks
-gathered there.
+measures the coefficient mass a restriction chops off, from Theta's
+coefficients that the operator on the padded grid gives as its images of
+the d constant unit columns.
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -314,16 +314,6 @@ class BlockToeplitz:
         return out.reshape(x.shape)
 
 
-class ModelProjection:
-    """Truncated model projection I - M M* on the box of a ``BlockToeplitz`` M."""
-
-    def __init__(self, mult: BlockToeplitz):
-        self.mult = mult
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return x - self.mult @ (self.mult.H @ x)
-
-
 # ----------------------------------------------------------------------
 # workspace: one truncation window
 # ----------------------------------------------------------------------
@@ -356,51 +346,29 @@ class ModelWorkspace:
     points outside the working grid are where ``chopped_defect`` measures
     truncation noise.  ``ModelWorkspace(theta, grid)`` takes the working grid
     as its nominal box; ``ModelWorkspace.window(theta, A, B)`` raises the
-    nominal (A, B) box by the headroom first.  The multiplication operator
-    ``mult`` and the truncated model projection ``proj`` on the padded grid,
-    and the Taylor table on it, are built on first use; a rank level reads
-    only the table, and only for rational Theta.  Bases and shifts run on
-    the working grid or one degree beyond it, where the anti-causal identity
-    (module docstring) makes them agree with the padded projection.
-    ``rank_sweep`` passes `_table`, one expansion of Theta as deep as its
-    last padded grid, and each workspace cuts its own table from it.
+    nominal (A, B) box by the headroom first.  The workspace holds only
+    operators: multiplication by Theta on a box, built on first use by
+    ``mult_on``.  Bases and shifts run on the working grid or one degree
+    beyond it, where the anti-causal identity (module docstring) makes them
+    agree with the padded projection; a rank level builds the operator on
+    the padded grid only for rational Theta, in ``chopped_defect``.
     """
 
-    def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
-                 _table: TaylorTable | None = None):
+    def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
         if grid.d != theta.d:
             raise ValueError("grid dimension disagrees with Theta")
         self.theta = theta
         self.grid = self.nominal = grid
         self.padded = _headroom(grid, theta)
-        self._source = _table
         self._mults: dict[tuple[int, int], BlockToeplitz] = {}
 
     @classmethod
-    def window(cls, theta: RationalInnerMatrix, A: int, B: int,
-               _table: TaylorTable | None = None) -> "ModelWorkspace":
+    def window(cls, theta: RationalInnerMatrix, A: int, B: int) -> "ModelWorkspace":
         """Workspace of the nominal (A, B) box, on that box raised by the headroom."""
         nominal = TruncGrid(A, B, theta.d)
-        ws = cls(theta, _headroom(nominal, theta), _table)
+        ws = cls(theta, _headroom(nominal, theta))
         ws.nominal = nominal
         return ws
-
-    @cached_property
-    def table(self) -> TaylorTable:
-        """Taylor table of Theta on the padded grid."""
-        if self._source is None:
-            return expand(self.theta, self.padded.A, self.padded.B)
-        return self._source.leading(self.padded.A, self.padded.B)
-
-    @cached_property
-    def mult(self) -> BlockToeplitz:
-        """Multiplication by Theta on the padded grid."""
-        return BlockToeplitz(self.theta, self.padded)
-
-    @cached_property
-    def proj(self) -> ModelProjection:
-        """Truncated model projection on the padded grid."""
-        return ModelProjection(self.mult)
 
     def mult_on(self, grid: TruncGrid) -> BlockToeplitz:
         """Multiplication by Theta on a box inside the padded grid (cached)."""
@@ -462,9 +430,10 @@ class ModelWorkspace:
         points O outside the working grid (M M*)_{O,Q} = M_{O,Q} M_{Q,Q}*,
         and the mass of probe column m is the m-th row norm of
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
-        conj(Theta_{p-q}[k, j]) at (q, j), gathered from the Taylor table;
-        M_{Q,Q} is the operator on the probe box.  Outside points are
-        taken in batches of bounded memory.
+        conj(Theta_{p-q}[k, j]) at (q, j), gathered from the operator on the
+        padded grid applied to the d constant unit columns; M_{Q,Q} is the
+        operator on the probe box.  Outside points are taken in batches of
+        bounded memory.
         """
         outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
         outside[: self.grid.A + 1, : self.grid.B + 1] = False
@@ -472,14 +441,17 @@ class ModelWorkspace:
         if pa.size == 0 or probe.dim == 0:
             return 0.0
         mult, d = self.mult_on(probe), probe.d
+        # Theta's coefficients on the padded grid, [a, b, i, k] = Theta_ab[i, k]:
+        # the operator applied to the d constant unit columns
+        pad = self.padded
+        coeffs = pad.as_box(self.mult_on(pad) @ np.eye(pad.dim, d))
         batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * d))
         mass = np.zeros(probe.dim)
         for start in range(0, pa.size, batch):
             da = pa[None, start: start + batch] - np.arange(probe.A + 1)[:, None]
             db = pb[None, start: start + batch] - np.arange(probe.B + 1)[:, None]
             causal = (da >= 0)[:, None, :] & (db >= 0)[None, :, :]
-            blocks = self.table.coeffs[np.maximum(da, 0)[:, None, :],
-                                       np.maximum(db, 0)[None, :, :]]
+            blocks = coeffs[np.maximum(da, 0)[:, None, :], np.maximum(db, 0)[None, :, :]]
             blocks = np.where(causal[..., None, None], blocks.conj(), 0.0)
             cols = blocks.transpose(0, 1, 4, 2, 3).reshape(probe.dim, -1)
             mass += (np.abs(mult @ cols) ** 2).sum(axis=1)
@@ -625,15 +597,11 @@ class RankReport:
 DECAY_PROBE_DEPTH = 40
 
 
-def _decay_depth(schedule) -> tuple[int, int]:
-    """Cutoffs at which ``decay_class`` probes Theta's expansion."""
-    last = schedule[-1] if schedule else (0, 0)
-    return max(DECAY_PROBE_DEPTH, last[0] + 2), max(DECAY_PROBE_DEPTH, last[1] + 2)
-
-
 def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
     """Decay class of Theta's expansion, probed at a trustworthy depth."""
-    return tail_diagnostic(expand(theta, *_decay_depth(schedule))).decay_class
+    A, B = schedule[-1] if schedule else (0, 0)
+    depth = max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2)
+    return tail_diagnostic(expand(theta, *depth)).decay_class
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
@@ -690,18 +658,14 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     STABLE requires the last three levels to agree; ranks strictly
     increasing across every level mean DIVERGENT; anything else is
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
-    estimates then carry substantial truncation noise.  Theta is expanded
-    once, deep enough for the decay probe and for every level's padded grid.
-    The levels run one after another on the calling thread: on two threads
-    they contend for the GIL, and the time a sweep takes then follows the
-    load on the host rather than the work.
+    estimates then carry substantial truncation noise; ``decay_class``
+    expands Theta once for it, and no level expands Theta.  The levels run
+    one after another on the calling thread: on two threads they contend
+    for the GIL, and the time a sweep takes then follows the load on the
+    host rather than the work.
     """
     sched = _validate_schedule(schedule)
-    depth = _decay_depth(sched)
-    edge = _headroom(_headroom(TruncGrid(*sched[-1], theta.d), theta), theta)
-    table = expand(theta, max(depth[0], edge.A), max(depth[1], edge.B))
-    levels = [_rank_level(ModelWorkspace.window(theta, A, B, table), tol_rel)
-              for A, B in sched]
+    levels = [_rank_level(ModelWorkspace.window(theta, A, B), tol_rel) for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]
@@ -710,7 +674,7 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     else:
         verdict, stabilized = SweepVerdict.INCONCLUSIVE, None
     warnings: list[str] = []
-    if tail_diagnostic(table.leading(*depth)).decay_class is DecayClass.SLOW:
+    if decay_class(theta, sched) is DecayClass.SLOW:
         warnings.append("SLOW_TAYLOR_DECAY")
     return RankReport(theta.label, theta.deg, theta.det_deg, tuple(levels),
                       stabilized, verdict, tuple(warnings))

@@ -1,8 +1,9 @@
 """Power-series expansion of Theta = Q / p into matrix Taylor coefficients.
 
-This is the single bridge from exact rational data to truncated operators:
-everything the model-space machinery touches is a finite block of the
-coefficients computed here.  The expansion runs the convolution recursion
+The model-space machinery does not read these tables: it applies Q / p as
+an operator (``modelspace.BlockToeplitz``).  The tables feed the decay
+diagnostics, ``bidisklab inner expand`` and the dense test references.
+The expansion runs the convolution recursion
 
     p(0,0) Theta_ab  =  Q_ab - sum_{(c,e) != (0,0)} p_ce Theta_{a-c, b-e},
 
@@ -41,13 +42,6 @@ class TaylorTable:
 
     def coeff(self, a: int, b: int) -> np.ndarray:
         return self.coeffs[a, b]
-
-    def leading(self, A: int, B: int) -> "TaylorTable":
-        """Block [0..A] x [0..B]: bitwise a fresh expansion, as the recursion is causal."""
-        if not (0 <= A <= self.A and 0 <= B <= self.B):
-            raise ValueError("cutoffs outside the table")
-        coeffs = self.coeffs[: A + 1, : B + 1].copy()
-        return TaylorTable(self.d, A, B, coeffs, _tail_norm(coeffs), self.finite_support)
 
     def frame_norms(self) -> np.ndarray:
         """Max Frobenius norm on each complete L-frame max(a, b) = k."""

@@ -290,9 +290,10 @@ def test_criterion_11_property_suite():
         f = rng.standard_normal(small.dim) + 1j * rng.standard_normal(small.dim)
         fp = small.embed(f, ws.padded)
         scale = np.linalg.norm(fp)
-        iso = abs(np.linalg.norm(ws.mult @ fp) - scale)
-        pf = ws.proj @ fp
-        idem = np.linalg.norm(ws.proj @ pf - pf)
+        M = ws.mult_on(ws.padded)
+        iso = abs(np.linalg.norm(M @ fp) - scale)
+        pf = fp - M @ (M.H @ fp)
+        idem = np.linalg.norm(pf - M @ (M.H @ pf) - pf)
         interior_ok = interior_ok and iso <= 1e-8 * scale and idem <= 1e-8 * scale
 
     conj_ok = True

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from bidisklab import serialize
@@ -58,6 +59,20 @@ def test_inner_expand_writes_table(tmp_path):
     assert res.exit_code == 0
     data = json.loads(out.read_text())
     assert data["A"] == 6 and data["d"] == 1
+
+
+@pytest.mark.parametrize("name,trunc,tail,decay", [
+    ("scalar_stable4", "0", "0.000e+00", "GEOMETRIC"),
+    ("hadamard_deg21", "1", "7.071e-01", "FINITE"),
+    ("hadamard_deg21", "2", "7.071e-01", "FINITE"),
+    ("scalar_favorite", "3", "1.250e-01", "SLOW"),
+])
+def test_inner_expand_classifies_decay_past_the_cutoffs(name, trunc, tail, decay):
+    # a table this shallow reads FINITE, SLOW, SLOW and GEOMETRIC; the decay
+    # column comes from the deep probe, the tail norm from the user's table
+    res = invoke("inner", "expand", name, "--trunc", trunc, trunc)
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1].split() == [name, trunc, trunc, tail, decay]
 
 
 def test_rank_table_output(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.signal import convolve2d
 
-from bidisklab import modelspace
+from bidisklab import modelspace, taylor
 from bidisklab.experiments import generate_family
 from bidisklab.inner import (
     builtin,
@@ -13,8 +13,6 @@ from bidisklab.inner import (
     unitary_conjugate,
 )
 from bidisklab.modelspace import (
-    BlockToeplitz,
-    ModelProjection,
     ModelWorkspace,
     TruncGrid,
     analytic_mult,
@@ -129,17 +127,17 @@ def test_project_model_constants_fixed():
     g = TruncGrid(3, 3, 1)
     f = np.zeros(g.dim)
     f[g.flat(0, 0, 0)] = 1.0
-    assert np.allclose(ModelProjection(BlockToeplitz(th, g)) @ f, f)
+    assert np.allclose(ModelWorkspace(th, g).grid_images(f)[1], f)
 
 
 def test_project_model_kills_range():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    proj = ModelProjection(BlockToeplitz(th, g))
+    ws = ModelWorkspace(th, g)
     for (a, b) in [(1, 1), (2, 1)]:
         f = np.zeros(g.dim)
         f[g.flat(a, b, 0)] = 1.0
-        assert np.linalg.norm(proj @ f) < 1e-14
+        assert np.linalg.norm(ws.grid_images(f)[1]) < 1e-14
 
 
 def test_model_basis_monomial_dimension():
@@ -307,8 +305,9 @@ def test_decay_is_finite_exactly_for_constant_denominator():
     assert {th.p.is_constant for th in thetas} == {True, False}
     for th in thetas:
         for A, B in ((0, 0), (1, 2), (4, 4), (8, 8)):
-            ws = ModelWorkspace.window(th, A, B)
-            finite = tail_diagnostic(ws.table).decay_class is DecayClass.FINITE
+            padded = ModelWorkspace.window(th, A, B).padded
+            table = expand(th, padded.A, padded.B)
+            finite = tail_diagnostic(table).decay_class is DecayClass.FINITE
             assert finite == th.p.is_constant, (th.label, A, B)
 
 
@@ -334,14 +333,15 @@ def test_interior_isometry_and_idempotence():
         small = TruncGrid(8 - m1, 8 - m2, th.d)
         f = rng.standard_normal(small.dim) + 1j * rng.standard_normal(small.dim)
         fp = small.embed(f, ws.padded)
-        iso = abs(np.linalg.norm(ws.mult @ fp) - np.linalg.norm(fp))
-        pf = ws.proj @ fp
-        idem = np.linalg.norm(ws.proj @ pf - pf)
+        M = ws.mult_on(ws.padded)
+        iso = abs(np.linalg.norm(M @ fp) - np.linalg.norm(fp))
+        pf = fp - M @ (M.H @ fp)
+        idem = np.linalg.norm(pf - M @ (M.H @ pf) - pf)
         scale = np.linalg.norm(fp)
         if th.p.is_constant:
             bound = 1e-8 * scale
         else:
-            bound = 10 * ws.table.tail_norm * scale
+            bound = 10 * expand(th, ws.padded.A, ws.padded.B).tail_norm * scale
         assert iso <= bound
         assert idem <= bound
 
@@ -409,19 +409,21 @@ def test_convolution_operators_match_dense(name, A, B, reference):
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(A, B, th.d))
     n = ws.padded.dim
-    M = analytic_mult(ws.table, ws.padded)
+    table = expand(th, ws.padded.A, ws.padded.B)
+    M = analytic_mult(table, ws.padded)
+    op = ws.mult_on(ws.padded)
     rng = np.random.default_rng(A + 10 * B)
     for x in (np.eye(n), rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
         if reference == "direct":
             ref, ref_h = M @ x, M.conj().T @ x
         else:
-            ref = _fft_mult(ws.table, ws.padded, x)
-            ref_h = _fft_mult(ws.table, ws.padded, x, adjoint=True)
-        assert np.abs(ws.mult @ x - ref).max() < 1e-13
-        assert np.abs(ws.mult.H @ x - ref_h).max() < 1e-13
+            ref = _fft_mult(table, ws.padded, x)
+            ref_h = _fft_mult(table, ws.padded, x, adjoint=True)
+        assert np.abs(op @ x - ref).max() < 1e-13
+        assert np.abs(op.H @ x - ref_h).max() < 1e-13
     eye = np.eye(n)
     proj = eye - M @ M.conj().T
-    assert np.abs(ws.proj @ eye - proj).max() < 1e-13
+    assert np.abs(eye - op @ (op.H @ eye) - proj).max() < 1e-13
     # anti-causal identity: the padded projection cut to the working grid
     # is the projection built on the working grid alone
     work = ws.grid.indices_in(ws.padded)
@@ -436,11 +438,13 @@ def test_recursion_forward_error_at_64(name):
     # the padded (64,64) window, where a dense matrix would take about 320 MB
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(64, 64, th.d))
+    table = expand(th, ws.padded.A, ws.padded.B)
+    M = ws.mult_on(ws.padded)
     rng = np.random.default_rng(64)
     n = ws.padded.dim
     x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
-    for op, adjoint in ((ws.mult, False), (ws.mult.H, True)):
-        ref = _fft_mult(ws.table, ws.padded, x, adjoint)
+    for op, adjoint in ((M, False), (M.H, True)):
+        ref = _fft_mult(table, ws.padded, x, adjoint)
         err = np.linalg.norm(op @ x - ref, axis=0) / np.linalg.norm(ref, axis=0)
         assert err.max() < 1e-12
 
@@ -466,7 +470,7 @@ def test_chopped_defect_matches_dense_columns(name, monkeypatch):
         probe = TruncGrid(pa, pb, th.d)
         ws = ModelWorkspace(th, TruncGrid(wa, wb, th.d))
         more.append(_outside_points(ws).size > probe.dim)
-        M = analytic_mult(ws.table, ws.padded)
+        M = analytic_mult(expand(th, ws.padded.A, ws.padded.B), ws.padded)
         cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
         ref = float(np.linalg.norm(cols[_outside_points(ws)], axis=0).max())
         assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
@@ -482,10 +486,11 @@ def test_convolution_operators_vector_and_block_agree():
     ws = ModelWorkspace(th, TruncGrid(5, 3, 2))
     rng = np.random.default_rng(3)
     F = rng.standard_normal((ws.padded.dim, 4)) + 1j * rng.standard_normal((ws.padded.dim, 4))
-    block = ws.proj @ F
+    M = ws.mult_on(ws.padded)
+    block = F - M @ (M.H @ F)
     for k in range(4):
-        assert np.allclose(ws.proj @ F[:, k], block[:, k], atol=1e-14)
-    assert (ws.mult @ F[:, :0]).shape == (ws.padded.dim, 0)
+        assert np.allclose(F[:, k] - M @ (M.H @ F[:, k]), block[:, k], atol=1e-14)
+    assert (M @ F[:, :0]).shape == (ws.padded.dim, 0)
 
 
 def test_polynomial_convolution_matches_scipy():
@@ -507,7 +512,7 @@ def test_polynomial_convolution_matches_scipy():
 def _dense_reference_basis(theta, work, probe):
     """Pivoted QR over every restricted probe column of the dense projection."""
     ws = ModelWorkspace(theta, work)
-    M = analytic_mult(ws.table, ws.padded)
+    M = analytic_mult(expand(theta, ws.padded.A, ws.padded.B), ws.padded)
     proj = np.eye(ws.padded.dim) - M @ M.conj().T
     cols = proj[:, probe.indices_in(ws.padded)][work.indices_in(ws.padded)]
     Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
@@ -617,12 +622,13 @@ def _padded_chopped_mass(ws, probe, from_probe):
     """Largest norm over the outside points of the padded M M* e_m, m in `probe`."""
     rows, outside = probe.indices_in(ws.padded), _outside_points(ws)
     apply, read = (rows, outside) if from_probe else (outside, rows)
+    M = ws.mult_on(ws.padded)
     mass = np.zeros(rows.size)
     for start in range(0, apply.size, 64):
         cols = apply[start: start + 64]
         unit = np.zeros((ws.padded.dim, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
-        chopped = np.abs((ws.mult @ (ws.mult.H @ unit))[read]) ** 2
+        chopped = np.abs((M @ (M.H @ unit))[read]) ** 2
         if from_probe:
             mass[start: start + cols.size] = chopped.sum(axis=0)
         else:
@@ -674,7 +680,7 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
     assert abs(ws.chopped_defect(ws.nominal) - defect) <= 1e-12 * defect
 
 
-# -- one projection pass per level, one Taylor table per sweep ----------------
+# -- one projection pass per level, operators only ---------------------------
 
 def _sketch_widths(monkeypatch):
     """Record, per model_span call, (width, frame rank) of each of its sketches."""
@@ -714,20 +720,39 @@ def test_first_sketch_is_never_full(monkeypatch):
 
 
 def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
-    built, kernel = [], modelspace._rational_kernel
+    # a rank level holds operators only: polynomial Theta builds none on the
+    # padded grid, rational Theta builds one there for its chopped defect,
+    # and no level expands a Taylor table; the sweep's one expansion is its
+    # decay probe
+    built, expanded, probed = [], [], []
+    kernel, expand_, probe = modelspace._rational_kernel, taylor.expand, modelspace.decay_class
 
-    def spy(theta, grid):
+    def spy_kernel(theta, grid):
         built.append((grid.A, grid.B))
         return kernel(theta, grid)
 
-    monkeypatch.setattr(modelspace, "_rational_kernel", spy)
-    th = builtin("scalar_stable4")
-    padded = ModelWorkspace.window(th, 8, 8).padded
-    rank_at_level(th, 8, 8)
-    assert built and (padded.A, padded.B) not in built
-    ws = probe_model_basis(th, 8, 8).workspace
-    _ = ws.proj  # first use builds the padded operator
-    assert built[-1] == (ws.padded.A, ws.padded.B)
+    def spy_expand(theta, A, B):
+        expanded.append((A, B))
+        return expand_(theta, A, B)
+
+    def spy_probe(theta, schedule=None):
+        probed.append(schedule)
+        return probe(theta, schedule)
+
+    monkeypatch.setattr(modelspace, "_rational_kernel", spy_kernel)
+    monkeypatch.setattr(modelspace, "expand", spy_expand)
+    monkeypatch.setattr(taylor, "expand", spy_expand)
+    monkeypatch.setattr(modelspace, "decay_class", spy_probe)
+    for name, padded_builds in (("hadamard_z1z2", 0), ("scalar_stable4", 1)):
+        th = builtin(name)
+        padded = ModelWorkspace.window(th, 8, 8).padded
+        built.clear()
+        rank_at_level(th, 8, 8)
+        assert built and built.count((padded.A, padded.B)) == padded_builds, name
+    assert expanded == []
+    sched = [(4, 4), (6, 6), (8, 8)]
+    rank_sweep(builtin("scalar_stable4"), sched)
+    assert probed == [sched] and expanded == [(40, 40)]
 
 
 def _reference_level(th, N):
@@ -737,8 +762,7 @@ def _reference_level(th, N):
     basis = model_basis(th, work)
     C = commutator(compressed_shift(th, basis, 1)).matrix
     probe = TruncGrid(N, N, th.d)
-    P = ModelProjection(BlockToeplitz(th, work))
-    coords = (P @ basis.basis)[probe.indices_in(work)].conj().T
+    coords = basis.workspace.grid_images(basis.basis)[1][probe.indices_in(work)].conj().T
     Q, R, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     X = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
@@ -760,6 +784,7 @@ def test_rank_level_matches_fresh_projections(name, N):
 
 @pytest.mark.parametrize("name", list(BUILTINS) + ["scalar_z2n(3)"])
 def test_sweep_shares_one_table_bitwise(name):
+    # every sweep level is bitwise the level rank_at_level computes afresh
     th = builtin(name)
     sched = [(4, 5), (6, 7), (9, 8)]
     report = rank_sweep(th, sched)
@@ -767,9 +792,3 @@ def test_sweep_shares_one_table_bitwise(name):
         fresh = rank_at_level(th, A, B)
         assert (level.rank, level.dim_model) == (fresh.rank, fresh.dim_model)
         assert np.array_equal(level.sigmas, fresh.sigmas)
-    deep = expand(th, 60, 60)
-    ws = ModelWorkspace.window(th, 9, 8, _table=deep)
-    fresh = ModelWorkspace.window(th, 9, 8)
-    assert np.array_equal(ws.table.coeffs, fresh.table.coeffs)
-    shared = tail_diagnostic(deep.leading(*modelspace._decay_depth(sched)))
-    assert shared.decay_class is modelspace.decay_class(th, sched)

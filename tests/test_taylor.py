@@ -147,21 +147,3 @@ def test_antidiagonal_recursion_is_bitwise_pointwise():
     for theta in fns:
         for A, B in [(40, 40), (13, 29), (64, 64)]:
             assert np.array_equal(expand(theta, A, B).coeffs, _expand_pointwise(theta, A, B))
-
-
-def test_leading_block_is_bitwise_a_fresh_expansion():
-    fns = [builtin(name) for name in ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2",
-                                      "scalar_favorite", "scalar_stable4", "scalar_z1z2",
-                                      "scalar_z2n(3)")]
-    for seed, kind in enumerate(("diagonal", "product", "conjugated")):
-        fns += generate_family(kind, 5, d=2, seed=seed)
-    for theta in fns:
-        deep = expand(theta, 44, 37)
-        for A, B in [(44, 37), (40, 37), (8, 30), (0, 0), (17, 5)]:
-            block, fresh = deep.leading(A, B), expand(theta, A, B)
-            assert np.array_equal(block.coeffs, fresh.coeffs)
-            assert (block.A, block.B, block.tail_norm, block.finite_support) \
-                == (fresh.A, fresh.B, fresh.tail_norm, fresh.finite_support)
-            assert tail_diagnostic(block) == tail_diagnostic(fresh)
-    with pytest.raises(ValueError):
-        deep.leading(45, 3)
