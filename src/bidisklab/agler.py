@@ -36,7 +36,7 @@ from .modelspace import (
     shift_mult,
 )
 from .polynomials import _convolve2d
-from .tolerances import RANK_ABS_TOL, RANK_REL_TOL, TRUNC_NOISE_SLACK
+from .tolerances import RANK_REL_TOL, rank_count
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class AglerSpaces:
         f = p phi (``_den_polys``) and its backward z1-shift.
         """
         model, phi = self.model, self.hkmax1
-        S = self.shift.matrix
-        data = SimpleNamespace(comm=S.conj().T @ S - S @ S.conj().T,
+        data = SimpleNamespace(comm=-commutator(self.shift).matrix,
                                Xmax=model.coords(self.smax1.basis),
                                Xmin=model.coords(self.smin2.basis))
         if phi.dim:
@@ -74,26 +73,15 @@ class AglerSpaces:
         return data
 
 
-def _null_vectors(G: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
-    """Orthonormal right null vectors of G at the shared rank tolerance."""
+def _null_vectors(G: np.ndarray, floor: float, tol_rel: float) -> np.ndarray:
+    """Orthonormal right null vectors of G: the directions whose singular
+    values ``rank_count`` (noise `floor`, relative `tol_rel`) does not count."""
     s = G.shape[1]
     if s == 0:
         return np.zeros((0, 0), dtype=complex)
     # with rows >= cols the thin factorization already carries all of Vh
     _, sig, Vh = np.linalg.svd(G, full_matrices=G.shape[0] < s)
-    thr = max(RANK_ABS_TOL, noise_floor)
-    if sig.size:
-        thr = max(thr, RANK_REL_TOL * sig[0])
-    rank = int(np.sum(sig > thr))
-    return Vh[rank:].conj().T
-
-
-def _basis_defect(theta: RationalInnerMatrix, basis: Subspace) -> float:
-    """Largest Theta*-residual of the basis columns (truncation noise scale)."""
-    G = _invariance_block(theta, basis, 0)
-    if G.size == 0:
-        return 0.0
-    return float(np.linalg.norm(G, axis=0).max())
+    return Vh[rank_count(sig, floor, tol_rel):].conj().T
 
 
 def _invariance_block(theta: RationalInnerMatrix, basis: Subspace,
@@ -118,15 +106,14 @@ def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
     """Maximal z1-invariant subspace of the truncated model space.
 
     Returns the combinations f of basis columns with Theta*(z1^k f) = 0
-    for k = 0..K_depth, orthonormal in the ambient grid.  Unless Theta is a
-    polynomial (constant p), the zero test is widened by the measured
-    basis truncation defect.
+    for k = 0..K_depth, orthonormal in the ambient grid.  The zero test
+    discounts the ``noise_floor`` of ``basis.workspace_for(theta)``, which
+    depends on the window, not on the basis.
     """
     if K_depth < 1:
         raise ValueError("invariance depth must be at least 1")
     G = _invariance_block(theta, basis, K_depth)
-    floor = 0.0 if theta.p.is_constant else TRUNC_NOISE_SLACK * _basis_defect(theta, basis)
-    null = _null_vectors(G, floor)
+    null = _null_vectors(G, basis.workspace_for(theta).noise_floor(), RANK_REL_TOL)
     return Subspace(basis.grid, basis.basis @ null,
                     f"smax1({theta.label})", basis.workspace)
 
@@ -158,11 +145,7 @@ def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
                         space.workspace)
     shifted = shift_mult(space.basis, space.grid, j)
     G = shifted.conj().T @ space.basis
-    floor = 0.0
-    if not exact:
-        sig_max = float(np.linalg.norm(G, 2)) if G.size else 0.0
-        floor = _WANDER_GAP_FRACTION * sig_max
-    null = _null_vectors(G, floor)
+    null = _null_vectors(G, 0.0, RANK_REL_TOL if exact else _WANDER_GAP_FRACTION)
     return Subspace(space.grid, space.basis @ null,
                     f"wandering{j}({theta.label})", space.workspace)
 

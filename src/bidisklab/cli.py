@@ -98,7 +98,7 @@ def inner_group():
 
 @inner_group.command("check")
 @click.argument("source")
-@click.option("--grid", "grid_n", type=int, default=None,
+@click.option("--grid", "grid_n", type=click.IntRange(min=2), default=None,
               help="Check on an N x N torus grid instead of exactly.")
 @click.option("--exact", "exact", is_flag=True, default=False,
               help="Force the exact Laurent-coefficient check (default).")
@@ -202,7 +202,7 @@ def agler_dims(source, trunc, out_path, quiet):
 @agler_group.command("verify")
 @click.argument("source")
 @click.option("--trunc", nargs=2, type=_AGLER_TRUNC, default=(10, 10), show_default=True)
-@click.option("--samples", type=int, default=25, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
@@ -237,12 +237,12 @@ def conjecture_group():
 @conjecture_group.command("run")
 @click.option("--kind", type=click.Choice(["diagonal", "product", "conjugated"]),
               required=True)
-@click.option("--d", "dim", type=int, default=2, show_default=True)
-@click.option("--count", type=int, default=25, show_default=True)
+@click.option("--d", "dim", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True)
-@click.option("--m1-cap", type=int, default=1, show_default=True)
-@click.option("--m2-cap", type=int, default=2, show_default=True)
+@click.option("--m1-cap", type=click.IntRange(min=0), default=1, show_default=True)
+@click.option("--m2-cap", type=click.IntRange(min=0), default=2, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def conjecture_run(kind, dim, count, seed, schedule, m1_cap, m2_cap, out_dir, quiet):

@@ -57,6 +57,7 @@ from .tolerances import (
     RANK_ABS_TOL,
     RANK_REL_TOL,
     TRUNC_NOISE_SLACK,
+    rank_count,
 )
 
 
@@ -161,6 +162,11 @@ class Subspace:
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         return self.basis.conj().T @ vec
+
+    def workspace_for(self, theta: RationalInnerMatrix) -> "ModelWorkspace":
+        """The basis workspace if it is one of Theta, else a new one on the grid."""
+        ws = self.workspace
+        return ws if ws is not None and ws.theta is theta else ModelWorkspace(theta, self.grid)
 
 
 @dataclass(frozen=True)
@@ -350,8 +356,9 @@ class ModelWorkspace:
     operators: multiplication by Theta on a box, built on first use by
     ``mult_on``.  Bases and shifts run on the working grid or one degree
     beyond it, where the anti-causal identity (module docstring) makes them
-    agree with the padded projection; a rank level builds the operator on
-    the padded grid only for rational Theta, in ``chopped_defect``.
+    agree with the padded projection.  The operator on the padded grid is
+    built only for rational Theta, in ``chopped_defect``, which sets the
+    ``noise_floor`` of a rank level and of the rational Agler spaces.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
@@ -457,6 +464,13 @@ class ModelWorkspace:
             mass += (np.abs(mult @ cols) ** 2).sum(axis=1)
         return float(np.sqrt(mass.max()))
 
+    def noise_floor(self) -> float:
+        """Rank floor of the window: ``TRUNC_NOISE_SLACK`` times the chopped
+        defect of the nominal box, 0 for polynomial Theta; no basis enters it."""
+        if self.theta.p.is_constant:
+            return 0.0
+        return TRUNC_NOISE_SLACK * self.chopped_defect(self.nominal)
+
 
 def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray:
     """Rank-revealing orthonormalization (pivoted QR) of a column family.
@@ -473,11 +487,7 @@ def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray
 
         factors = scipy.linalg.qr(cols, mode="economic", pivoting=True)
     Q, R, _ = factors
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] <= RANK_ABS_TOL:
-        return np.zeros((n, 0), dtype=complex)
-    r = int(np.sum(diag > tol_rel * diag[0]))
-    return np.ascontiguousarray(Q[:, :r])
+    return np.ascontiguousarray(Q[:, :rank_count(np.abs(np.diag(R)), tol_rel=tol_rel)])
 
 
 @one_blas_thread
@@ -531,9 +541,7 @@ def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpM
     """Matrix of the compressed shift: project z_j times each basis column."""
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
-    ws = basis.workspace
-    if ws is None or ws.theta is not theta:
-        ws = ModelWorkspace(theta, basis.grid)
+    ws = basis.workspace_for(theta)
     return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
 
 
@@ -551,15 +559,12 @@ def commutator(S: OpMatrix) -> OpMatrix:
 
 def numerical_rank(C, tol_rel: float = RANK_REL_TOL,
                    tol_abs: float = RANK_ABS_TOL) -> tuple[int, np.ndarray]:
-    """Count singular values above both a relative and an absolute floor."""
+    """Count singular values by ``rank_count``, with `tol_abs` as the floor."""
     M = C.matrix if isinstance(C, OpMatrix) else np.asarray(C)
     if M.size == 0:
         return 0, np.zeros(0)
     sig = np.linalg.svd(M, compute_uv=False)
-    if sig[0] <= 0.0:
-        return 0, sig
-    rank = int(np.sum((sig > tol_rel * sig[0]) & (sig > tol_abs)))
-    return rank, sig
+    return rank_count(sig, tol_abs, tol_rel), sig
 
 
 # ----------------------------------------------------------------------
@@ -625,11 +630,7 @@ def _rank_level(ws: ModelWorkspace, tol_rel: float) -> RankLevel:
     adj = adj @ coords
     del frame, proj  # only B and Theta* B outlive the frame
     C = commutator(_shift_matrix(ws, basis, adj, 1))
-    CX = X.conj().T @ C.matrix @ X
-    floor = RANK_ABS_TOL
-    if not ws.theta.p.is_constant:
-        floor = max(floor, TRUNC_NOISE_SLACK * ws.chopped_defect(probe))
-    rank, sig = numerical_rank(CX, tol_rel, floor)
+    rank, sig = numerical_rank(X.conj().T @ C.matrix @ X, tol_rel, ws.noise_floor())
     return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
 
 

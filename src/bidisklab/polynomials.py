@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .tolerances import DIVISION_ZERO_REL, RANK_REL_TOL, TRIM_TOL
+from .tolerances import DIVISION_ZERO_REL, TRIM_TOL, rank_count
 
 
 class PolyDivisionError(ArithmeticError):
@@ -386,8 +386,9 @@ def _nullity(f: np.ndarray, g: np.ndarray, j1: int = 0, j2: int = 0) -> int:
 
     With h = gcd(f, g), the solutions are u = w g/h, v = w f/h for w of
     bidegree <= deg h - j, so the nullity is (h1 - j1 + 1)(h2 - j2 + 1),
-    or 0 once j exceeds h.  A singular value counts toward the rank above
-    RANK_REL_TOL times the largest, as in ``numerical_rank``.
+    or 0 once j exceeds h.  The rank is ``rank_count`` of the singular
+    values; every column of S holds a unit-norm grid, so the largest is at
+    least 1 and the relative tolerance decides.
     """
     S = _sylvester(f, g, j1, j2)
     if S is None:
@@ -395,7 +396,7 @@ def _nullity(f: np.ndarray, g: np.ndarray, j1: int = 0, j2: int = 0) -> int:
     # S.T has the same singular values; LAPACK's path for a wide matrix
     # leaves the heap fragmented, which raised a later pass's peak memory
     sig = np.linalg.svd(S if S.shape[0] >= S.shape[1] else S.T, compute_uv=False)
-    return S.shape[1] - int(np.sum(sig > RANK_REL_TOL * sig[0]))
+    return S.shape[1] - rank_count(sig)
 
 
 def _gcd_degree(f: np.ndarray, g: np.ndarray) -> tuple[int, int]:

@@ -1,7 +1,8 @@
-"""Shared numerical tolerances.
+"""Shared numerical tolerances and the one rank rule.
 
 One knob per concern, collected here so the test suite and the library
-agree on what "zero" means at each stage of the pipeline.
+agree on what "zero" means at each stage of the pipeline.  Every rank,
+null space and GCD degree is counted by ``rank_count``.
 """
 
 # Coefficients with modulus at or below this are trimmed from polynomial grids.
@@ -13,11 +14,9 @@ INNER_EXACT_TOL = 1e-9
 # Relative threshold declaring the remainder of an exact polynomial division zero.
 DIVISION_ZERO_REL = 1e-9
 
-# Relative tolerance shared by every rank-revealing factorization
-# (model-space bases, invariant-subspace null spaces, numerical rank).
+# The thresholds of ``rank_count``: relative to the largest value, and an
+# absolute floor below which a value never counts toward a rank.
 RANK_REL_TOL = 1e-8
-
-# Absolute floor below which singular values never count toward a rank.
 RANK_ABS_TOL = 1e-10
 
 # Orthonormality slack allowed on stored subspace bases.
@@ -41,3 +40,11 @@ SLOW_DECAY_RATIO = 0.95
 # restriction chops off), in the same spirit as the tail-scaled slack on
 # the interior-isometry contract.
 TRUNC_NOISE_SLACK = 2.0
+
+
+def rank_count(values, floor: float = 0.0, tol_rel: float = RANK_REL_TOL) -> int:
+    """Entries of a non-increasing array above RANK_ABS_TOL, `floor` (a
+    truncation-noise floor) and `tol_rel` times the first; 0 when empty."""
+    if len(values) == 0:
+        return 0
+    return int((values > max(RANK_ABS_TOL, floor, tol_rel * values[0])).sum())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bidisklab.agler import (
+    _wandering,
     agler_kernel_residual,
     agler_spaces,
     commutator_kernel_formula,
@@ -18,7 +19,7 @@ from bidisklab.inner import (
     scalar_z2n,
     swap_variables,
 )
-from bidisklab.modelspace import TruncGrid, probe_model_basis
+from bidisklab.modelspace import Subspace, TruncGrid, probe_model_basis
 from bidisklab.polynomials import BiPoly, MatPoly
 
 
@@ -116,19 +117,29 @@ def test_smax1_invariance_witness():
         assert np.linalg.norm(pv - v) <= 1e-7
 
 
-def test_smax1_floor_follows_pivoted_basis_orientation():
-    # The slow-decay noise floor of compute_smax1 is twice the largest
-    # Theta*-defect of a single basis column, so it depends on which
-    # orthonormal basis spans the model space.  Here a singular value of
-    # 1.74e-3 sits between the floor of the pivoted-QR basis (3.31e-3) and
-    # that of the same span rotated by a random unitary (1.27e-3; the Q of
-    # a complex Gaussian 49 x 49 matrix from numpy.random.default_rng(1));
-    # the pivoted orientation gives dimension 25 and wandering dims (1, 1).
+def test_smax1_floor_does_not_follow_basis_orientation():
+    # The noise floor of compute_smax1 is read off the window, not off the
+    # basis columns, so rotating the (24, 24) basis of scalar_stable4 by a
+    # random unitary (the Q of a complex Gaussian 49 x 49 matrix) changes
+    # neither the invariant subspace nor the wandering dimensions.
     th = builtin("scalar_stable4")
-    sp = agler_spaces(th, 24, 24)
-    assert sp.model.dim == 49
-    assert sp.smax1.dim == 25
-    assert kernel_space_dims(th, sp) == (1, 1)
+    basis = probe_model_basis(th, 24, 24)
+    rng = np.random.default_rng(1)
+    Q, _ = np.linalg.qr(rng.standard_normal((49, 49)) + 1j * rng.standard_normal((49, 49)))
+    rotated = Subspace(basis.grid, basis.basis @ Q, basis.label, basis.workspace)
+    for b in (basis, rotated):
+        assert b.dim == 49
+        smax1 = compute_smax1(th, b, 24)
+        smin2 = compute_smin2(th, b, smax1)
+        assert smax1.dim == 25
+        assert (_wandering(th, smax1, 1, False).dim, _wandering(th, smin2, 2, False).dim) == (1, 1)
+
+
+def test_smax1_without_workspace_builds_one():
+    th = builtin("scalar_stable4")
+    basis = probe_model_basis(th, 8, 8)
+    bare = Subspace(basis.grid, basis.basis, basis.label)
+    assert compute_smax1(th, bare, 8).dim == 9
 
 
 # -- wandering dimensions ----------------------------------------------
@@ -159,6 +170,13 @@ def test_kernel_dims_match_det_degree(name):
     sp = agler_spaces(th, 8, 8)
     d1, d2 = th.det_deg
     assert kernel_space_dims(th, sp) == (d2, d1)
+
+
+@pytest.mark.parametrize("N", [10, 12, 16, 24])
+def test_kernel_dims_of_scalar_favorite_survive_deep_truncations(N):
+    # the chopped-defect floor no longer swallows the model space
+    th = builtin("scalar_favorite")
+    assert kernel_space_dims(th, agler_spaces(th, N, N)) == (1, 1)
 
 
 def test_swap_symmetry_of_dims():

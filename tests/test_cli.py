@@ -119,6 +119,22 @@ def test_truncations_out_of_range_exit_2():
     assert run(["inner", "expand", "scalar_stable4", "--trunc", "0", "0", "-q"]) == 0
 
 
+@pytest.mark.parametrize("args,option", [
+    (("inner", "check", "hadamard_z1z2", "--grid", "1"), "--grid"),
+    (("agler", "verify", "scalar_z1z2", "--trunc", "4", "4", "--samples", "0"), "--samples"),
+    (("conjecture", "run", "--kind", "product", "--count", "-2"), "--count"),
+    (("conjecture", "run", "--kind", "product", "--d", "0"), "--d"),
+    (("conjecture", "run", "--kind", "product", "--m1-cap", "-1"), "--m1-cap"),
+    (("conjecture", "run", "--kind", "product", "--m2-cap", "-1"), "--m2-cap"),
+], ids=["grid", "samples", "count", "d", "m1-cap", "m2-cap"])
+def test_count_options_out_of_range_exit_2(tmp_path, args, option):
+    if args[0] == "conjecture":
+        args += ("--out", str(tmp_path))
+    res = invoke(*args)
+    assert res.exit_code == 2 and option in res.output
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_rank_rejects_unknown_builtin():
     res = invoke("rank", "no_such_function")
     assert res.exit_code == 2

@@ -6,8 +6,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from bidisklab.agler import _WANDER_GAP_FRACTION  # noqa: E402
 from bidisklab.inner import builtin, swap_variables, unitary_conjugate  # noqa: E402
-from bidisklab.modelspace import rank_at_level  # noqa: E402
+from bidisklab.modelspace import _FRAME_TOL_REL, rank_at_level  # noqa: E402
 from bidisklab.polynomials import (  # noqa: E402
     BiPoly,
     MatPoly,
@@ -15,6 +16,7 @@ from bidisklab.polynomials import (  # noqa: E402
     reduce_fraction,
     reflect,
 )
+from bidisklab.tolerances import RANK_ABS_TOL, RANK_REL_TOL, rank_count  # noqa: E402
 
 BUILTINS = ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2", "scalar_favorite",
             "scalar_stable4", "scalar_z1z2")
@@ -92,3 +94,69 @@ def test_mat_determinant_matches_pointwise_det(d, shape, seed):
         ref = np.linalg.det(M(*z))
         scale = np.prod(np.linalg.norm(M(*z), axis=1))  # Hadamard's bound on |det|
         assert abs(det(*z) - ref) <= 1e-10 * max(scale, 1.0)
+
+
+# The rank rules that ``rank_count`` replaced, as they read inline: the
+# pivoted-QR cut of ``modelspace._orth_columns``, ``numerical_rank``, the
+# null-space cut of ``agler._null_vectors`` and the Sylvester rank of
+# ``polynomials._nullity``.
+
+def _orth_columns_rule(v, tol_rel):
+    if v.size == 0 or v[0] <= RANK_ABS_TOL:
+        return 0
+    return int(np.sum(v > tol_rel * v[0]))
+
+
+def _numerical_rank_rule(v, tol_rel, tol_abs):
+    if v.size == 0 or v[0] <= 0.0:
+        return 0
+    return int(np.sum((v > tol_rel * v[0]) & (v > tol_abs)))
+
+
+def _null_vectors_rule(v, noise_floor):
+    thr = max(RANK_ABS_TOL, noise_floor)
+    if v.size:
+        thr = max(thr, RANK_REL_TOL * v[0])
+    return int(np.sum(v > thr))
+
+
+def _nullity_rule(v):
+    return int(np.sum(v > RANK_REL_TOL * v[0]))
+
+
+@st.composite
+def _rank_inputs(draw):
+    """Non-increasing values with zeros, tiny tops and entries at the thresholds."""
+    top = draw(st.one_of(st.sampled_from([0.0, 1e-12, RANK_ABS_TOL, 1e-3, 1.0, 10.0]),
+                         st.floats(1e-13, 1e4)))
+    tol_rel = draw(st.sampled_from([RANK_REL_TOL, _FRAME_TOL_REL, _WANDER_GAP_FRACTION]))
+    # every floor the old callers passed to numerical_rank was >= RANK_ABS_TOL
+    floor = draw(st.one_of(st.sampled_from([RANK_ABS_TOL, max(RANK_ABS_TOL, tol_rel * top)]),
+                           st.floats(RANK_ABS_TOL, 1.0)))
+    at = [0.0, RANK_ABS_TOL, tol_rel * top, RANK_REL_TOL * top,
+          _WANDER_GAP_FRACTION * top, floor, top]
+    rest = draw(st.lists(st.one_of(st.sampled_from(at), st.floats(0.0, 1.0).map(lambda f: f * top)),
+                         max_size=12))
+    values = np.sort([min(v, top) for v in rest])[::-1]
+    if not draw(st.booleans()):
+        values = np.concatenate([[top], values])
+    return values, floor, tol_rel
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rank_inputs())
+def test_rank_count_matches_the_inline_rules(inputs):
+    values, floor, tol_rel = inputs
+    top = values[0] if values.size else 0.0
+    assert rank_count(values, floor, tol_rel) == _numerical_rank_rule(values, tol_rel, floor)
+    # compute_smax1, and _wandering, which took 0.3 of the top as its floor
+    assert rank_count(values, floor) == _null_vectors_rule(values, floor)
+    assert (rank_count(values, 0.0, _WANDER_GAP_FRACTION)
+            == _null_vectors_rule(values, _WANDER_GAP_FRACTION * top))
+    # the QR cut skipped the absolute floor once the top pivot cleared it, so
+    # it also counted pivots in (tol_rel * top, RANK_ABS_TOL]
+    gap = int(np.sum((values > tol_rel * top) & (values <= RANK_ABS_TOL)))
+    expected = _orth_columns_rule(values, tol_rel) - (gap if top > RANK_ABS_TOL else 0)
+    assert rank_count(values, tol_rel=tol_rel) == expected
+    if top >= 1.0:  # the largest Sylvester singular value, over a unit column
+        assert rank_count(values) == _nullity_rule(values)
