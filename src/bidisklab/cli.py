@@ -203,7 +203,7 @@ def agler_dims(source, trunc, out_path, quiet):
 @click.argument("source")
 @click.option("--trunc", nargs=2, type=_AGLER_TRUNC, default=(10, 10), show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
 def agler_verify(source, trunc, samples, seed, out_path, quiet):
@@ -239,7 +239,7 @@ def conjecture_group():
               required=True)
 @click.option("--d", "dim", type=click.IntRange(min=1), default=2, show_default=True)
 @click.option("--count", type=click.IntRange(min=1), default=25, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True)
 @click.option("--m1-cap", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--m2-cap", type=click.IntRange(min=0), default=2, show_default=True)

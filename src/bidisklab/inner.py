@@ -8,24 +8,24 @@ the exact Laurent identity
 
     Q(z) Q~(1/z) = Q~(1/z) Q(z) = p(z) conj-p(1/z) I,
 
-where ~ conjugates coefficients.  Constructors validate that identity and
-the stability of p eagerly, so everything downstream may assume innerness.
+where ~ conjugates coefficients; samples on enough roots of unity give
+its Laurent coefficients exactly, up to round-off.  Constructors validate
+that identity and the stability of p eagerly, so everything downstream may
+assume innerness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .polynomials import (
     BiPoly,
-    LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
     mat_determinant,
-    mul_star,
     poly_divexact,
     reduce_fraction,
     reflect,
@@ -92,34 +92,33 @@ class RationalInnerMatrix:
 # verification
 # ----------------------------------------------------------------------
 
-def _laurent_defect(theta: RationalInnerMatrix) -> float:
-    """Max coefficient modulus of QQ* - pp* I and Q*Q - pp* I."""
-    Q, p, d = theta.Q, theta.p, theta.d
-    pp = mul_star(p, p)
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            left = LaurentBiPoly.zero()
-            right = LaurentBiPoly.zero()
-            for k in range(d):
-                # (Q Q*)_{ij} = sum_k Q_ik conj(Q_jk)(1/z)
-                left = left + mul_star(Q[i, k], Q[j, k])
-                # (Q* Q)_{ij} = sum_k conj(Q_ki)(1/z) Q_kj
-                right = right + mul_star(Q[k, j], Q[k, i])
-            if i == j:
-                left = left - pp
-                right = right - pp
-            worst = max(worst, left.max_abs(), right.max_abs())
-    return worst
+def _gram_defect(Q: np.ndarray, p: np.ndarray) -> float:
+    """Largest Laurent coefficient of Q Q* - |p|^2 I and Q* Q - |p|^2 I.
+
+    Q is a (d, d, M1, M2) coefficient tensor and p a coefficient grid.  The
+    exponents of both identities span 2 L - 1 values per variable, L the
+    larger coefficient count, so samples on that many roots of unity
+    determine the coefficients, which the inverse FFT returns.
+    """
+    n1 = 2 * max(Q.shape[2], p.shape[0]) - 1
+    n2 = 2 * max(Q.shape[3], p.shape[1]) - 1
+    Qv = np.fft.fft2(Q, (n1, n2)).transpose(2, 3, 0, 1)
+    QH = Qv.conj().swapaxes(-1, -2)
+    pp = np.abs(np.fft.fft2(p, (n1, n2))) ** 2
+    gram = np.stack([Qv @ QH, QH @ Qv]) - pp[..., None, None] * np.eye(Q.shape[0])
+    return float(np.abs(np.fft.ifft2(gram, axes=(1, 2))).max())
 
 
 def verify_inner_exact(theta: RationalInnerMatrix) -> InnerCheck:
     """Exact Laurent-coefficient innerness check.
 
-    Returns a report rather than raising: failing candidates are data, not
-    errors, for the verification surface.
+    The residual is the largest coefficient modulus of Q Q* - |p|^2 I and
+    Q* Q - |p|^2 I, read off samples on roots of unity (``_gram_defect``),
+    which determine those Laurent polynomials exactly.  Returns a report
+    rather than raising: failing candidates are data, not errors, for the
+    verification surface.
     """
-    residual = _laurent_defect(theta)
+    residual = _gram_defect(theta.Q.coeffs, theta.p.coeffs)
     return InnerCheck(residual <= INNER_EXACT_TOL, residual, "exact")
 
 
@@ -133,14 +132,10 @@ def verify_inner_grid(theta: RationalInnerMatrix, N: int) -> InnerCheck:
         raise ValueError("grid size must be at least 2")
     tau = np.exp(2j * np.pi * np.arange(N) / N)
     T1, T2 = np.meshgrid(tau, tau, indexing="ij")
-    d = theta.d
-    Qv = np.empty((N, N, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            Qv[:, :, i, j] = theta.Q[i, j](T1, T2)
+    Qv = theta.Q(T1, T2).transpose(2, 3, 0, 1)
     pv = theta.p(T1, T2)
     G = Qv @ np.conj(np.swapaxes(Qv, -1, -2))
-    G -= (np.abs(pv) ** 2)[:, :, None, None] * np.eye(d)
+    G -= (np.abs(pv) ** 2)[:, :, None, None] * np.eye(theta.d)
     res = np.linalg.norm(G, axis=(-2, -1)) / (1.0 + np.abs(pv) ** 2)
     worst = float(res.max())
     return InnerCheck(worst <= 1e-9, worst, f"grid{N}")
@@ -319,21 +314,6 @@ def diagonal(scalars, label: str = "") -> RationalInnerMatrix:
     return _require_inner(theta)
 
 
-def _one_var_defect(F: MatPoly) -> float:
-    """Innerness defect of a polynomial one-variable matrix factor."""
-    d = F.d
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            acc = LaurentBiPoly.zero()
-            for k in range(d):
-                acc = acc + mul_star(F[i, k], F[j, k])
-            if i == j:
-                acc = acc - LaurentBiPoly.from_terms([(0, 0, 1.0)])
-            worst = max(worst, acc.max_abs())
-    return worst
-
-
 def product_one_var(factors, label: str = "") -> RationalInnerMatrix:
     """Product of alternating one-variable polynomial inner factors.
 
@@ -351,7 +331,7 @@ def product_one_var(factors, label: str = "") -> RationalInnerMatrix:
         if psi.deg1 != 0:
             raise InnerFunctionError(f"factor {idx}: Psi must depend on z2 only")
         for name, F in (("Phi", phi), ("Psi", psi)):
-            defect = _one_var_defect(F)
+            defect = _gram_defect(F.coeffs, np.ones((1, 1)))
             if defect > INNER_EXACT_TOL:
                 raise InnerFunctionError(
                     f"factor {idx}: {name} is not inner (defect {defect:.3e})")

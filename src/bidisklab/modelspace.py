@@ -10,9 +10,10 @@ numerical rank estimates swept over a truncation schedule.
 
 No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
 is causal, so on a lower box it is T_Q T_p^-1: ``BlockToeplitz`` applies
-T_Q by shifted adds and T_p^-1 by a recursion over z1-rows, and the model
-projection is x - M (M* x); memory grows with the grid, not with its
-square.  ``analytic_mult`` is the dense test reference.
+T_Q by one block-Toeplitz product per z1-shift and T_p^-1 by a recursion
+over z1-rows, and the model projection is x - M (M* x); memory grows with
+the grid, not with its square.  ``analytic_mult`` is the dense test
+reference.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -50,7 +51,7 @@ import numpy as np
 
 from ._blas import one_blas_thread, pivoted_qr
 from .inner import RationalInnerMatrix
-from .taylor import DecayClass, TaylorTable, expand, tail_diagnostic
+from .taylor import DecayClass, TaylorTable, _tail_norm, tail_diagnostic
 from .tolerances import (
     BASIS_ORTHO_TOL,
     COMMUTATOR_HERM_TOL,
@@ -219,9 +220,9 @@ def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
 
 
 def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
-    """Q's nonzero (c, e) blocks, R_0 and the (c, R_c, R_c^H) of p on the box.
+    """T_c of Q per z1-shift c, R_0 and the (c, R_c, R_c^H) of p on the box.
 
-    For constant p, 1 / p is folded into the blocks and there are no rows.
+    For constant p, 1 / p is folded into the T_c and there are no rows.
     """
     A, B, d = grid.A, grid.B, grid.d
     p = np.zeros((min(A, theta.p.deg1) + 1, B + 1), dtype=complex)
@@ -232,19 +233,26 @@ def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
     # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
     P = _lower_toeplitz(p)
     R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
-    scale = p[0, 0] if theta.p.is_constant else 1.0
-    blocks = {}
-    for i in range(d):
-        for j in range(d):
-            q = theta.Q[i, j].coeffs[: A + 1, : B + 1] / scale
-            for c, e in zip(*np.nonzero(q)):
-                blocks.setdefault((c, e), np.zeros((d, d), dtype=complex))[i, j] = q[c, e]
+    q = theta.Q.coeffs[:, :, : A + 1, : B + 1] / (p[0, 0] if theta.p.is_constant else 1.0)
+    series = np.zeros(q.shape[:3] + (B + 1,), dtype=complex)
+    series[..., : q.shape[3]] = q
+    # T_c[(b, i), (b', j)] = Q_{c, b - b'}[i, j]: [i, j, c, b, b'] -> [c, (b, i), (b', j)]
+    T = _lower_toeplitz(series).transpose(2, 3, 0, 4, 1).reshape(-1, (B + 1) * d, (B + 1) * d)
     rows = None if theta.p.is_constant else []
     for c in range(1, len(p)):
         if p[c].any():
             Rc = -R0 @ P[c]
             rows.append((c, Rc, Rc.conj().T))
-    return list(blocks.items()), R0, rows
+    return T, R0, rows
+
+
+def _leading_kernel(kernel, grid: TruncGrid):
+    """The kernel of a smaller lower box: the leading blocks of the lower
+    (block) triangular Toeplitz T_c, R_0 and R_c."""
+    T, R0, rows = kernel
+    k, n = (grid.B + 1) * grid.d, grid.B + 1
+    rows = rows and [(c, Rc[:n, :n], RcH[:n, :n]) for c, Rc, RcH in rows]
+    return T[: grid.A + 1, :k, :k], R0[:n, :n], rows
 
 
 class BlockToeplitz:
@@ -254,9 +262,11 @@ class BlockToeplitz:
     such columns.  Output degrees beyond the box are dropped, as in
     ``analytic_mult``, whose matrix this operator never forms.  M is causal
     and the box a lower box, so compressions multiply: M = T_Q T_p^-1 on
-    the box and M* = T_p^-* T_Q*.  T_Q is one shifted block product per
-    nonzero coefficient block of Q.  T_p^-1 solves p y = x one z1-row at a
-    time: with p = sum_c p_c(z2) z1^c,
+    the box and M* = T_p^-* T_Q*.  With Q = sum_c Q_c(z2) z1^c, T_Q maps the
+    z1-rows x[a] of the box to sum_c T_c x[a - c], one matrix product per
+    z1-shift, T_c the lower block-Toeplitz matrix of Q_c; T_Q* sums T_c^H
+    x[a + c].  T_p^-1 solves p y = x one z1-row at a time: with
+    p = sum_c p_c(z2) z1^c,
 
         y[a] = R_0 x[a] + sum_{c = 1..m1} R_c y[a - c],
 
@@ -265,7 +275,8 @@ class BlockToeplitz:
     the same recursion from the top row down with R_c^H; lower-triangular
     Toeplitz matrices commute, so it needs no others.  This is a
     quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
-    Digital Signal Processing*, 1984).
+    Digital Signal Processing*, 1984).  Built directly, the operator builds
+    its T_c, R_0 and R_c; a ``ModelWorkspace`` passes leading blocks of its own.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
@@ -281,16 +292,15 @@ class BlockToeplitz:
         return BlockToeplitz(self.theta, self.grid, not self.adjoint, self._kernel)
 
     def _numerator(self, box: np.ndarray) -> np.ndarray:
-        A, B = self.grid.A, self.grid.B
-        out = np.zeros(box.shape, dtype=complex)
-        for (c, e), blk in self._kernel[0]:
-            low, high = np.s_[: A + 1 - c, : B + 1 - e], np.s_[c:, e:]
+        A = self.grid.A
+        x = box.reshape(A + 1, -1, box.shape[-1])
+        out = np.zeros(x.shape, dtype=complex)
+        for c, Tc in enumerate(self._kernel[0]):
             if self.adjoint:
-                blk, src, dst = blk.conj().T, box[high], out[low]
+                out[: A + 1 - c] += Tc.conj().T @ x[c:]
             else:
-                src, dst = box[low], out[high]
-            dst += blk @ src
-        return out
+                out[c:] += Tc @ x[: A + 1 - c]
+        return out.reshape(box.shape)
 
     def _denominator(self, box: np.ndarray) -> np.ndarray:
         _, R0, rows = self._kernel
@@ -354,11 +364,13 @@ class ModelWorkspace:
     as its nominal box; ``ModelWorkspace.window(theta, A, B)`` raises the
     nominal (A, B) box by the headroom first.  The workspace holds only
     operators: multiplication by Theta on a box, built on first use by
-    ``mult_on``.  Bases and shifts run on the working grid or one degree
-    beyond it, where the anti-causal identity (module docstring) makes them
-    agree with the padded projection.  The operator on the padded grid is
-    built only for rational Theta, in ``chopped_defect``, which sets the
-    ``noise_floor`` of a rank level and of the rational Agler spaces.
+    ``mult_on`` from one kernel (the T_c, R_0, R_c of ``BlockToeplitz``)
+    built on the padded grid and cut to each box.  Bases and shifts run on
+    the working grid or one degree beyond it, where the anti-causal identity
+    (module docstring) makes them agree with the padded projection.  The
+    operator on the padded grid is applied only for rational Theta, in
+    ``chopped_defect``, which sets the ``noise_floor`` of a rank level and of
+    the rational Agler spaces.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
@@ -367,6 +379,7 @@ class ModelWorkspace:
         self.theta = theta
         self.grid = self.nominal = grid
         self.padded = _headroom(grid, theta)
+        self._kernel = None
         self._mults: dict[tuple[int, int], BlockToeplitz] = {}
 
     @classmethod
@@ -381,7 +394,10 @@ class ModelWorkspace:
         """Multiplication by Theta on a box inside the padded grid (cached)."""
         key = (grid.A, grid.B)
         if key not in self._mults:
-            self._mults[key] = BlockToeplitz(self.theta, grid)
+            if self._kernel is None:
+                self._kernel = _rational_kernel(self.theta, self.padded)
+            self._mults[key] = BlockToeplitz(self.theta, grid,
+                                             _kernel=_leading_kernel(self._kernel, grid))
         return self._mults[key]
 
     def grid_images(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,10 +619,13 @@ DECAY_PROBE_DEPTH = 40
 
 
 def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
-    """Decay class of Theta's expansion, probed at a trustworthy depth."""
+    """Decay class of Theta's expansion, probed at a trustworthy depth; the
+    coefficients are the operator's images of the d constant unit columns."""
     A, B = schedule[-1] if schedule else (0, 0)
-    depth = max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2)
-    return tail_diagnostic(expand(theta, *depth)).decay_class
+    box = TruncGrid(max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2), theta.d)
+    coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
+    table = TaylorTable(theta.d, box.A, box.B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
+    return tail_diagnostic(table).decay_class
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
@@ -660,7 +679,7 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     increasing across every level mean DIVERGENT; anything else is
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise; ``decay_class``
-    expands Theta once for it, and no level expands Theta.  The levels run
+    reads Theta's coefficients off the operator once for it.  The levels run
     one after another on the calling thread: on two threads they contend
     for the GIL, and the time a sweep takes then follows the load on the
     host rather than the work.

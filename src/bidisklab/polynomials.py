@@ -5,10 +5,14 @@ A polynomial in the two disk variables is stored as a 2-D complex array
 kept trimmed: the top row and top column always carry at least one
 coefficient above the trim tolerance unless the polynomial is zero.
 
+A matrix polynomial (``MatPoly``) is one complex tensor ``coeffs[i, j, a,
+b]``, trimmed over all entries at once, so products and constant
+multiples run as whole-array operations rather than entry by entry.
+
 The module also provides the Laurent-grid carrier used to state torus
-identities such as ``|p(tau)|**2`` in coefficient form, matrices with
-polynomial entries, exact determinants, conjugate reflection, and the
-float-tolerant fraction reduction everything downstream relies on.
+identities such as ``|p(tau)|**2`` in coefficient form, exact
+determinants, conjugate reflection, and the float-tolerant fraction
+reduction everything downstream relies on.
 
 Fractions are reduced by singular value decompositions of Sylvester
 matrices, the matrices of (u, v) -> u f - v g over bivariate coefficient
@@ -53,13 +57,14 @@ def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _trim_grid(c: np.ndarray) -> np.ndarray:
-    """Drop top rows/columns whose entries are all below the trim tolerance."""
-    mask = np.abs(c) > TRIM_TOL
+    """Drop top rows/columns of the last two axes whose entries are all below
+    the trim tolerance, across every grid of a stack (..., M1, M2)."""
+    mask = (np.abs(c) > TRIM_TOL).reshape((-1,) + c.shape[-2:]).any(axis=0)
     if not mask.any():
-        return np.zeros((1, 1), dtype=complex)
+        return np.zeros(c.shape[:-2] + (1, 1), dtype=complex)
     rows = np.nonzero(mask.any(axis=1))[0]
     cols = np.nonzero(mask.any(axis=0))[0]
-    return np.ascontiguousarray(c[: rows[-1] + 1, : cols[-1] + 1])
+    return np.ascontiguousarray(c[..., : rows[-1] + 1, : cols[-1] + 1])
 
 
 class BiPoly:
@@ -469,26 +474,40 @@ def reduce_fraction(q: BiPoly, p: BiPoly, slice_check: bool = True):
 # ----------------------------------------------------------------------
 
 class MatPoly:
-    """Square matrix with BiPoly entries."""
+    """Square matrix polynomial held as one coefficient tensor.
 
-    __slots__ = ("d", "entries")
+    ``coeffs[i, j, a, b]`` multiplies z1^a z2^b in entry (i, j).  The tensor
+    is trimmed like a BiPoly grid, over all entries at once, and ``Q[i, j]``
+    returns entry (i, j) as a trimmed BiPoly on demand.  Products, constant
+    multiples, variable swaps and degrees are whole-array operations.
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, entries):
         rows = [list(r) for r in entries]
         d = len(rows)
         if d < 1 or any(len(r) != d for r in rows):
             raise ValueError("entries must form a square matrix")
-        for r in rows:
-            for e in r:
-                if not isinstance(e, BiPoly):
-                    raise TypeError("entries must be BiPoly instances")
-        self.d = d
-        self.entries = rows
+        if not all(isinstance(e, BiPoly) for r in rows for e in r):
+            raise TypeError("entries must be BiPoly instances")
+        shape = np.max([e.coeffs.shape for r in rows for e in r], axis=0)
+        c = np.zeros((d, d) + tuple(shape), dtype=complex)
+        for i, r in enumerate(rows):
+            for j, e in enumerate(r):
+                c[i, j, : e.coeffs.shape[0], : e.coeffs.shape[1]] = e.coeffs
+        self.coeffs = _trim_grid(c)
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray) -> "MatPoly":
+        """Wrap a (d, d, M1, M2) coefficient tensor, trimmed."""
+        out = cls.__new__(cls)
+        out.coeffs = _trim_grid(coeffs)
+        return out
 
     @classmethod
     def identity(cls, d: int) -> "MatPoly":
-        return cls([[BiPoly.one() if i == j else BiPoly.zero() for j in range(d)]
-                    for i in range(d)])
+        return cls._of(np.eye(d, dtype=complex)[:, :, None, None])
 
     @classmethod
     def diag(cls, polys) -> "MatPoly":
@@ -501,74 +520,53 @@ class MatPoly:
     def from_scalar(cls, p: BiPoly) -> "MatPoly":
         return cls([[p]])
 
+    @property
+    def d(self) -> int:
+        return self.coeffs.shape[0]
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return BiPoly(self.coeffs[i, j])
 
     @property
     def deg1(self) -> int:
-        return max(e.deg1 if not e.is_zero else 0 for r in self.entries for e in r)
+        return self.coeffs.shape[2] - 1
 
     @property
     def deg2(self) -> int:
-        return max(e.deg2 if not e.is_zero else 0 for r in self.entries for e in r)
+        return self.coeffs.shape[3] - 1
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
         if self.d != other.d:
             raise ValueError("matrix size mismatch")
-        d = self.d
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                s = BiPoly.zero()
-                for k in range(d):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return MatPoly(out)
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(a.shape[:2] + (a.shape[2] + b.shape[2] - 1, a.shape[3] + b.shape[3] - 1),
+                       dtype=complex)
+        # one shifted add of self times each nonzero coefficient block of other
+        for s, t in zip(*np.nonzero(np.abs(b).max(axis=(0, 1)))):
+            out[:, :, s: s + a.shape[2], t: t + a.shape[3]] += np.einsum(
+                "ikab,kj->ijab", a, b[:, :, s, t])
+        return MatPoly._of(out)
 
     def left_mul(self, U) -> "MatPoly":
         """Constant matrix times this matrix polynomial."""
-        U = np.asarray(U, dtype=complex)
-        out = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                s = BiPoly.zero()
-                for k in range(self.d):
-                    if abs(U[i, k]) > 0:
-                        s = s + U[i, k] * self.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return MatPoly(out)
+        return MatPoly._of(np.einsum("ik,kjab->ijab", np.asarray(U, dtype=complex), self.coeffs))
 
     def right_mul(self, V) -> "MatPoly":
-        V = np.asarray(V, dtype=complex)
-        out = []
-        for i in range(self.d):
-            row = []
-            for j in range(self.d):
-                s = BiPoly.zero()
-                for k in range(self.d):
-                    if abs(V[k, j]) > 0:
-                        s = s + V[k, j] * self.entries[i][k]
-                row.append(s)
-            out.append(row)
-        return MatPoly(out)
+        return MatPoly._of(np.einsum("ikab,kj->ijab", self.coeffs, np.asarray(V, dtype=complex)))
 
     def scale(self, factor) -> "MatPoly":
-        return MatPoly([[e.scale(factor) for e in row] for row in self.entries])
+        return MatPoly._of(self.coeffs * complex(factor))
 
     def swap_vars(self) -> "MatPoly":
-        return MatPoly([[e.swap_vars() for e in row] for row in self.entries])
+        return MatPoly._of(self.coeffs.transpose(0, 1, 3, 2))
 
     def __call__(self, z1, z2) -> np.ndarray:
-        return np.array([[self.entries[i][j](z1, z2) for j in range(self.d)]
-                         for i in range(self.d)])
+        """Values at (z1, z2); array arguments give shape (d, d) + z1.shape."""
+        return np.polynomial.polynomial.polyval2d(z1, z2, self.coeffs.transpose(2, 3, 0, 1))
 
     def max_abs(self) -> float:
-        return max(e.max_abs() for row in self.entries for e in row)
+        return float(np.abs(self.coeffs).max())
 
 
 def _det_cofactor(rows) -> BiPoly:
@@ -594,15 +592,12 @@ def _det_interpolation(M: MatPoly) -> BiPoly:
     keep the interpolation perfectly conditioned.
     """
     d = M.d
-    deg1 = sum(max(M.entries[i][j].deg1 for j in range(d)) for i in range(d))
-    deg2 = sum(max(M.entries[i][j].deg2 for j in range(d)) for i in range(d))
+    deg1 = sum(max(M[i, j].deg1 for j in range(d)) for i in range(d))
+    deg2 = sum(max(M[i, j].deg2 for j in range(d)) for i in range(d))
     n1, n2 = deg1 + 1, deg2 + 1
-    w1 = np.exp(2j * np.pi * np.arange(n1) / n1)
-    w2 = np.exp(2j * np.pi * np.arange(n2) / n2)
-    vals = np.empty((n1, n2), dtype=complex)
-    for k in range(n1):
-        for l in range(n2):
-            vals[k, l] = np.linalg.det(M(w1[k], w2[l]))
+    w1, w2 = np.meshgrid(np.exp(2j * np.pi * np.arange(n1) / n1),
+                         np.exp(2j * np.pi * np.arange(n2) / n2), indexing="ij")
+    vals = np.linalg.det(M(w1, w2).transpose(2, 3, 0, 1))
     coeffs = np.fft.fft2(vals) / (n1 * n2)
     top = np.max(np.abs(coeffs))
     if top > 0:
@@ -618,5 +613,5 @@ def mat_determinant(M: MatPoly) -> BiPoly:
     float error through its exact polynomial divisions).
     """
     if M.d <= 4:
-        return _det_cofactor(M.entries)
+        return _det_cofactor([[M[i, j] for j in range(M.d)] for i in range(M.d)])
     return _det_interpolation(M)

@@ -1,9 +1,10 @@
 """Power-series expansion of Theta = Q / p into matrix Taylor coefficients.
 
-The model-space machinery does not read these tables: it applies Q / p as
-an operator (``modelspace.BlockToeplitz``).  The tables feed the decay
-diagnostics, ``bidisklab inner expand`` and the dense test references.
-The expansion runs the convolution recursion
+The model-space machinery never expands Theta: it applies Q / p as an
+operator (``modelspace.BlockToeplitz``), and its decay probe classifies
+the coefficients that operator returns with ``tail_diagnostic``.
+``expand`` feeds ``bidisklab inner expand`` and the tests only; it runs
+the convolution recursion
 
     p(0,0) Theta_ab  =  Q_ab - sum_{(c,e) != (0,0)} p_ce Theta_{a-c, b-e},
 

@@ -126,7 +126,9 @@ def test_truncations_out_of_range_exit_2():
     (("conjecture", "run", "--kind", "product", "--d", "0"), "--d"),
     (("conjecture", "run", "--kind", "product", "--m1-cap", "-1"), "--m1-cap"),
     (("conjecture", "run", "--kind", "product", "--m2-cap", "-1"), "--m2-cap"),
-], ids=["grid", "samples", "count", "d", "m1-cap", "m2-cap"])
+    (("agler", "verify", "scalar_z1z2", "--trunc", "4", "4", "--seed", "-1"), "--seed"),
+    (("conjecture", "run", "--kind", "product", "--seed", "-1"), "--seed"),
+], ids=["grid", "samples", "count", "d", "m1-cap", "m2-cap", "agler-seed", "conjecture-seed"])
 def test_count_options_out_of_range_exit_2(tmp_path, args, option):
     if args[0] == "conjecture":
         args += ("--out", str(tmp_path))

@@ -23,7 +23,7 @@ from bidisklab.inner import (
     verify_inner_grid,
 )
 from bidisklab.experiments import generate_family
-from bidisklab.polynomials import BiPoly, GcdSliceWarning, MatPoly
+from bidisklab.polynomials import BiPoly, GcdSliceWarning, LaurentBiPoly, MatPoly, mul_star
 
 z1 = BiPoly.monomial(1, 0)
 z2 = BiPoly.monomial(0, 1)
@@ -47,6 +47,58 @@ def test_builtins_pass_exact_check():
         check = verify_inner_exact(th)
         assert check.passed, th.label
         assert check.residual < 1e-12, th.label
+
+
+def _entrywise_laurent_defect(Q, p):
+    """Max coefficient modulus of QQ* - pp* I and Q*Q - pp* I, entry by entry.
+
+    The coefficient-exact check that ``inner._gram_defect`` replaced, kept
+    as its oracle: every Laurent product is a ``mul_star`` of two entries.
+    """
+    pp = mul_star(p, p)
+    worst = 0.0
+    for i in range(Q.d):
+        for j in range(Q.d):
+            left, right = LaurentBiPoly.zero(), LaurentBiPoly.zero()
+            for k in range(Q.d):
+                left = left + mul_star(Q[i, k], Q[j, k])  # (Q Q*)_ij
+                right = right + mul_star(Q[k, j], Q[k, i])  # (Q* Q)_ij
+            if i == j:
+                left, right = left - pp, right - pp
+            worst = max(worst, left.max_abs(), right.max_abs())
+    return worst
+
+
+def _defect_candidates():
+    rng = np.random.default_rng(23)
+    stable = BiPoly.from_terms([(0, 0, 3.0), (1, 0, -1.0), (0, 1, 0.5j), (1, 1, 0.4)])
+    out = all_builtins()
+    for kind in ("product", "diagonal", "conjugated"):
+        out += generate_family(kind, 25, seed=42)
+    out.append(diagonal([builtin("scalar_stable4"), builtin("scalar_favorite"),
+                         builtin("scalar_z1z2")]))
+    # not inner: the bad_Q of the batch tests, a polynomial over a rational p
+    # for d = 1, 2 and 3, and a unitary rotation of an inner numerator over
+    # the wrong denominator
+    out.append(RationalInnerMatrix(2, MatPoly([[one + z1, BiPoly.zero()],
+                                               [BiPoly.zero(), one]]), one, "bad_Q"))
+    for d in (1, 2, 3):
+        Q = MatPoly([[BiPoly(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+                      for _ in range(d)] for _ in range(d)])
+        out.append(RationalInnerMatrix(d, Q, stable, f"random{d}"))
+    fav = builtin("scalar_favorite")
+    out.append(RationalInnerMatrix(1, builtin("scalar_stable4").Q, fav.p, "wrong_p"))
+    return out
+
+
+def test_gram_defect_matches_entrywise_laurent_oracle():
+    passed = []
+    for th in _defect_candidates():
+        oracle = _entrywise_laurent_defect(th.Q, th.p)
+        residual = verify_inner_exact(th).residual
+        assert abs(residual - oracle) <= 1e-13 * max(1.0, oracle), th.label
+        passed.append(verify_inner_exact(th).passed)
+    assert passed.count(False) == 5
 
 
 def test_identity_passes_with_zero_residual():

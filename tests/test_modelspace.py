@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -449,6 +451,23 @@ def test_recursion_forward_error_at_64(name):
         assert err.max() < 1e-12
 
 
+@pytest.mark.parametrize("name", ALL_THETAS)
+def test_sliced_operator_matches_fresh_operator(name):
+    # every box of a workspace takes the leading blocks of the kernel built
+    # on its padded grid; they must act as the kernel built on the box alone,
+    # also on boxes that no coefficient block of Q reaches (scalar_z2n(3)
+    # with B < 3)
+    th = _defect_theta(name)
+    ws = ModelWorkspace(th, TruncGrid(6, 5, th.d))
+    rng = np.random.default_rng(3)
+    for A, B in ((0, 0), (2, 1), (1, 2), (6, 5), (7, 5), (6, 6), (ws.padded.A, ws.padded.B)):
+        box = TruncGrid(A, B, th.d)
+        x = rng.standard_normal((box.dim, 4)) + 1j * rng.standard_normal((box.dim, 4))
+        sliced, fresh = ws.mult_on(box), modelspace.BlockToeplitz(th, box)
+        for op, ref in ((sliced, fresh), (sliced.H, fresh.H)):
+            assert np.abs(op @ x - ref @ x).max() <= 1e-15 * np.abs(x).max(), (A, B)
+
+
 def _outside_points(ws):
     outside = np.ones(ws.padded.dim, dtype=bool)
     outside[ws.grid.indices_in(ws.padded)] = False
@@ -720,39 +739,48 @@ def test_first_sketch_is_never_full(monkeypatch):
 
 
 def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
-    # a rank level holds operators only: polynomial Theta builds none on the
-    # padded grid, rational Theta builds one there for its chopped defect,
-    # and no level expands a Taylor table; the sweep's one expansion is its
-    # decay probe
-    built, expanded, probed = [], [], []
-    kernel, expand_, probe = modelspace._rational_kernel, taylor.expand, modelspace.decay_class
+    # a rank level holds operators only: its workspace builds one kernel, on
+    # the padded grid, and every box slices it; polynomial Theta applies no
+    # operator on the padded grid, rational Theta applies one there for its
+    # chopped defect; neither a level nor a sweep expands a Taylor table,
+    # and a sweep probes the decay class once
+    built, applied, expanded, probed = [], [], [], []
+    kernel, matmul, probe = (modelspace._rational_kernel, modelspace.BlockToeplitz.__matmul__,
+                             modelspace.decay_class)
 
     def spy_kernel(theta, grid):
         built.append((grid.A, grid.B))
         return kernel(theta, grid)
 
-    def spy_expand(theta, A, B):
-        expanded.append((A, B))
-        return expand_(theta, A, B)
+    def spy_matmul(self, x):
+        applied.append((self.grid.A, self.grid.B))
+        return matmul(self, x)
 
     def spy_probe(theta, schedule=None):
         probed.append(schedule)
         return probe(theta, schedule)
 
     monkeypatch.setattr(modelspace, "_rational_kernel", spy_kernel)
-    monkeypatch.setattr(modelspace, "expand", spy_expand)
-    monkeypatch.setattr(taylor, "expand", spy_expand)
+    monkeypatch.setattr(modelspace.BlockToeplitz, "__matmul__", spy_matmul)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bidisklab") \
+                and getattr(module, "expand", None) is taylor.expand:
+            monkeypatch.setattr(module, "expand", lambda *args: expanded.append(args))
     monkeypatch.setattr(modelspace, "decay_class", spy_probe)
-    for name, padded_builds in (("hadamard_z1z2", 0), ("scalar_stable4", 1)):
+    for name, padded_applied in (("hadamard_z1z2", False), ("scalar_stable4", True)):
         th = builtin(name)
         padded = ModelWorkspace.window(th, 8, 8).padded
         built.clear()
+        applied.clear()
         rank_at_level(th, 8, 8)
-        assert built and built.count((padded.A, padded.B)) == padded_builds, name
-    assert expanded == []
+        assert built == [(padded.A, padded.B)], name
+        assert applied and ((padded.A, padded.B) in applied) == padded_applied, name
     sched = [(4, 4), (6, 6), (8, 8)]
-    rank_sweep(builtin("scalar_stable4"), sched)
-    assert probed == [sched] and expanded == [(40, 40)]
+    for name in ("hadamard_z1z2", "scalar_stable4"):
+        probed.clear()
+        rank_sweep(builtin(name), sched)
+        assert probed == [sched], name
+    assert expanded == []
 
 
 def _reference_level(th, N):

@@ -96,6 +96,50 @@ def test_mat_determinant_matches_pointwise_det(d, shape, seed):
         assert abs(det(*z) - ref) <= 1e-10 * max(scale, 1.0)
 
 
+def _entrywise_sum(terms) -> BiPoly:
+    out = BiPoly.zero()
+    for t in terms:
+        out = out + t
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), shapes=st.tuples(_SHAPES, _SHAPES),
+       seed=st.integers(0, 2 ** 32 - 1), sparsity=st.floats(0.0, 0.8))
+def test_matpoly_tensor_matches_entrywise_arithmetic(d, shapes, seed, sparsity):
+    # MatPoly's whole-tensor operations, degrees and entry access against
+    # BiPoly arithmetic carried out entry by entry
+    rng = np.random.default_rng(seed)
+    E, F = ([[_random_poly(rng, shape, rng.uniform(size=shape) < sparsity) for _ in range(d)]
+             for _ in range(d)] for shape in shapes)
+    U = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    c = complex(rng.standard_normal(), rng.standard_normal())
+    P = MatPoly(E)
+    cases = [
+        (P, E),
+        (P @ MatPoly(F), [[_entrywise_sum(E[i][k] * F[k][j] for k in range(d))
+                           for j in range(d)] for i in range(d)]),
+        (P.left_mul(U), [[_entrywise_sum(E[k][j] * complex(U[i, k]) for k in range(d))
+                          for j in range(d)] for i in range(d)]),
+        (P.right_mul(U), [[_entrywise_sum(E[i][k] * complex(U[k, j]) for k in range(d))
+                           for j in range(d)] for i in range(d)]),
+        (P.scale(c), [[e.scale(c) for e in row] for row in E]),
+        (P.swap_vars(), [[e.swap_vars() for e in row] for row in E]),
+    ]
+    z = 0.9 * np.exp(2j * np.pi * rng.uniform(size=2))
+    for M, rows in cases:
+        scale = max(1.0, max(e.max_abs() for row in rows for e in row))
+        for i in range(d):
+            for j in range(d):
+                assert M[i, j].coeffs.shape == rows[i][j].coeffs.shape
+                assert (M[i, j] - rows[i][j]).max_abs() <= 1e-12 * scale
+        nonzero = [e for row in rows for e in row if not e.is_zero] or [BiPoly.zero()]
+        assert (M.deg1, M.deg2) == (max(e.deg1 for e in nonzero), max(e.deg2 for e in nonzero))
+        assert abs(M.max_abs() - max(e.max_abs() for row in rows for e in row)) <= 1e-12 * scale
+        ref = np.array([[rows[i][j](*z) for j in range(d)] for i in range(d)])
+        assert np.abs(M(*z) - ref).max() <= 1e-12 * scale
+
+
 # The rank rules that ``rank_count`` replaced, as they read inline: the
 # pivoted-QR cut of ``modelspace._orth_columns``, ``numerical_rank``, the
 # null-space cut of ``agler._null_vectors`` and the Sylvester rank of
