@@ -11,11 +11,9 @@ decompositions, and batches all of it into a conjecture-testing harness.
 from .polynomials import (
     BiPoly,
     GcdSliceWarning,
-    LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
     mat_determinant,
-    mul_star,
     poly_divexact,
     reduce_fraction,
     reflect,
@@ -46,7 +44,6 @@ from .taylor import (
     TaylorTable,
     coefficient_energy,
     expand,
-    recursion_residual,
     tail_diagnostic,
 )
 from .modelspace import (

@@ -151,24 +151,22 @@ def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
 
 
 @one_blas_thread
-def agler_spaces(theta: RationalInnerMatrix, A: int, B: int,
-                 K_depth: int | None = None) -> AglerSpaces:
+def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """Compute the invariant subspaces and wandering quotients at (A, B).
 
     The model space is spanned by the projections of the (A, B) monomials
     but represented with degree headroom, so the invariant-subspace tests
-    are not polluted by window-edge chopping.  K_depth defaults to A:
+    are not polluted by window-edge chopping.  The invariance depth is A:
     deeper z1-powers leave the degree window, so further constraints are
     vacuous at this truncation.
     """
     basis = probe_model_basis(theta, A, B)
-    K_depth = A if K_depth is None else K_depth
-    smax1 = compute_smax1(theta, basis, K_depth)
+    smax1 = compute_smax1(theta, basis, A)
     smin2 = compute_smin2(theta, basis, smax1)
     exact = theta.p.is_constant
     hkmax1 = _wandering(theta, smax1, 1, exact)
     hkmin2 = _wandering(theta, smin2, 2, exact)
-    return AglerSpaces(smax1, smin2, hkmax1, hkmin2, K_depth, basis)
+    return AglerSpaces(smax1, smin2, hkmax1, hkmin2, A, basis)
 
 
 def kernel_space_dims(theta: RationalInnerMatrix,

@@ -2,8 +2,9 @@
 
 Inputs are either builtin names (see ``bidisklab examples list``) or JSON
 files in the documented inner-function schema.  Exit codes: 0 success,
-2 validation failure (non-inner input or unstable denominator, malformed
-schedule), 1 internal error.  Reports are printed as aligned text tables
+2 validation failure (an input file that cannot be read or decoded,
+non-inner input or unstable denominator, malformed schedule), 1 internal
+error.  Reports are printed as aligned text tables
 unless ``--quiet`` and written as JSON when ``--out`` is given.
 """
 
@@ -19,7 +20,6 @@ from . import agler as agler_mod
 from . import experiments, serialize
 from .inner import (
     RationalInnerMatrix,
-    UnstableDenominatorError,
     builtin,
     builtin_descriptions,
     verify_inner_exact,
@@ -35,8 +35,10 @@ def _load_theta(source: str) -> RationalInnerMatrix:
     if path.suffix == ".json" or path.exists():
         try:
             return serialize.theta_from_json(serialize.load_json(path))
-        except UnstableDenominatorError as exc:
-            click.echo(f"input rejected: {exc}")
+        # a missing or unreadable file, JSON that does not parse, or data
+        # that does not fit the schema; an unstable denominator is a ValueError
+        except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            click.echo(f"input rejected: {type(exc).__name__}: {exc}")
             sys.exit(2)
     try:
         return builtin(source)

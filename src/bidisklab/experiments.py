@@ -132,21 +132,25 @@ def _monomial_diag(d: int, var: int, exps) -> MatPoly:
     return MatPoly.diag(mono)
 
 
-def _random_product(rng: np.random.Generator, d: int, n_factors: int,
-                    m1_cap: int, m2_cap: int, label: str) -> RationalInnerMatrix:
+# one-variable factor pairs in a product item
+_N_FACTORS = 2
+
+
+def _random_product(rng: np.random.Generator, d: int, m1_cap: int, m2_cap: int,
+                    label: str) -> RationalInnerMatrix:
     """Product of conjugated monomial-diagonal one-variable inner factors."""
     z1_budget = int(rng.integers(0, m1_cap + 1))
     z2_budget = int(rng.integers(1, m2_cap + 1)) if m2_cap else 0
     factors = []
-    for i in range(n_factors):
+    for i in range(_N_FACTORS):
         e1 = [0] * d
         if z1_budget > 0:
-            take = int(rng.integers(1, z1_budget + 1)) if i + 1 < n_factors else z1_budget
+            take = int(rng.integers(1, z1_budget + 1)) if i + 1 < _N_FACTORS else z1_budget
             e1[int(rng.integers(0, d))] = take
             z1_budget -= take
         e2 = [0] * d
         if z2_budget > 0:
-            take = int(rng.integers(1, z2_budget + 1)) if i + 1 < n_factors else z2_budget
+            take = int(rng.integers(1, z2_budget + 1)) if i + 1 < _N_FACTORS else z2_budget
             slots = rng.permutation(d)[: int(rng.integers(1, d + 1))]
             for s in slots:
                 e2[int(s)] = take
@@ -163,8 +167,7 @@ _CONJUGATION_BASE = ("hadamard_z1z2", "diag_z1z2_1", "hadamard_deg21")
 
 
 def generate_family(kind: str, count: int, d: int = 2, seed: int = 0,
-                    m1_cap: int = 1, m2_cap: int = 2,
-                    n_factors: int = 2) -> list[RationalInnerMatrix]:
+                    m1_cap: int = 1, m2_cap: int = 2) -> list[RationalInnerMatrix]:
     """Deterministic list of verified inner functions of the requested kind.
 
     Kinds: ``diagonal`` (scalar monomial / stable-polynomial entries),
@@ -181,7 +184,7 @@ def generate_family(kind: str, count: int, d: int = 2, seed: int = 0,
             scalars = [_random_scalar_inner(rng, m1_cap, m2_cap) for _ in range(d)]
             theta = diagonal(scalars, label)
         elif kind == "product":
-            theta = _random_product(rng, d, n_factors, m1_cap, m2_cap, label)
+            theta = _random_product(rng, d, m1_cap, m2_cap, label)
         elif kind == "conjugated":
             base = builtin(_CONJUGATION_BASE[i % len(_CONJUGATION_BASE)])
             U = _random_unitary(rng, base.d)

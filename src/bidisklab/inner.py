@@ -70,7 +70,9 @@ class RationalInnerMatrix:
         if self.Q.d != self.d:
             raise ValueError("numerator size disagrees with d")
         if abs(self.p(0.0, 0.0)) <= 1e-14:
-            raise ValueError("denominator must not vanish at the origin")
+            raise UnstableDenominatorError(
+                f"candidate {self.label or '<unnamed>'} is not inner: UNSTABLE_DENOMINATOR, "
+                "p vanishes at the origin")
 
     @cached_property
     def deg(self) -> tuple[int, int]:

@@ -9,10 +9,10 @@ A matrix polynomial (``MatPoly``) is one complex tensor ``coeffs[i, j, a,
 b]``, trimmed over all entries at once, so products and constant
 multiples run as whole-array operations rather than entry by entry.
 
-The module also provides the Laurent-grid carrier used to state torus
-identities such as ``|p(tau)|**2`` in coefficient form, exact
-determinants, conjugate reflection, and the float-tolerant fraction
-reduction everything downstream relies on.
+The module also provides determinants of matrix polynomials (one route
+for every size: interpolation on roots-of-unity grids), conjugate
+reflection, exact division, and the float-tolerant fraction reduction
+everything downstream relies on.
 
 Fractions are reduced by singular value decompositions of Sylvester
 matrices, the matrices of (u, v) -> u f - v g over bivariate coefficient
@@ -72,13 +72,13 @@ class BiPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, trim: bool = True):
+    def __init__(self, coeffs):
         c = np.atleast_2d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 2:
             raise ValueError("coefficient grid must be 2-D")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        self.coeffs = _trim_grid(c) if trim else c.astype(complex)
+        self.coeffs = _trim_grid(c)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -88,10 +88,6 @@ class BiPoly:
     @classmethod
     def one(cls) -> "BiPoly":
         return cls(np.ones((1, 1)))
-
-    @classmethod
-    def const(cls, value) -> "BiPoly":
-        return cls(np.array([[value]]))
 
     @classmethod
     def monomial(cls, a: int, b: int, value=1.0) -> "BiPoly":
@@ -205,82 +201,6 @@ def reflect(p: BiPoly, m: int, n: int) -> BiPoly:
 
 
 # ----------------------------------------------------------------------
-# Laurent grids
-# ----------------------------------------------------------------------
-
-class LaurentBiPoly:
-    """Laurent polynomial on a symmetric exponent window [-A..A] x [-B..B]."""
-
-    __slots__ = ("coeffs", "win1", "win2")
-
-    def __init__(self, coeffs, win1: int, win2: int):
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (2 * win1 + 1, 2 * win2 + 1):
-            raise ValueError("coefficient grid does not match the window")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        self.coeffs = c
-        self.win1 = win1
-        self.win2 = win2
-
-    @classmethod
-    def zero(cls, win1: int = 0, win2: int = 0) -> "LaurentBiPoly":
-        return cls(np.zeros((2 * win1 + 1, 2 * win2 + 1)), win1, win2)
-
-    @classmethod
-    def from_terms(cls, terms) -> "LaurentBiPoly":
-        terms = list(terms)
-        w1 = max((abs(t[0]) for t in terms), default=0)
-        w2 = max((abs(t[1]) for t in terms), default=0)
-        c = np.zeros((2 * w1 + 1, 2 * w2 + 1), dtype=complex)
-        for a, b, v in terms:
-            c[a + w1, b + w2] += v
-        return cls(c, w1, w2)
-
-    def coeff(self, a: int, b: int) -> complex:
-        if abs(a) > self.win1 or abs(b) > self.win2:
-            return 0.0
-        return complex(self.coeffs[a + self.win1, b + self.win2])
-
-    def expand_window(self, win1: int, win2: int) -> "LaurentBiPoly":
-        if win1 < self.win1 or win2 < self.win2:
-            raise ValueError("window can only grow")
-        c = np.zeros((2 * win1 + 1, 2 * win2 + 1), dtype=complex)
-        c[win1 - self.win1: win1 + self.win1 + 1,
-          win2 - self.win2: win2 + self.win2 + 1] = self.coeffs
-        return LaurentBiPoly(c, win1, win2)
-
-    def __add__(self, other: "LaurentBiPoly") -> "LaurentBiPoly":
-        w1 = max(self.win1, other.win1)
-        w2 = max(self.win2, other.win2)
-        a = self.expand_window(w1, w2)
-        b = other.expand_window(w1, w2)
-        return LaurentBiPoly(a.coeffs + b.coeffs, w1, w2)
-
-    def __sub__(self, other: "LaurentBiPoly") -> "LaurentBiPoly":
-        return self + LaurentBiPoly(-other.coeffs, other.win1, other.win2)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-
-def mul_star(f: BiPoly, g: BiPoly) -> LaurentBiPoly:
-    """Laurent coefficients of f(z) * conj(g)(1/z1, 1/z2).
-
-    On the torus this is f(tau) * conj(g(tau)); the product lives on the
-    exponent window given by the participating degrees.
-    """
-    rev = np.conj(g.coeffs)[::-1, ::-1]
-    prod = _convolve2d(f.coeffs, rev)
-    # prod index (i, j) carries exponent (i - deg1(g), j - deg2(g))
-    w1 = max(f.deg1, g.deg1)
-    w2 = max(f.deg2, g.deg2)
-    out = np.zeros((2 * w1 + 1, 2 * w2 + 1), dtype=complex)
-    out[w1 - g.deg1: w1 + f.deg1 + 1, w2 - g.deg2: w2 + f.deg2 + 1] = prod
-    return LaurentBiPoly(out, w1, w2)
-
-
-# ----------------------------------------------------------------------
 # Univariate helpers (coefficient arrays, ascending powers)
 # ----------------------------------------------------------------------
 
@@ -320,11 +240,13 @@ def _uv_divexact(f, g, scale):
 # Exact bivariate division
 # ----------------------------------------------------------------------
 
-def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = DIVISION_ZERO_REL) -> BiPoly:
+def poly_divexact(f: BiPoly, g: BiPoly) -> BiPoly:
     """Quotient f / g when the division is exact; raises PolyDivisionError else.
 
     Long division in z1 with coefficients in C[z2]; each leading-row
-    division must itself be exact, which holds whenever g divides f.
+    division must itself be exact, which holds whenever g divides f.  The
+    quotient's z2-degree is deg2 f - deg2 g, so each quotient row is cut to
+    that length, and a part cut off above the remainder threshold raises.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -336,24 +258,21 @@ def poly_divexact(f: BiPoly, g: BiPoly, rel_tol: float = DIVISION_ZERO_REL) -> B
     df1, dg1 = f.deg1, g.deg1
     if df1 < dg1 or f.deg2 < g.deg2:
         raise PolyDivisionError("degree of the divisor exceeds the dividend")
-    width = f.deg2 + 1
-    F = np.zeros((df1 + 1, width), dtype=complex)
-    F[:, : f.deg2 + 1] = f.coeffs
+    tol = DIVISION_ZERO_REL * max(scale, 1e-300)
+    F = f.coeffs.copy()
     G = g.coeffs
     g_lead = _uv_trim(G[dg1])
-    q_deg1 = df1 - dg1
-    Q = np.zeros((q_deg1 + 1, width), dtype=complex)
-    for a in range(q_deg1, -1, -1):
+    Q = np.zeros((df1 - dg1 + 1, f.deg2 - g.deg2 + 1), dtype=complex)
+    for a in range(df1 - dg1, -1, -1):
         qa = _uv_divexact(_uv_trim(F[a + dg1], TRIM_TOL * max(1.0, scale)), g_lead, scale)
+        if np.any(np.abs(qa[Q.shape[1]:]) > tol):
+            raise PolyDivisionError("quotient exceeds the z2-degree of f / g")
+        qa = qa[: Q.shape[1]]
         Q[a, : len(qa)] = qa
         for i in range(dg1 + 1):
             conv = np.convolve(qa, G[i])
-            if len(conv) > width:
-                conv = _uv_trim(conv, DIVISION_ZERO_REL * scale)
-                if len(conv) > width:
-                    raise PolyDivisionError("quotient degree overflow")
             F[a + i, : len(conv)] -= conv
-    if np.max(np.abs(F)) > rel_tol * max(scale, 1e-300):
+    if np.max(np.abs(F)) > tol:
         raise PolyDivisionError("bivariate division left a remainder")
     return BiPoly(Q)
 
@@ -432,7 +351,7 @@ def _slice_gcd_deg1(f: BiPoly, g: BiPoly) -> int:
     return int(np.argmax(counts))
 
 
-def reduce_fraction(q: BiPoly, p: BiPoly, slice_check: bool = True):
+def reduce_fraction(q: BiPoly, p: BiPoly):
     """Cancel the common factor of q and p, returning (q', p') with q/p = q'/p'.
 
     The bidegree h of gcd(q, p) is read off the rank deficiency of two
@@ -449,15 +368,14 @@ def reduce_fraction(q: BiPoly, p: BiPoly, slice_check: bool = True):
     if q.is_constant or p.is_constant:
         return q, p
     h1, h2 = _gcd_degree(q.coeffs, p.coeffs)
-    if slice_check:
-        oracle = _slice_gcd_deg1(q, p)
-        if oracle != h1:
-            warnings.warn(
-                f"GCD z1-degree {h1} disagrees with slice oracle {oracle}; "
-                "keeping the Sylvester result",
-                GcdSliceWarning,
-                stacklevel=2,
-            )
+    oracle = _slice_gcd_deg1(q, p)
+    if oracle != h1:
+        warnings.warn(
+            f"GCD z1-degree {h1} disagrees with slice oracle {oracle}; "
+            "keeping the Sylvester result",
+            GcdSliceWarning,
+            stacklevel=2,
+        )
     if h1 == h2 == 0:
         return q, p
     # at j = h the null space is spanned by (u, v) = (p/h, q/h), scaled:
@@ -569,49 +487,23 @@ class MatPoly:
         return float(np.abs(self.coeffs).max())
 
 
-def _det_cofactor(rows) -> BiPoly:
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = BiPoly.zero()
-    for j in range(d):
-        minor = [[rows[i][k] for k in range(d) if k != j] for i in range(1, d)]
-        term = rows[0][j] * _det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def mat_determinant(M: MatPoly) -> BiPoly:
+    """Polynomial determinant by interpolation on roots-of-unity grids.
 
-
-def _det_interpolation(M: MatPoly) -> BiPoly:
-    """Determinant by evaluation on roots-of-unity grids plus inverse FFT.
-
-    The determinant degree in each variable is bounded by the sum over rows
-    of the row-wise maximum entry degree, so sampling on a grid one larger
-    recovers the coefficients exactly up to roundoff.  Unit-modulus nodes
-    keep the interpolation perfectly conditioned.
+    The degree of det M in each variable is at most the sum over rows of
+    the row's largest entry degree, so samples on a grid one larger
+    determine its coefficients: the FFT evaluates M there, each sample's
+    determinant is taken at once, and the inverse FFT returns the
+    coefficients.  Unit-modulus nodes keep the interpolation perfectly
+    conditioned, and the cost is polynomial in d for every size.
     """
-    d = M.d
-    deg1 = sum(max(M[i, j].deg1 for j in range(d)) for i in range(d))
-    deg2 = sum(max(M[i, j].deg2 for j in range(d)) for i in range(d))
-    n1, n2 = deg1 + 1, deg2 + 1
-    w1, w2 = np.meshgrid(np.exp(2j * np.pi * np.arange(n1) / n1),
-                         np.exp(2j * np.pi * np.arange(n2) / n2), indexing="ij")
-    vals = np.linalg.det(M(w1, w2).transpose(2, 3, 0, 1))
-    coeffs = np.fft.fft2(vals) / (n1 * n2)
+    nz = np.abs(M.coeffs) > TRIM_TOL
+    # the largest z1- and z2-degree among each row's entries, summed over rows
+    n1 = 1 + int(np.max(nz.any(axis=(1, 3)) * np.arange(nz.shape[2]), axis=1).sum())
+    n2 = 1 + int(np.max(nz.any(axis=(1, 2)) * np.arange(nz.shape[3]), axis=1).sum())
+    vals = np.fft.fft2(M.coeffs, (n1, n2)).transpose(2, 3, 0, 1)
+    coeffs = np.fft.ifft2(np.linalg.det(vals))
     top = np.max(np.abs(coeffs))
     if top > 0:
         coeffs[np.abs(coeffs) < 1e-10 * top] = 0.0
     return BiPoly(coeffs)
-
-
-def mat_determinant(M: MatPoly) -> BiPoly:
-    """Exact polynomial determinant.
-
-    Cofactor expansion for d <= 4; interpolation through unit-modulus
-    sample grids for larger matrices (fraction-free elimination amplifies
-    float error through its exact polynomial divisions).
-    """
-    if M.d <= 4:
-        return _det_cofactor([[M[i, j] for j in range(M.d)] for i in range(M.d)])
-    return _det_interpolation(M)

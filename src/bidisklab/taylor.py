@@ -101,32 +101,16 @@ def _tail_norm(coeffs: np.ndarray) -> float:
     return float(max(norms[-1, :].max(), norms[:, -1].max()))
 
 
-def recursion_residual(table: TaylorTable, theta: RationalInnerMatrix) -> float:
-    """Max norm of the recursion defect across the table (roundoff check)."""
-    p00 = complex(theta.p(0.0, 0.0))
-    p_terms = [(a, b, v) for a, b, v in theta.p.terms() if (a, b) != (0, 0)]
-    worst = 0.0
-    d = table.d
-    for a in range(table.A + 1):
-        for b in range(table.B + 1):
-            acc = p00 * table.coeffs[a, b]
-            for c, e, v in p_terms:
-                if c <= a and e <= b:
-                    acc = acc + v * table.coeffs[a - c, b - e]
-            Qab = np.array([[complex(theta.Q[i, j].coeffs[a, b])
-                             if a < theta.Q[i, j].coeffs.shape[0]
-                             and b < theta.Q[i, j].coeffs.shape[1] else 0.0
-                             for j in range(d)] for i in range(d)])
-            worst = max(worst, float(np.linalg.norm(acc - Qab, "fro")))
-    return worst
-
-
 def coefficient_energy(table: TaylorTable) -> float:
     """Sum of squared Frobenius norms over the block (Parseval mass <= d)."""
     return float(np.sum(np.abs(table.coeffs) ** 2))
 
 
-def tail_diagnostic(table: TaylorTable, fit_frames: int = 5) -> TailDiagnostic:
+# outer frames the decay ratio is fitted on
+_FIT_FRAMES = 5
+
+
+def tail_diagnostic(table: TaylorTable) -> TailDiagnostic:
     """Classify the truncation tail as FINITE, GEOMETRIC, or SLOW.
 
     FINITE means the outer frame vanishes outright (polynomial Theta).
@@ -139,7 +123,7 @@ def tail_diagnostic(table: TaylorTable, fit_frames: int = 5) -> TailDiagnostic:
     exhausted = table.tail_norm <= 1e-13 * max(top, 1.0)
     if top <= 0.0 or (table.finite_support and exhausted):
         return TailDiagnostic(table.tail_norm, DecayClass.FINITE, 0.0)
-    outer = frames[-(fit_frames + 1):]
+    outer = frames[-(_FIT_FRAMES + 1):]
     outer = outer[outer > 0]
     if len(outer) < 2:
         return TailDiagnostic(table.tail_norm, DecayClass.SLOW, 1.0)

@@ -50,6 +50,24 @@ def test_unstable_denominator_file_exits_2(tmp_path):
         assert res.exit_code == 2
         assert "UNSTABLE_DENOMINATOR" in res.output
     assert run(["rank", str(path), "-q"]) == 2
+    # a zero at the origin is a zero in the open bidisk, and files that do
+    # not decode are rejected as input, not reported as internal errors
+    one = serialize.poly_to_terms(BiPoly.one())
+    bad = {
+        "origin.json": {"d": 1, "p": serialize.poly_to_terms(BiPoly.monomial(1, 0)),
+                        "Q": [[one]]},
+        "empty_q.json": {"d": 2, "Q": [[[]]]},
+        "text_coeff.json": {"d": 1, "Q": [[[{"a": 0, "b": 0, "re": "one"}]]]},
+    }
+    for name, content in bad.items():
+        serialize.save_json(content, tmp_path / name)
+    (tmp_path / "not_json.json").write_text("Q = 1\n")
+    for name in list(bad) + ["not_json.json", "missing.json"]:
+        res = invoke("inner", "check", str(tmp_path / name))
+        assert res.exit_code == 2, name
+        assert res.output.startswith("input rejected: "), name
+        assert run(["inner", "check", str(tmp_path / name)]) == 2, name
+    assert "UNSTABLE_DENOMINATOR" in invoke("inner", "check", str(tmp_path / "origin.json")).output
 
 
 def test_inner_expand_writes_table(tmp_path):

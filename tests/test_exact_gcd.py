@@ -1,7 +1,9 @@
-"""Exact-arithmetic oracle for fraction reduction (sympy, an optional test dependency).
+"""Exact-arithmetic oracles for fraction reduction and determinants (sympy,
+an optional test dependency).
 
 Products of small factors with Gaussian-integer coefficients are exact in
-floating point, so sympy's GCD over Z[i] gives the true reduced degrees.
+floating point, so sympy's GCD over Z[i] gives the true reduced degrees,
+and sympy's determinant over Q[i] the true determinant.
 """
 
 import warnings
@@ -11,7 +13,15 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from bidisklab.polynomials import BiPoly, GcdSliceWarning, reduce_fraction  # noqa: E402
+from bidisklab.experiments import generate_family  # noqa: E402
+from bidisklab.inner import builtin, builtin_names, det_degree  # noqa: E402
+from bidisklab.polynomials import (  # noqa: E402
+    BiPoly,
+    GcdSliceWarning,
+    MatPoly,
+    mat_determinant,
+    reduce_fraction,
+)
 
 Z1, Z2 = sympy.symbols("z1 z2")
 
@@ -25,9 +35,22 @@ def _gaussian_factor(rng, max_deg):
 
 
 def _exact(poly: BiPoly):
-    terms = {(a, b): int(c.real) + sympy.I * int(c.imag)
+    """The polynomial whose coefficients are exactly the floats of `poly`."""
+    terms = {(a, b): sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
              for (a, b), c in np.ndenumerate(poly.coeffs) if c != 0}
-    return sympy.Poly.from_dict(terms, Z1, Z2, domain="ZZ_I")
+    return sympy.Poly.from_dict(terms, Z1, Z2, domain="QQ_I")
+
+
+def _exact_det(M: MatPoly):
+    entries = sympy.Matrix(M.d, M.d, lambda i, j: _exact(M[i, j]).as_expr())
+    return sympy.Poly(entries.det(method="berkowitz"), Z1, Z2, domain="QQ_I")
+
+
+def _grid(poly) -> np.ndarray:
+    out = np.zeros((poly.degree(Z1) + 1, poly.degree(Z2) + 1), dtype=complex)
+    for (a, b), c in poly.terms():
+        out[a, b] = complex(c)
+    return out
 
 
 def _degrees(poly) -> tuple[int, int]:
@@ -50,3 +73,43 @@ def test_reduce_fraction_degrees_match_exact_gcd(seed):
     assert _degrees(q_exact) == tuple(np.subtract(_degrees(Q), _degrees(gcd)))
     assert _degrees(q_red) == _degrees(q_exact)
     assert _degrees(p_red) == _degrees(p_exact)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_mat_determinant_matches_exact_det(d):
+    rng = np.random.default_rng(d)
+    M = MatPoly([[_gaussian_factor(rng, 1) for _ in range(d)] for _ in range(d)])
+    exact = _grid(_exact_det(M))
+    det = mat_determinant(M).coeffs
+    shape = np.maximum(exact.shape, det.shape)
+    diff = np.zeros(shape, dtype=complex)
+    diff[: exact.shape[0], : exact.shape[1]] += exact
+    diff[: det.shape[0], : det.shape[1]] -= det
+    assert np.abs(diff).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _chopped_degrees(poly) -> tuple[int, int]:
+    """Degrees of `poly` without coefficients below 1e-12 of its largest.
+
+    A unitary conjugate's floats carry rounding, so the exact determinant of
+    the rounded entries has coefficients of order 1e-16 where the true
+    determinant has none; every other coefficient here is of order one.
+    """
+    grid = _grid(poly)
+    rows, cols = np.nonzero(np.abs(grid) > 1e-12 * np.abs(grid).max())
+    return int(rows.max()), int(cols.max())
+
+
+# the first six seed-42 diagonal items hold at most one stable entry, so
+# their numerators and denominator are exact products in floating point;
+# the conjugated and product items have p = 1
+_DET_ITEMS = ([builtin(n) for n in builtin_names() if "(" not in n]
+              + [builtin("scalar_z2n(3)")] + generate_family("diagonal", 6, seed=42)
+              + generate_family("conjugated", 3, seed=42) + generate_family("product", 6, seed=42))
+
+
+@pytest.mark.parametrize("theta", _DET_ITEMS, ids=lambda theta: theta.label)
+def test_det_degree_matches_exact_cancel(theta):
+    _, num, den = _exact_det(theta.Q).cancel(_exact(theta.p) ** theta.d)
+    expected = np.maximum(_chopped_degrees(num), _chopped_degrees(den))
+    assert det_degree(theta) == tuple(int(e) for e in expected)

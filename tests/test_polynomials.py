@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
 from bidisklab import polynomials
+from bidisklab.experiments import generate_family
 from bidisklab.inner import builtin
 from bidisklab.polynomials import (
     BiPoly,
-    LaurentBiPoly,
     MatPoly,
     PolyDivisionError,
     mat_determinant,
-    mul_star,
     poly_divexact,
     reduce_fraction,
     reflect,
@@ -128,35 +128,6 @@ def test_reduce_fraction_back_multiplication_random():
         assert diff.max_abs() <= 1e-8 * max((a * g).max_abs(), 1.0)
 
 
-def test_laurent_residual_zero():
-    assert LaurentBiPoly.zero(2, 2).max_abs() == 0.0
-
-
-def test_laurent_residual_cancellation():
-    L = mul_star(z1, one)
-    assert (L - L).max_abs() == 0.0
-
-
-def test_laurent_residual_max_modulus():
-    L = LaurentBiPoly.from_terms([(-1, 0, 1.0), (0, 0, 2.0)])
-    assert L.max_abs() == 2.0
-
-
-def test_mul_star_is_torus_product():
-    rng = np.random.default_rng(1)
-    f = BiPoly(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-    g = BiPoly(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-    L = mul_star(f, g)
-    for _ in range(5):
-        t1 = np.exp(2j * np.pi * rng.uniform())
-        t2 = np.exp(2j * np.pi * rng.uniform())
-        val = sum(v * t1 ** a * t2 ** b
-                  for a in range(-L.win1, L.win1 + 1)
-                  for b in range(-L.win2, L.win2 + 1)
-                  if abs(v := L.coeff(a, b)) > 0)
-        assert abs(val - f(t1, t2) * np.conj(g(t1, t2))) < 1e-12
-
-
 def test_determinant_identity():
     assert mat_determinant(MatPoly.identity(3)) == one
 
@@ -194,6 +165,23 @@ def test_divexact_and_failure():
     assert poly_divexact(num, den) == z1 * z2
     with pytest.raises(PolyDivisionError):
         poly_divexact(num + one, den)
+    # the quotient row z2 would exceed the z2-degree 0 of a quotient
+    with pytest.raises(PolyDivisionError):
+        poly_divexact(z1 * z2, z1 + z2)
+
+
+def test_divexact_quotient_stays_in_its_degree_box():
+    # f = p h plus 1e-13-relative noise, p the denominator of a d = 3 diagonal
+    # item: the quotient's z2-degree is deg2 f - deg2 p, so the noise that
+    # long division carries past it is cut off, not kept as a coefficient
+    p = generate_family("diagonal", 25, d=3, seed=5)[4].p
+    rng = np.random.default_rng(0)
+    h = BiPoly(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    f = p * h
+    noisy = BiPoly(f.coeffs + 1e-13 * f.max_abs() * rng.standard_normal(f.coeffs.shape))
+    q = poly_divexact(noisy, p)
+    assert (q.deg1, q.deg2) == (h.deg1, h.deg2)
+    assert (q - h).max_abs() <= 1e-8 * h.max_abs()
 
 
 def test_reflection_preserves_torus_modulus():
@@ -201,5 +189,6 @@ def test_reflection_preserves_torus_modulus():
     rng = np.random.default_rng(7)
     p = BiPoly(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     r = reflect(p, p.deg1, p.deg2)
-    diff = mul_star(p, p) - mul_star(r, r)
-    assert diff.max_abs() < 1e-12
+    # the Laurent coefficients of f(z) conj(f)(1/z), on one window for p and r
+    pp, rr = (convolve2d(f.coeffs, np.conj(f.coeffs)[::-1, ::-1]) for f in (p, r))
+    assert np.abs(pp - rr).max() < 1e-12

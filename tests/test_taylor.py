@@ -11,7 +11,6 @@ from bidisklab.taylor import (
     DecayClass,
     coefficient_energy,
     expand,
-    recursion_residual,
     tail_diagnostic,
 )
 
@@ -62,13 +61,6 @@ def test_stable4_coefficients_geometric_bound():
     for a in range(13):
         for b in range(13):
             assert mags[a, b] <= 4.0 * 0.5 ** (a + b)
-
-
-def test_recursion_residual_tiny():
-    for name in ("scalar_favorite", "scalar_stable4", "hadamard_deg21"):
-        th = builtin(name)
-        t = expand(th, 8, 8)
-        assert recursion_residual(t, th) <= 1e-12 * max(1.0, np.abs(t.coeffs).max())
 
 
 def test_parseval_mass_bounded():
