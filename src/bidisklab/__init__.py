@@ -32,6 +32,7 @@ from .inner import (
     from_scalar,
     from_stable_poly,
     product_one_var,
+    require_inner,
     scalar_z2n,
     swap_variables,
     unitary_conjugate,

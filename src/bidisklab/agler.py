@@ -47,7 +47,6 @@ class AglerSpaces:
     smin2: Subspace
     hkmax1: Subspace
     hkmin2: Subspace
-    K_depth: int
     model: Subspace
 
     @cached_property
@@ -166,7 +165,7 @@ def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     exact = theta.p.is_constant
     hkmax1 = _wandering(theta, smax1, 1, exact)
     hkmin2 = _wandering(theta, smin2, 2, exact)
-    return AglerSpaces(smax1, smin2, hkmax1, hkmin2, A, basis)
+    return AglerSpaces(smax1, smin2, hkmax1, hkmin2, basis)
 
 
 def kernel_space_dims(theta: RationalInnerMatrix,

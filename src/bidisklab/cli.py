@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Inputs are either builtin names (see ``bidisklab examples list``) or JSON
-files in the documented inner-function schema.  Exit codes: 0 success,
-2 validation failure (an input file that cannot be read or decoded,
-non-inner input or unstable denominator, malformed schedule), 1 internal
-error.  Reports are printed as aligned text tables
+Inputs are builtin names (see ``bidisklab examples list``) or JSON files
+in the documented inner-function schema, admitted by ``require_inner``.
+Exit codes: 0 success, 2 validation failure (``input rejected: <type>:
+<message>``, naming NOT_INNER or UNSTABLE_DENOMINATOR, or a bad schedule),
+1 internal error.  Reports are printed as aligned text tables
 unless ``--quiet`` and written as JSON when ``--out`` is given.
 """
 
@@ -19,9 +19,11 @@ import numpy as np
 from . import agler as agler_mod
 from . import experiments, serialize
 from .inner import (
+    InnerFunctionError,
     RationalInnerMatrix,
     builtin,
     builtin_descriptions,
+    require_inner,
     verify_inner_exact,
     verify_inner_grid,
 )
@@ -36,22 +38,25 @@ def _load_theta(source: str) -> RationalInnerMatrix:
         try:
             return serialize.theta_from_json(serialize.load_json(path))
         # a missing or unreadable file, JSON that does not parse, or data
-        # that does not fit the schema; an unstable denominator is a ValueError
+        # that does not fit the schema; p(0, 0) = 0 is a ValueError
         except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-            click.echo(f"input rejected: {type(exc).__name__}: {exc}")
-            sys.exit(2)
+            _reject(exc)
     try:
         return builtin(source)
     except KeyError as exc:
         raise click.UsageError(str(exc)) from exc
 
 
+def _reject(exc: Exception):
+    click.echo(f"input rejected: {type(exc).__name__}: {exc}")
+    sys.exit(2)
+
+
 def _require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
-    check = verify_inner_exact(theta)
-    if not check.passed:
-        click.echo(f"input is not inner: exact residual {check.residual:.6e}")
-        sys.exit(2)
-    return theta
+    try:
+        return require_inner(theta)
+    except InnerFunctionError as exc:
+        _reject(exc)
 
 
 def _parse_schedule(text: str):
@@ -114,9 +119,9 @@ def inner_check(source, grid_n, exact, quiet):
     if exact or grid_n is None:
         checks.append(verify_inner_exact(theta))
     if not quiet:
-        rows = [(c.method, "pass" if c.passed else "FAIL", f"{c.residual:.6e}")
-                for c in checks]
-        _echo_table(rows, ("method", "status", "residual"))
+        rows = [(c.method, "pass" if c.passed else "FAIL", f"{c.residual:.6e}",
+                 c.reason or "-") for c in checks]
+        _echo_table(rows, ("method", "status", "residual", "reason"))
     if not all(c.passed for c in checks):
         sys.exit(2)
 

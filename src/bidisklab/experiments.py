@@ -25,8 +25,8 @@ from .inner import (
     from_scalar,
     from_stable_poly,
     product_one_var,
+    require_inner,
     unitary_conjugate,
-    verify_inner_exact,
 )
 from .modelspace import RankReport, SweepVerdict, rank_sweep
 from .polynomials import BiPoly, MatPoly
@@ -227,13 +227,14 @@ def run_batch(family, schedule, out_dir=None,
               max_workers: int | None = None) -> BatchSummary:
     """Run the conjecture report over a family, persisting per-item records.
 
-    Per-item failures are recorded and the batch continues.  A generated
-    function with deg1 <= 1 whose per-level rank exceeds d * deg2 violates
-    a proven bound and aborts the whole batch: that is an implementation
-    bug, not mathematics.  Writes one JSON file per item plus a
-    ``summary.csv`` (stable byte-for-byte across reruns) when ``out_dir``
-    is given.  Items run on ``_blas.thread_map`` threads (``max_workers``,
-    else ``BIDISK_LAB_THREADS``, else min(4, cpus)).
+    Per-item failures, an item ``require_inner`` rejects among them, are
+    recorded and the batch continues.  A function with deg1 <= 1 whose
+    per-level rank exceeds d * deg2 violates a proven bound and aborts the
+    whole batch: that is an implementation bug, not mathematics.  Writes
+    one JSON file per item plus a ``summary.csv`` (stable byte-for-byte
+    across reruns) when ``out_dir`` is given.  Items run on
+    ``_blas.thread_map`` threads (``max_workers``, else
+    ``BIDISK_LAB_THREADS``, else min(4, cpus)).
     """
     family = list(family)
 
@@ -241,10 +242,7 @@ def run_batch(family, schedule, out_dir=None,
         idx, theta = idx_theta
         label = f"item{idx:03d}_{theta.label}"
         try:
-            check = verify_inner_exact(theta)
-            if not check.passed:
-                raise ValueError(f"input is not inner (residual {check.residual:.3e})")
-            record = conjecture_report(theta, schedule)
+            record = conjecture_report(require_inner(theta), schedule)
             m1, m2 = record.deg
             if m1 <= 1:
                 bound = theta.d * m2

@@ -2,16 +2,16 @@
 
 A function here is a square matrix of rational functions written over a
 single scalar denominator, Theta = Q / p, with Q a polynomial matrix and
-p a polynomial with no zero in the open bidisk.  Theta is *inner* when
-its boundary values on the torus are unitary; in coefficient form that is
-the exact Laurent identity
+p a polynomial.  Theta is *inner* when it is holomorphic on the bidisk,
+so p has no zero in the open bidisk, and its boundary values on the torus
+are unitary; in coefficient form the second is the exact Laurent identity
 
     Q(z) Q~(1/z) = Q~(1/z) Q(z) = p(z) conj-p(1/z) I,
 
-where ~ conjugates coefficients; samples on enough roots of unity give
-its Laurent coefficients exactly, up to round-off.  Constructors validate
-that identity and the stability of p eagerly, so everything downstream may
-assume innerness.
+where ~ conjugates coefficients.  ``verify_inner_exact`` decides both
+halves, and ``require_inner``, the one gate, admits Theta: every
+constructor, the CLI and ``run_batch`` call it, so everything downstream
+may assume innerness.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from .tolerances import DENOMINATOR_ROOT_TOL, INNER_EXACT_TOL, UNITARY_TOL
 
 
 class InnerFunctionError(ValueError):
-    """A constructed candidate failed the innerness validation."""
+    """A candidate failed the innerness validation; ``reason`` says how."""
+
+    reason = "NOT_INNER"
 
 
 class UnstableDenominatorError(InnerFunctionError):
@@ -50,6 +52,7 @@ class InnerCheck:
     passed: bool
     residual: float
     method: str
+    reason: str | None = None  # on a fail: NOT_INNER or UNSTABLE_DENOMINATOR
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class RationalInnerMatrix:
     """Theta = Q / p with cached degree data.
 
     Instances built through the module constructors are verified inner.
-    Building one directly skips validation; that is intentional so the
-    verification routines and the CLI can inspect failing candidates.
+    Building one directly checks only p(0, 0) != 0, so the verification
+    routines and the CLI can inspect failing candidates.
     """
 
     d: int
@@ -116,19 +119,19 @@ def verify_inner_exact(theta: RationalInnerMatrix) -> InnerCheck:
 
     The residual is the largest coefficient modulus of Q Q* - |p|^2 I and
     Q* Q - |p|^2 I, read off samples on roots of unity (``_gram_defect``),
-    which determine those Laurent polynomials exactly.  Returns a report
-    rather than raising: failing candidates are data, not errors, for the
-    verification surface.
+    which determine those Laurent polynomials exactly; a zero of p in the
+    open bidisk fails the check too.  Returns a report rather than raising:
+    failing candidates are data, not errors, for the verification surface.
     """
     residual = _gram_defect(theta.Q.coeffs, theta.p.coeffs)
-    return InnerCheck(residual <= INNER_EXACT_TOL, residual, "exact")
+    return _inner_check(theta, residual, residual <= INNER_EXACT_TOL, "exact")
 
 
 def verify_inner_grid(theta: RationalInnerMatrix, N: int) -> InnerCheck:
     """Innerness residual sampled on the N x N uniform torus grid.
 
     Uses the division-free form || Q Q* - |p|^2 I ||_F / (1 + |p|^2) so
-    boundary zeros of p cannot blow the quotient up.
+    boundary zeros of p cannot blow the quotient up; p must be stable too.
     """
     if N < 2:
         raise ValueError("grid size must be at least 2")
@@ -140,7 +143,16 @@ def verify_inner_grid(theta: RationalInnerMatrix, N: int) -> InnerCheck:
     G -= (np.abs(pv) ** 2)[:, :, None, None] * np.eye(theta.d)
     res = np.linalg.norm(G, axis=(-2, -1)) / (1.0 + np.abs(pv) ** 2)
     worst = float(res.max())
-    return InnerCheck(worst <= 1e-9, worst, f"grid{N}")
+    return _inner_check(theta, worst, worst <= 1e-9, f"grid{N}")
+
+
+def _inner_check(theta: RationalInnerMatrix, residual: float, unitary: bool,
+                 method: str) -> InnerCheck:
+    if not unitary:
+        return InnerCheck(False, residual, method, "NOT_INNER")
+    if not theta.p.is_constant and _open_bidisk_zero(theta.p) is not None:
+        return InnerCheck(False, residual, method, "UNSTABLE_DENOMINATOR")
+    return InnerCheck(True, residual, method)
 
 
 # Points of the unit circle where the torus half of the stability test
@@ -181,26 +193,21 @@ def _open_bidisk_zero(p: BiPoly):
     return None
 
 
-def require_stable_denominator(theta: RationalInnerMatrix) -> RationalInnerMatrix:
-    """Reject Theta whose denominator has a zero in the open bidisk.
-
-    Boundary zeros are allowed: ``scalar_favorite`` vanishes at (1, 1).
+def require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
+    """Theta if ``verify_inner_exact`` passes it, else raise the error of its
+    reason, naming the zero of an unstable p.  Boundary zeros are allowed:
+    ``scalar_favorite`` vanishes at (1, 1).
     """
-    zero = None if theta.p.is_constant else _open_bidisk_zero(theta.p)
-    if zero is not None:
-        raise UnstableDenominatorError(
-            f"candidate {theta.label or '<unnamed>'} is not inner: UNSTABLE_DENOMINATOR, "
-            f"p vanishes near ({zero[0]:.4g}, {zero[1]:.4g}) inside the bidisk")
-    return theta
-
-
-def _require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
     check = verify_inner_exact(theta)
-    if not check.passed:
-        raise InnerFunctionError(
-            f"candidate {theta.label or '<unnamed>'} is not inner: "
-            f"Laurent residual {check.residual:.3e}")
-    return require_stable_denominator(theta)
+    if check.passed:
+        return theta
+    name = theta.label or "<unnamed>"
+    if check.reason == "NOT_INNER":
+        raise InnerFunctionError(f"candidate {name} is not inner: NOT_INNER, "
+                                 f"Laurent residual {check.residual:.3e}")
+    z1, z2 = _open_bidisk_zero(theta.p)
+    raise UnstableDenominatorError(f"candidate {name} is not inner: UNSTABLE_DENOMINATOR, "
+                                   f"p vanishes near ({z1:.4g}, {z2:.4g}) inside the bidisk")
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +276,7 @@ def det_degree(theta: RationalInnerMatrix) -> tuple[int, int]:
 def from_scalar(q: BiPoly, p: BiPoly, label: str = "") -> RationalInnerMatrix:
     """Scalar inner function q / p (validated, reduced to lowest terms)."""
     qr, pr = reduce_fraction(q, p)
-    theta = RationalInnerMatrix(1, MatPoly.from_scalar(qr), pr, label)
-    return _require_inner(theta)
+    return require_inner(RationalInnerMatrix(1, MatPoly.from_scalar(qr), pr, label))
 
 
 def from_stable_poly(p: BiPoly, m: int | None = None, n: int | None = None,
@@ -283,10 +289,7 @@ def from_stable_poly(p: BiPoly, m: int | None = None, n: int | None = None,
     """
     m = p.deg1 if m is None else m
     n = p.deg2 if n is None else n
-    q = reflect(p, m, n)
-    if not label:
-        label = "stable_poly_inner"
-    return from_scalar(q, p, label)
+    return from_scalar(reflect(p, m, n), p, label or "stable_poly_inner")
 
 
 def diagonal(scalars, label: str = "") -> RationalInnerMatrix:
@@ -311,9 +314,7 @@ def diagonal(scalars, label: str = "") -> RationalInnerMatrix:
             if j != i:
                 qi = qi * t.p
         entries.append(qi)
-    theta = RationalInnerMatrix(d, MatPoly.diag(entries), p,
-                                label or "diagonal")
-    return _require_inner(theta)
+    return require_inner(RationalInnerMatrix(d, MatPoly.diag(entries), p, label or "diagonal"))
 
 
 def product_one_var(factors, label: str = "") -> RationalInnerMatrix:
@@ -345,8 +346,7 @@ def product_one_var(factors, label: str = "") -> RationalInnerMatrix:
         Q = step if Q is None else Q @ step
     if Q is None:
         raise ValueError("need at least one factor")
-    theta = RationalInnerMatrix(d, Q, BiPoly.one(), label or "product")
-    return _require_inner(theta)
+    return require_inner(RationalInnerMatrix(d, Q, BiPoly.one(), label or "product"))
 
 
 def unitary_conjugate(theta: RationalInnerMatrix, U, V,
@@ -361,15 +361,14 @@ def unitary_conjugate(theta: RationalInnerMatrix, U, V,
         if defect > UNITARY_TOL:
             raise ValueError(f"{name} is not unitary (defect {defect:.3e})")
     Q = theta.Q.left_mul(U).right_mul(V)
-    out = RationalInnerMatrix(theta.d, Q, theta.p,
-                              label or f"conjugated({theta.label})")
-    return _require_inner(out)
+    return require_inner(RationalInnerMatrix(theta.d, Q, theta.p,
+                                             label or f"conjugated({theta.label})"))
 
 
 def swap_variables(theta: RationalInnerMatrix) -> RationalInnerMatrix:
     """Theta with the two disk variables exchanged."""
-    return RationalInnerMatrix(theta.d, theta.Q.swap_vars(), theta.p.swap_vars(),
-                               f"swap({theta.label})" if theta.label else "")
+    return require_inner(RationalInnerMatrix(theta.d, theta.Q.swap_vars(), theta.p.swap_vars(),
+                                             f"swap({theta.label})" if theta.label else ""))
 
 
 # ----------------------------------------------------------------------
@@ -386,14 +385,14 @@ def _z2() -> BiPoly:
 
 def _builtin_diag_z1z2_1() -> RationalInnerMatrix:
     Q = MatPoly.diag([_z1() * _z2(), BiPoly.one()])
-    return _require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "diag_z1z2_1"))
+    return require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "diag_z1z2_1"))
 
 
 def _builtin_hadamard_z1z2() -> RationalInnerMatrix:
     s = _z1() + _z2()
     t = _z1() - _z2()
     Q = MatPoly([[0.5 * s, 0.5 * t], [0.5 * t, 0.5 * s]])
-    return _require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "hadamard_z1z2"))
+    return require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "hadamard_z1z2"))
 
 
 def _builtin_hadamard_deg21() -> RationalInnerMatrix:
@@ -401,7 +400,7 @@ def _builtin_hadamard_deg21() -> RationalInnerMatrix:
     t = _z1() - _z2()
     Q = MatPoly([[0.5 * (_z1() * s), 0.5 * (_z1() * t)],
                  [0.5 * t, 0.5 * s]])
-    return _require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "hadamard_deg21"))
+    return require_inner(RationalInnerMatrix(2, Q, BiPoly.one(), "hadamard_deg21"))
 
 
 def _builtin_scalar_z1z2() -> RationalInnerMatrix:

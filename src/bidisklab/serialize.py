@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inner import RationalInnerMatrix, require_stable_denominator
+from .inner import RationalInnerMatrix
 from .modelspace import RankLevel, RankReport, SweepVerdict
 from .polynomials import BiPoly, MatPoly
 from .taylor import TaylorTable
@@ -41,15 +41,14 @@ def theta_to_json(theta: RationalInnerMatrix) -> dict:
 def theta_from_json(data: dict) -> RationalInnerMatrix:
     """Decode an inner-function candidate; innerness is NOT validated here.
 
-    Only a denominator with a zero in the open bidisk is rejected here.
-    Loaded candidates go through ``verify_inner_exact`` (or the grid check)
-    before any model-space computation trusts them.
+    Only p(0, 0) != 0 is checked; ``inner.require_inner`` admits the
+    candidate before any model-space computation trusts it.
     """
     d = int(data["d"])
     p = poly_from_terms(data.get("p", [{"a": 0, "b": 0, "re": 1.0}]))
     Q = MatPoly([[poly_from_terms(data["Q"][i][j]) for j in range(d)]
                  for i in range(d)])
-    return require_stable_denominator(RationalInnerMatrix(d, Q, p, data.get("label", "")))
+    return RationalInnerMatrix(d, Q, p, data.get("label", ""))
 
 
 def taylor_to_json(table: TaylorTable) -> dict:

@@ -67,8 +67,6 @@ def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
     if A < 0 or B < 0:
         raise ValueError("cutoffs must be nonnegative")
     p00 = complex(theta.p(0.0, 0.0))
-    if abs(p00) <= 1e-14:
-        raise ValueError("denominator vanishes at the origin; no Taylor recursion")
     d = theta.d
     Qc = np.zeros((A + 1, B + 1, d, d), dtype=complex)
     for i in range(d):

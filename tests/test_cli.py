@@ -36,7 +36,14 @@ def test_inner_check_non_inner_file_exits_2(tmp_path):
     serialize.save_json(serialize.theta_to_json(bad), path)
     res = invoke("inner", "check", str(path))
     assert res.exit_code == 2
-    assert "FAIL" in res.output
+    assert "FAIL" in res.output and "NOT_INNER" in res.output
+    # every computing command admits its input through the same gate
+    for args in (("rank", path), ("agler", "dims", path), ("agler", "verify", path),
+                 ("inner", "expand", path, "--trunc", "4", "4")):
+        res = invoke(*map(str, args))
+        assert res.exit_code == 2, args
+        assert res.output.startswith("input rejected: InnerFunctionError: "), args
+        assert "NOT_INNER" in res.output, args
 
 
 def test_unstable_denominator_file_exits_2(tmp_path):

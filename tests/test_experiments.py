@@ -14,7 +14,7 @@ from bidisklab.experiments import (
     run_batch,
 )
 from bidisklab.inner import RationalInnerMatrix, builtin, verify_inner_exact
-from bidisklab.polynomials import BiPoly, MatPoly
+from bidisklab.polynomials import BiPoly, MatPoly, reflect
 
 SCHED = [(4, 4), (6, 6), (8, 8)]
 
@@ -135,6 +135,31 @@ def test_run_batch_isolates_bad_item(tmp_path):
     assert counts.get(CONSISTENT) == 2
     rows = list(csv.DictReader(open(tmp_path / "summary.csv")))
     assert rows[1]["verdict"] == "ERROR"
+
+
+def test_run_batch_isolates_items_the_gate_rejects(tmp_path):
+    # p = 1 - 2 z1 + 0.1 z2 satisfies the Laurent identity but vanishes at
+    # (1/2, 0); without the stability half of the gate its ranks exceed the
+    # proven bound and the whole batch aborts with BatchScreeningError
+    p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
+    unstable = RationalInnerMatrix(1, MatPoly.from_scalar(reflect(p, 1, 1)), p, "unstable")
+    not_inner = RationalInnerMatrix(1, MatPoly.from_scalar(BiPoly.from_terms([(0, 0, 2.0)])),
+                                    BiPoly.one(), "x")
+    good = [builtin("hadamard_z1z2"), builtin("hadamard_deg21")]
+    summary = run_batch([good[0], unstable, not_inner, good[1]], SCHED, out_dir=tmp_path)
+    bad = [it for it in summary.items if it.record is None]
+    assert [it.index for it in bad] == [1, 2]
+    assert "UNSTABLE_DENOMINATOR" in bad[0].error
+    assert "NOT_INNER" in bad[1].error
+    rows = list(csv.DictReader(open(tmp_path / "summary.csv")))
+    assert [r["verdict"] for r in rows[1:3]] == ["ERROR", "ERROR"]
+
+    def grades(items):
+        return [(r.deg, r.det_deg, r.verdict, [lv.rank for lv in r.report.levels])
+                for r in (it.record for it in items)]
+
+    alone = run_batch(good, SCHED)
+    assert grades(summary.items[::3]) == grades(alone.items)
 
 
 def test_run_batch_rerun_is_byte_identical(tmp_path):

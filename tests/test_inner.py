@@ -17,6 +17,7 @@ from bidisklab.inner import (
     from_scalar,
     from_stable_poly,
     product_one_var,
+    require_inner,
     scalar_z2n,
     swap_variables,
     unitary_conjugate,
@@ -24,7 +25,7 @@ from bidisklab.inner import (
     verify_inner_grid,
 )
 from bidisklab.experiments import generate_family
-from bidisklab.polynomials import BiPoly, GcdSliceWarning, MatPoly
+from bidisklab.polynomials import BiPoly, GcdSliceWarning, MatPoly, reflect
 
 z1 = BiPoly.monomial(1, 0)
 z2 = BiPoly.monomial(0, 1)
@@ -44,10 +45,13 @@ def rand_unitary(rng, d):
 # -- verification ------------------------------------------------------
 
 def test_builtins_pass_exact_check():
-    for th in all_builtins():
+    families = [th for kind in ("diagonal", "product", "conjugated")
+                for th in generate_family(kind, 25, seed=42)]
+    for th in all_builtins() + families:
         check = verify_inner_exact(th)
-        assert check.passed, th.label
+        assert check.passed and check.reason is None, th.label
         assert check.residual < 1e-12, th.label
+        assert require_inner(th) is th
 
 
 def _entrywise_laurent_defect(Q, p):
@@ -120,7 +124,7 @@ def test_non_inner_fails_exact():
     th = RationalInnerMatrix(2, Q, one, "bad")
     check = verify_inner_exact(th)
     # at tau = (1, 1) the product has a diagonal entry 4 instead of 1
-    assert not check.passed
+    assert not check.passed and check.reason == "NOT_INNER"
     assert check.residual >= 1.0
 
 
@@ -136,7 +140,7 @@ def test_grid_check_flags_non_inner():
     Q = MatPoly([[one + z1, BiPoly.zero()], [BiPoly.zero(), one]])
     th = RationalInnerMatrix(2, Q, one, "bad")
     check = verify_inner_grid(th, 16)
-    assert not check.passed
+    assert not check.passed and check.reason == "NOT_INNER"
     assert check.residual >= 1.0  # attained near tau1 = 1
 
 
@@ -231,8 +235,10 @@ def test_from_scalar_monomial():
 
 
 def test_from_scalar_rejects_non_inner():
-    with pytest.raises(InnerFunctionError):
+    with pytest.raises(InnerFunctionError) as info:
         from_scalar(one + z1, one)
+    assert info.value.reason == "NOT_INNER"
+    assert "NOT_INNER" in str(info.value)
 
 
 def test_from_stable_poly_four():
@@ -265,6 +271,16 @@ def test_unstable_denominator_rejected():
     # the zero of 1 - 2 z2 + 0.1 z1
     with pytest.raises(UnstableDenominatorError):
         from_stable_poly(p.swap_vars())
+    # built directly, Theta passes the boundary test; both checks still fail
+    # it, and the gate names the zero at (1/2, 0)
+    th = RationalInnerMatrix(1, MatPoly.from_scalar(reflect(p, 1, 1)), p, "unstable")
+    for check in (verify_inner_exact(th), verify_inner_grid(th, 64)):
+        assert check.residual < 1e-12
+        assert not check.passed and check.reason == "UNSTABLE_DENOMINATOR"
+    with pytest.raises(UnstableDenominatorError, match=r"near \(0\.5\+0j, 0\+0j\)"):
+        require_inner(th)
+    with pytest.raises(UnstableDenominatorError):
+        swap_variables(th)
 
 
 def test_stability_gate_keeps_boundary_zeros():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bidisklab import serialize
-from bidisklab.inner import UnstableDenominatorError, builtin, verify_inner_exact
+from bidisklab.inner import (UnstableDenominatorError, builtin, require_inner,
+                              verify_inner_exact)
 from bidisklab.modelspace import TruncGrid, analytic_mult, rank_sweep
 from bidisklab.polynomials import BiPoly, reflect
 from bidisklab.taylor import expand
@@ -34,11 +35,16 @@ def test_theta_loading_does_not_validate():
 
 
 def test_theta_loading_rejects_unstable_denominator():
+    # decoding only decodes; the gate rejects the candidate it returns
     p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
     data = {"d": 1, "p": serialize.poly_to_terms(p),
             "Q": [[serialize.poly_to_terms(reflect(p, 1, 1))]], "label": "unstable"}
+    th = serialize.theta_from_json(data)
+    assert th.label == "unstable" and (th.p - p).is_zero
+    check = verify_inner_exact(th)
+    assert not check.passed and check.reason == "UNSTABLE_DENOMINATOR"
     with pytest.raises(UnstableDenominatorError):
-        serialize.theta_from_json(data)
+        require_inner(th)
 
 
 def test_taylor_roundtrip_reproduces_operators(tmp_path):
