@@ -85,6 +85,11 @@ class RationalInnerMatrix:
     def det_deg(self) -> tuple[int, int]:
         return det_degree(self)
 
+    @cached_property
+    def inner_check(self) -> InnerCheck:
+        """``verify_inner_exact`` of Theta, decided once for ``require_inner``."""
+        return verify_inner_exact(self)
+
     def __call__(self, z1, z2) -> np.ndarray:
         return self.Q(z1, z2) / self.p(z1, z2)
 
@@ -196,9 +201,10 @@ def _open_bidisk_zero(p: BiPoly):
 def require_inner(theta: RationalInnerMatrix) -> RationalInnerMatrix:
     """Theta if ``verify_inner_exact`` passes it, else raise the error of its
     reason, naming the zero of an unstable p.  Boundary zeros are allowed:
-    ``scalar_favorite`` vanishes at (1, 1).
+    ``scalar_favorite`` vanishes at (1, 1).  The check is Theta's cached
+    ``inner_check``, so gating Theta again costs nothing.
     """
-    check = verify_inner_exact(theta)
+    check = theta.inner_check
     if check.passed:
         return theta
     name = theta.label or "<unnamed>"

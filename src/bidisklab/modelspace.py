@@ -33,6 +33,19 @@ a pivoted QR over all probe columns.  The sketch is sized by det_deg Theta
 (falling back to a bound proven from deg Theta), and one projection pass per
 rank level gives the basis, its Theta* image and its projection.
 
+Rank levels of a polynomial Theta take a second route.  By the Wold
+decomposition of the canonical pair S_max1 + S_min2 (Bickel & Knese, JFA
+265, 2013) the model space is the orthogonal sum of the shifts z1^k W1 and
+z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
+W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
+p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
+(m1, m2) = deg Theta, read once off one small ``agler_spaces`` level
+(``_wold_family``); their shifts that fit the working grid are an exact
+orthonormal basis there (``_wold_basis``), with no sketch, no QR over the
+grid and no operator application.  The family is exact only where p is
+constant, so rational Theta, and any polynomial Theta whose small-level
+wandering dimensions are not (n2, n1), keep the sketch.
+
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
 working box raised by the headroom deg Theta + (2, 2), so that one variable
@@ -619,11 +632,19 @@ DECAY_PROBE_DEPTH = 40
 
 
 def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
-    """Decay class of Theta's expansion, probed at a trustworthy depth; the
-    coefficients are the operator's images of the d constant unit columns."""
+    """Decay class of Theta's expansion, probed at a trustworthy depth.
+
+    For constant p the coefficients are Q / p(0, 0) outright; otherwise they
+    are the operator's images of the d constant unit columns.
+    """
     A, B = schedule[-1] if schedule else (0, 0)
     box = TruncGrid(max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2), theta.d)
-    coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
+    if theta.p.is_constant:
+        q = theta.Q.coeffs[:, :, : box.A + 1, : box.B + 1].transpose(2, 3, 0, 1)
+        coeffs = np.zeros((box.A + 1, box.B + 1, theta.d, theta.d), dtype=complex)
+        coeffs[: q.shape[0], : q.shape[1]] = q / theta.p.coeffs[0, 0]
+    else:
+        coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
     table = TaylorTable(theta.d, box.A, box.B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
     return tail_diagnostic(table).decay_class
 
@@ -640,15 +661,67 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
     return sched
 
 
-def _rank_level(ws: ModelWorkspace, tol_rel: float) -> RankLevel:
-    """``rank_at_level`` on the workspace of a nominal window."""
-    frame, adj, proj, coords = ws.model_span(ws.grid)
-    probe = ws.nominal
-    X = _orth_columns((proj[probe.indices_in(ws.grid)] @ coords).conj().T)
-    basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
-    adj = adj @ coords
-    del frame, proj  # only B and Theta* B outlive the frame
-    C = commutator(_shift_matrix(ws, basis, adj, 1))
+def _wold_family(theta: RationalInnerMatrix):
+    """Wandering bases (W1, W2) of polynomial Theta as degree boxes, or None.
+
+    Both come from one ``agler_spaces`` level at (max(m1, 1), max(m2, 1)),
+    (m1, m2) = deg Theta: ``hkmax1`` cut to its degree box (m1, m2 - 1) and
+    ``hkmin2`` to (m1 - 1, m2), as (a, b, component, vector) arrays.  None
+    for rational Theta, and for a polynomial one whose wandering dimensions
+    there are not (n2, n1), (n1, n2) = det_deg Theta; those keep the sketch.
+    """
+    if not theta.p.is_constant:
+        return None
+    from .agler import agler_spaces  # agler builds on this module
+
+    (m1, m2), (n1, n2) = theta.deg, theta.det_deg
+    spaces = agler_spaces(theta, max(m1, 1), max(m2, 1))
+    w1, w2 = spaces.hkmax1, spaces.hkmin2
+    if (w1.dim, w2.dim) != (n2, n1):
+        return None
+    return w1.grid.as_box(w1.basis)[: m1 + 1, : m2], w2.grid.as_box(w2.basis)[: m1, : m2 + 1]
+
+
+def _wold_basis(wold, grid: TruncGrid) -> np.ndarray:
+    """The columns z1^k phi, k = 0..A - m1, then z2^l psi, l = 0..B - m2, on
+    the grid, for phi in W1 and psi in W2 (``_wold_family``): every shift
+    whose degree box fits.  The columns are orthonormal and lie in the model
+    space exactly."""
+    phi, psi = wold
+    m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
+    k1, k2 = grid.A - m1 + 1, grid.B - m2 + 1
+    box = np.zeros((grid.A + 1, grid.B + 1, grid.d, k1 * n2 + k2 * n1), dtype=complex)
+    for k in range(k1):
+        box[k: k + m1 + 1, : m2, :, k * n2: (k + 1) * n2] = phi
+    for l in range(k2):
+        box[: m1, l: l + m2 + 1, :, k1 * n2 + l * n1: k1 * n2 + (l + 1) * n1] = psi
+    return box.reshape(grid.dim, -1)
+
+
+def _rank_level(ws: ModelWorkspace, tol_rel: float, wold=None) -> RankLevel:
+    """``rank_at_level`` on the workspace of a nominal window.
+
+    With a Wold family (``_wold_family``) the basis B is ``_wold_basis``.
+    Theta* B = 0 there, so P B = B: the compressed shift is B* (z1 B), whose
+    degrees past the grid meet zeros of B*, the compression X is the pivoted
+    QR of B's nominal rows, and the noise floor is 0; no operator is
+    applied.  Without one, ``model_span`` gives B, Theta* B and P B from one
+    projection of the sketch's frame.
+    """
+    probe, label = ws.nominal, f"model({ws.theta.label})"
+    rows = probe.indices_in(ws.grid)
+    if wold is None:
+        frame, adj, proj, coords = ws.model_span(ws.grid)
+        X = _orth_columns((proj[rows] @ coords).conj().T)
+        basis = Subspace(ws.grid, frame @ coords, label, ws)
+        adj = adj @ coords
+        del frame, proj  # only B and Theta* B outlive the frame
+        S = _shift_matrix(ws, basis, adj, 1)
+    else:
+        basis = Subspace(ws.grid, _wold_basis(wold, ws.grid), label, ws)
+        X = _orth_columns(basis.basis[rows].conj().T)
+        S = OpMatrix(basis.basis.conj().T @ shift_mult(basis.basis, ws.grid, 1), basis, basis)
+    C = commutator(S)
     rank, sig = numerical_rank(X.conj().T @ C.matrix @ X, tol_rel, ws.noise_floor())
     return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
 
@@ -664,10 +737,12 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
     reading singular values; the compression keeps truncation-edge
     reflections out of the estimate.  For non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
-    The basis, the shift and the compression share one projection of the
+    A polynomial Theta's basis is its Wold family on the working grid
+    (``_rank_level``), read off one small Agler level per call; otherwise
+    the basis, the shift and the compression share one projection of the
     sketch's frame.
     """
-    return _rank_level(ModelWorkspace.window(theta, A, B), tol_rel)
+    return _rank_level(ModelWorkspace.window(theta, A, B), tol_rel, _wold_family(theta))
 
 
 @one_blas_thread
@@ -679,13 +754,16 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     increasing across every level mean DIVERGENT; anything else is
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise; ``decay_class``
-    reads Theta's coefficients off the operator once for it.  The levels run
+    probes Theta's coefficients once for it.  A polynomial Theta's Wold
+    family (``_wold_family``) is read once and every level builds its basis
+    from it; the others sketch each level.  The levels run
     one after another on the calling thread: on two threads they contend
     for the GIL, and the time a sweep takes then follows the load on the
     host rather than the work.
     """
     sched = _validate_schedule(schedule)
-    levels = [_rank_level(ModelWorkspace.window(theta, A, B), tol_rel) for A, B in sched]
+    wold = _wold_family(theta)
+    levels = [_rank_level(ModelWorkspace.window(theta, A, B), tol_rel, wold) for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

@@ -262,9 +262,9 @@ def test_run_batch_reports_are_bitwise_equal_on_one_and_two_workers():
 def test_rank_sweep_runs_its_levels_on_the_calling_thread(monkeypatch):
     level_threads, real = [], modelspace._rank_level
 
-    def recording_level(ws, tol_rel):
+    def recording_level(ws, *args):
         level_threads.append(threading.get_ident())
-        return real(ws, tol_rel)
+        return real(ws, *args)
 
     monkeypatch.setattr(modelspace, "_rank_level", recording_level)
     monkeypatch.setenv("BIDISK_LAB_THREADS", "4")
@@ -280,9 +280,9 @@ def test_run_batch_workers_run_their_levels_inline(monkeypatch, tmp_path):
         pools.append(kwargs.get("max_workers"))
         return real_pool(*args, **kwargs)
 
-    def recording_level(ws, tol_rel):
+    def recording_level(ws, *args):
         level_threads.setdefault(ws.theta.label, []).append(threading.get_ident())
-        return real_level(ws, tol_rel)
+        return real_level(ws, *args)
 
     monkeypatch.setattr(_blas, "ThreadPoolExecutor", counting_pool)
     monkeypatch.setattr(modelspace, "_rank_level", recording_level)

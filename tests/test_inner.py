@@ -283,6 +283,25 @@ def test_unstable_denominator_rejected():
         swap_variables(th)
 
 
+def test_require_inner_decides_each_theta_once(monkeypatch):
+    # the gate reads Theta's cached check: a Theta its constructor admitted
+    # is not checked again, and a directly built one is checked on its first
+    # pass through the gate only, pass or fail
+    th = builtin("scalar_stable4")
+    calls, check = [], inner.verify_inner_exact
+    monkeypatch.setattr(inner, "verify_inner_exact",
+                        lambda theta: calls.append(theta.label) or check(theta))
+    assert require_inner(th) is th and calls == []
+    fresh = RationalInnerMatrix(th.d, th.Q, th.p, "fresh")
+    assert require_inner(fresh) is fresh and require_inner(fresh) is fresh
+    p = BiPoly.from_terms([(0, 0, 1), (1, 0, -2), (0, 1, 0.1)])
+    bad = RationalInnerMatrix(1, MatPoly.from_scalar(reflect(p, 1, 1)), p, "unstable")
+    for _ in range(2):
+        with pytest.raises(UnstableDenominatorError):
+            require_inner(bad)
+    assert calls == ["fresh", "unstable"]
+
+
 def test_stability_gate_keeps_boundary_zeros():
     # 2 - z1 - z2 vanishes at (1, 1) and 1 - z1 z2 on the whole curve
     # z2 = conj(z1) of the torus; neither has a zero inside

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 import scipy.linalg
 from scipy.signal import convolve2d
 
-from bidisklab import modelspace, taylor
+from bidisklab import agler, modelspace, taylor
+from bidisklab._blas import one_blas_thread
+from bidisklab.agler import agler_spaces
 from bidisklab.experiments import generate_family
 from bidisklab.inner import (
     builtin,
@@ -26,6 +29,7 @@ from bidisklab.modelspace import (
     rank_at_level,
     rank_sweep,
     shift_mult,
+    Subspace,
     SweepVerdict,
 )
 from bidisklab.polynomials import BiPoly, _convolve2d
@@ -728,10 +732,13 @@ def test_first_sketch_is_never_full(monkeypatch):
         for N in (4, 8, 16, 24):
             rank_at_level(th, N, N)
             probe_model_basis(th, N, N)
+    sweeps = 0
     for kind in ("product", "diagonal"):
         for th in generate_family(kind, 25, seed=42):
             rank_sweep(th, [(4, 4), (6, 6), (8, 8)])
-    assert len(calls) == 2 * 4 * len(BUILTINS) + 2 * 25 * 3
+            # a polynomial sweep sketches only its one small Agler level
+            sweeps += 1 if th.p.is_constant else 3
+    assert len(calls) == 2 * 4 * len(BUILTINS) + sweeps
     for sketches in calls:
         assert len(sketches) == 1
         width, rank = sketches[0]
@@ -739,11 +746,12 @@ def test_first_sketch_is_never_full(monkeypatch):
 
 
 def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
-    # a rank level holds operators only: its workspace builds one kernel, on
-    # the padded grid, and every box slices it; polynomial Theta applies no
-    # operator on the padded grid, rational Theta applies one there for its
-    # chopped defect; neither a level nor a sweep expands a Taylor table,
-    # and a sweep probes the decay class once
+    # a rational rank level holds operators only: its workspace builds one
+    # kernel, on the padded grid, every box slices it, and the operator is
+    # applied there for its chopped defect; a polynomial level builds and
+    # applies no operator on its window, only on the small Agler level its
+    # Wold family comes from; neither a level nor a sweep expands a Taylor
+    # table, and a sweep probes the decay class once
     built, applied, expanded, probed = [], [], [], []
     kernel, matmul, probe = (modelspace._rational_kernel, modelspace.BlockToeplitz.__matmul__,
                              modelspace.decay_class)
@@ -767,14 +775,19 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
                 and getattr(module, "expand", None) is taylor.expand:
             monkeypatch.setattr(module, "expand", lambda *args: expanded.append(args))
     monkeypatch.setattr(modelspace, "decay_class", spy_probe)
-    for name, padded_applied in (("hadamard_z1z2", False), ("scalar_stable4", True)):
-        th = builtin(name)
-        padded = ModelWorkspace.window(th, 8, 8).padded
-        built.clear()
-        applied.clear()
-        rank_at_level(th, 8, 8)
-        assert built == [(padded.A, padded.B)], name
-        assert applied and ((padded.A, padded.B) in applied) == padded_applied, name
+    th = builtin("scalar_stable4")
+    padded = ModelWorkspace.window(th, 8, 8).padded
+    rank_at_level(th, 8, 8)
+    assert built == [(padded.A, padded.B)]
+    assert (padded.A, padded.B) in applied
+    th = builtin("hadamard_z1z2")  # deg (1, 1): its Agler level is the (1, 1) window
+    small = ModelWorkspace.window(th, 1, 1).padded
+    built.clear()
+    applied.clear()
+    rank_at_level(th, 8, 8)
+    assert built and applied
+    assert all(a <= small.A and b <= small.B for a, b in built + applied)
+    assert ModelWorkspace.window(th, 8, 8).grid.A > small.A
     sched = [(4, 4), (6, 6), (8, 8)]
     for name in ("hadamard_z1z2", "scalar_stable4"):
         probed.clear()
@@ -820,3 +833,113 @@ def test_sweep_shares_one_table_bitwise(name):
         fresh = rank_at_level(th, A, B)
         assert (level.rank, level.dim_model) == (fresh.rank, fresh.dim_model)
         assert np.array_equal(level.sigmas, fresh.sigmas)
+
+
+# -- Wold bases of polynomial Theta against the sketch ------------------------
+
+def _wold_items(group):
+    """Polynomial Theta of one test group: the builtins, a seed-42 family, or
+    the seed-7 product and diagonal items of size d with caps (2, 3)."""
+    if group == "builtins":
+        return [builtin(n) for n in ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2",
+                                     "scalar_z1z2", "scalar_z2n(3)")]
+    if group.startswith("seed7"):
+        d = int(group[-1])
+        thetas = [th for kind in ("product", "diagonal")
+                  for th in generate_family(kind, 25, d=d, seed=7, m1_cap=2, m2_cap=3)]
+    else:
+        thetas = generate_family(group, 25, seed=42)
+    return [th for th in thetas if th.p.is_constant]
+
+
+WOLD_GROUPS = ("builtins", "product", "diagonal", "conjugated", "seed7-d2", "seed7-d3")
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wold_level_matches_the_sketch_level(group, monkeypatch):
+    # the same dims, ranks and spectra as the sketch; every Wold column lies
+    # in the sketch span and in the model space, and the two nominal
+    # compressions span one space (the sketch may hold window-edge
+    # directions the Wold basis lacks; the compression drops them)
+    spans, span = [], ModelWorkspace.model_span
+    monkeypatch.setattr(ModelWorkspace, "model_span",
+                        lambda ws, probe: spans.append(span(ws, probe)) or spans[-1])
+    items = _wold_items(group)
+    assert items
+    for th in items:
+        wold = modelspace._wold_family(th)
+        assert wold is not None, th.label
+        for N in (4, 8, 16):
+            ws = ModelWorkspace.window(th, N, N)
+            rows = ws.nominal.indices_in(ws.grid)
+            spans.clear()
+            ref = modelspace._rank_level(ws, modelspace.RANK_REL_TOL, None)
+            level = modelspace._rank_level(ws, modelspace.RANK_REL_TOL, wold)
+            key = (th.label, N)
+            assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
+            assert np.abs(level.sigmas - ref.sigmas).max() <= 1e-12 * ref.sigmas[0], key
+            frame, _, proj, coords = spans[0]
+            sketch = frame @ coords
+            wb = modelspace._wold_basis(wold, ws.grid)
+            assert np.linalg.norm(sketch.conj().T @ wb, axis=0).min() >= 1 - 1e-12, key
+            assert np.abs(ws.mult_on(ws.grid).H @ wb).max() <= 1e-12, key
+            X = modelspace._orth_columns((proj[rows] @ coords).conj().T)
+            Xw = modelspace._orth_columns(wb[rows].conj().T)
+            assert _largest_angle_sine(sketch @ X, wb @ Xw) <= 1e-12, key
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wandering_vectors_stay_in_their_degree_boxes(group):
+    for th in _wold_items(group):
+        (m1, m2), (n1, n2) = th.deg, th.det_deg
+        spaces = agler_spaces(th, max(m1, 1), max(m2, 1))
+        assert (spaces.hkmax1.dim, spaces.hkmin2.dim) == (n2, n1), th.label
+        for space, (a, b) in ((spaces.hkmax1, (m1, m2 - 1)), (spaces.hkmin2, (m1 - 1, m2))):
+            box = space.grid.as_box(space.basis).copy()
+            box[: a + 1, : b + 1] = 0.0
+            assert np.abs(box).max(initial=0.0) <= 1e-13, th.label
+
+
+def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
+    th = generate_family("conjugated", 1, seed=42)[0]
+    sched = [(4, 4), (6, 6), (8, 8)]
+    wold_report = rank_sweep(th, sched)
+    real = agler.agler_spaces
+
+    def one_short(theta, A, B):
+        spaces = real(theta, A, B)
+        w1 = spaces.hkmax1
+        return dataclasses.replace(spaces, hkmax1=Subspace(w1.grid, w1.basis[:, 1:]))
+
+    monkeypatch.setattr(agler, "agler_spaces", one_short)
+    assert modelspace._wold_family(th) is None
+    report = rank_sweep(th, sched)
+    sketch_level = one_blas_thread(modelspace._rank_level)  # as the sweep runs it
+    for (A, B), level, wold_level in zip(sched, report.levels, wold_report.levels):
+        ref = sketch_level(ModelWorkspace.window(th, A, B), modelspace.RANK_REL_TOL, None)
+        assert np.array_equal(level.sigmas, ref.sigmas) and level.rank == ref.rank
+        assert (level.dim_model, level.rank) == (wold_level.dim_model, wold_level.rank)
+        assert np.abs(level.sigmas - wold_level.sigmas).max() <= 1e-12 * level.sigmas[0]
+
+
+def test_decay_probe_reads_q_for_constant_denominators(monkeypatch):
+    # a constant-p Theta's decay table is Q / p(0, 0); the class and the
+    # fitted ratio are those of the operator's images of the unit columns
+    seen, diagnose = [], modelspace.tail_diagnostic
+    monkeypatch.setattr(modelspace, "tail_diagnostic",
+                        lambda table: seen.append((table, diagnose(table))) or seen[-1][1])
+    thetas = [builtin(name) for name in BUILTINS] + [scalar_z2n(3)]
+    for kind in ("product", "diagonal", "conjugated"):
+        thetas += generate_family(kind, 25, seed=42)
+    for th in thetas:
+        sched = [(4, 4), (6, 6), (8, 8)]
+        seen.clear()
+        modelspace.decay_class(th, sched)
+        (table, diag), = seen
+        box = TruncGrid(table.A, table.B, th.d)
+        coeffs = box.as_box(modelspace.BlockToeplitz(th, box) @ np.eye(box.dim, th.d))
+        assert np.array_equal(table.coeffs, coeffs), th.label
+        ref = diagnose(modelspace.TaylorTable(th.d, box.A, box.B, coeffs,
+                                              modelspace._tail_norm(coeffs),
+                                              th.p.is_constant))
+        assert (diag.decay_class, diag.fitted_ratio) == (ref.decay_class, ref.fitted_ratio)
