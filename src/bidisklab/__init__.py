@@ -49,7 +49,6 @@ from .taylor import (
 )
 from .modelspace import (
     ModelWorkspace,
-    OpMatrix,
     RankLevel,
     RankReport,
     Subspace,

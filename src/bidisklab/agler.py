@@ -26,7 +26,6 @@ from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .modelspace import (
     BlockToeplitz,
-    OpMatrix,
     Subspace,
     TruncGrid,
     backward_shift,
@@ -50,7 +49,7 @@ class AglerSpaces:
     model: Subspace
 
     @cached_property
-    def shift(self) -> OpMatrix:
+    def shift(self) -> np.ndarray:
         """Compressed z1-shift on the model basis, computed on first use."""
         return compressed_shift(self.model.workspace.theta, self.model, 1)
 
@@ -63,7 +62,7 @@ class AglerSpaces:
         f = p phi (``_den_polys``) and its backward z1-shift.
         """
         model, phi = self.model, self.hkmax1
-        data = SimpleNamespace(comm=-commutator(self.shift).matrix,
+        data = SimpleNamespace(comm=-commutator(self.shift),
                                Xmax=model.coords(self.smax1.basis),
                                Xmin=model.coords(self.smin2.basis))
         if phi.dim:
@@ -314,7 +313,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
 
 @one_blas_thread
 def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
-                       C: OpMatrix | None = None) -> float:
+                       C: np.ndarray | None = None) -> float:
     """Smallest singular value of the commutator on the z1-wandering space.
 
     A positive margin witnesses that the self-commutator has no kernel
@@ -325,6 +324,6 @@ def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
     if C is None:
         C = commutator(spaces.shift)
     X = spaces.model.coords(spaces.hkmax1.basis)
-    M = C.matrix @ X
+    M = C @ X
     sig = np.linalg.svd(M, compute_uv=False)
     return float(sig[-1])

@@ -246,8 +246,9 @@ def det_degree(theta: RationalInnerMatrix) -> tuple[int, int]:
     """Degree pair of the scalar rational inner function det Theta.
 
     Computes det Q exactly and reduces det Q / p^d one denominator copy at
-    a time: whole copies cancel by exact division, stray common factors by
-    ``reduce_fraction``.  Working copy by copy keeps every Sylvester
+    a time: whole copies cancel by exact division (``poly_divexact``, a
+    least-squares solve on the multiplication matrix of p), stray common
+    factors by ``reduce_fraction``.  Working copy by copy keeps every Sylvester
     matrix at the size of a GCD against p rather than against p^d.  A
     slice-oracle disagreement inside a reduction surfaces as a
     GcdSliceWarning.

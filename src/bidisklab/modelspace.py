@@ -128,7 +128,7 @@ class TruncGrid:
 
 def shift_mult(vec: np.ndarray, grid: TruncGrid, j: int) -> np.ndarray:
     """Multiply by z_j on the grid; degrees that overflow are dropped."""
-    box = grid.as_box(vec.copy())
+    box = grid.as_box(vec)
     out = np.zeros_like(box)
     if j == 1:
         out[1:] = box[:-1]
@@ -141,7 +141,7 @@ def shift_mult(vec: np.ndarray, grid: TruncGrid, j: int) -> np.ndarray:
 
 def backward_shift(vec: np.ndarray, grid: TruncGrid, j: int) -> np.ndarray:
     """Drop the degree-zero slice in z_j and divide by z_j."""
-    box = grid.as_box(vec.copy())
+    box = grid.as_box(vec)
     out = np.zeros_like(box)
     if j == 1:
         out[:-1] = box[1:]
@@ -181,19 +181,6 @@ class Subspace:
         """The basis workspace if it is one of Theta, else a new one on the grid."""
         ws = self.workspace
         return ws if ws is not None and ws.theta is theta else ModelWorkspace(theta, self.grid)
-
-
-@dataclass(frozen=True)
-class OpMatrix:
-    """Matrix of an operator between subspace bases."""
-
-    matrix: np.ndarray
-    domain: Subspace
-    codomain: Subspace
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError("matrix shape disagrees with its subspaces")
 
 
 # ----------------------------------------------------------------------
@@ -381,9 +368,11 @@ class ModelWorkspace:
     built on the padded grid and cut to each box.  Bases and shifts run on
     the working grid or one degree beyond it, where the anti-causal identity
     (module docstring) makes them agree with the padded projection.  The
-    operator on the padded grid is applied only for rational Theta, in
-    ``chopped_defect``, which sets the ``noise_floor`` of a rank level and of
-    the rational Agler spaces.
+    operator on the padded grid is applied in two places: ``chopped_defect``,
+    only for rational Theta, which sets the ``noise_floor`` of a rank level
+    and of the rational Agler spaces; and, for every Theta,
+    ``agler.commutator_kernel_formula``, which projects the kernel vectors
+    it builds on the padded grid.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
@@ -548,7 +537,7 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int) -> Subspace:
 
 
 def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
-                  j: int) -> OpMatrix:
+                  j: int) -> np.ndarray:
     """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis.
 
     Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
@@ -561,12 +550,11 @@ def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
     big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
     Z = shift_mult(g.embed(basis.basis, big), big, j)
     rows = g.indices_in(big)
-    S = basis.basis.conj().T @ Z[rows] - adj.conj().T @ (ws.mult_on(big).H @ Z)[rows]
-    return OpMatrix(S, basis, basis)
+    return basis.basis.conj().T @ Z[rows] - adj.conj().T @ (ws.mult_on(big).H @ Z)[rows]
 
 
 @one_blas_thread
-def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpMatrix:
+def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> np.ndarray:
     """Matrix of the compressed shift: project z_j times each basis column."""
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
@@ -574,25 +562,23 @@ def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> OpM
     return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
 
 
-def commutator(S: OpMatrix) -> OpMatrix:
+def commutator(S: np.ndarray) -> np.ndarray:
     """Self-commutator S S* - S* S of a square operator matrix."""
-    M = S.matrix
-    if M.shape[0] != M.shape[1]:
+    if S.shape[0] != S.shape[1]:
         raise ValueError("commutator needs a square operator")
-    C = M @ M.conj().T - M.conj().T @ M
+    C = S @ S.conj().T - S.conj().T @ S
     herm_defect = np.linalg.norm(C - C.conj().T, "fro")
     if herm_defect > COMMUTATOR_HERM_TOL:
         raise AssertionError(f"commutator lost hermiticity ({herm_defect:.2e})")
-    return OpMatrix(C, S.domain, S.domain)
+    return C
 
 
-def numerical_rank(C, tol_rel: float = RANK_REL_TOL,
+def numerical_rank(C: np.ndarray, tol_rel: float = RANK_REL_TOL,
                    tol_abs: float = RANK_ABS_TOL) -> tuple[int, np.ndarray]:
     """Count singular values by ``rank_count``, with `tol_abs` as the floor."""
-    M = C.matrix if isinstance(C, OpMatrix) else np.asarray(C)
-    if M.size == 0:
+    if C.size == 0:
         return 0, np.zeros(0)
-    sig = np.linalg.svd(M, compute_uv=False)
+    sig = np.linalg.svd(C, compute_uv=False)
     return rank_count(sig, tol_abs, tol_rel), sig
 
 
@@ -720,9 +706,8 @@ def _rank_level(ws: ModelWorkspace, tol_rel: float, wold=None) -> RankLevel:
     else:
         basis = Subspace(ws.grid, _wold_basis(wold, ws.grid), label, ws)
         X = _orth_columns(basis.basis[rows].conj().T)
-        S = OpMatrix(basis.basis.conj().T @ shift_mult(basis.basis, ws.grid, 1), basis, basis)
-    C = commutator(S)
-    rank, sig = numerical_rank(X.conj().T @ C.matrix @ X, tol_rel, ws.noise_floor())
+        S = basis.basis.conj().T @ shift_mult(basis.basis, ws.grid, 1)
+    rank, sig = numerical_rank(X.conj().T @ commutator(S) @ X, tol_rel, ws.noise_floor())
     return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
 
 

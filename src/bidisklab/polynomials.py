@@ -14,12 +14,15 @@ for every size: interpolation on roots-of-unity grids), conjugate
 reflection, exact division, and the float-tolerant fraction reduction
 everything downstream relies on.
 
-Fractions are reduced by singular value decompositions of Sylvester
-matrices, the matrices of (u, v) -> u f - v g over bivariate coefficient
-grids: the GCD degree is read off their rank deficiency and the reduced
-numerator and denominator off a null vector (Corless, Gianni, Trager &
-Watt, ISSAC 1995; Zeng & Dayton, ISSAC 2004).  The same rank rule on
-univariate slices cross-checks the GCD degree in z1.
+Division and reduction both solve on multiplication matrices, the
+matrices of u -> u f from one box of coefficient grids to another.  Exact
+division solves u g = f on the quotient's box by least squares and
+accepts a residual at the remainder threshold.  Fractions are reduced by
+singular value decompositions of Sylvester matrices, the matrices of
+(u, v) -> u f - v g: the GCD degree is read off their rank deficiency and
+the reduced numerator and denominator off a null vector (Corless,
+Gianni, Trager & Watt, ISSAC 1995; Zeng & Dayton, ISSAC 2004).  The same
+rank rule on univariate slices cross-checks the GCD degree in z1.
 """
 
 from __future__ import annotations
@@ -201,80 +204,34 @@ def reflect(p: BiPoly, m: int, n: int) -> BiPoly:
 
 
 # ----------------------------------------------------------------------
-# Univariate helpers (coefficient arrays, ascending powers)
-# ----------------------------------------------------------------------
-
-def _uv_trim(c, tol=TRIM_TOL):
-    c = np.asarray(c, dtype=complex).ravel()
-    nz = np.nonzero(np.abs(c) > tol)[0]
-    if nz.size == 0:
-        return np.zeros(1, dtype=complex)
-    return c[: nz[-1] + 1]
-
-
-def _uv_divmod(f, g):
-    f = np.asarray(f, dtype=complex).copy()
-    g = _uv_trim(g)
-    dg = len(g) - 1
-    lead = g[-1]
-    if len(f) - 1 < dg:
-        return np.zeros(1, dtype=complex), f
-    q = np.zeros(len(f) - dg, dtype=complex)
-    for k in range(len(f) - 1, dg - 1, -1):
-        c = f[k] / lead
-        q[k - dg] = c
-        if c != 0:
-            f[k - dg: k + 1] -= c * g
-    rem = f[:dg] if dg > 0 else np.zeros(1, dtype=complex)
-    return q, rem
-
-
-def _uv_divexact(f, g, scale):
-    q, r = _uv_divmod(f, g)
-    if np.max(np.abs(r)) > DIVISION_ZERO_REL * max(scale, 1e-300):
-        raise PolyDivisionError("univariate division left a remainder")
-    return _uv_trim(q)
-
-
-# ----------------------------------------------------------------------
 # Exact bivariate division
 # ----------------------------------------------------------------------
 
 def poly_divexact(f: BiPoly, g: BiPoly) -> BiPoly:
     """Quotient f / g when the division is exact; raises PolyDivisionError else.
 
-    Long division in z1 with coefficients in C[z2]; each leading-row
-    division must itself be exact, which holds whenever g divides f.  The
-    quotient's z2-degree is deg2 f - deg2 g, so each quotient row is cut to
-    that length, and a part cut off above the remainder threshold raises.
+    The quotient u has bidegree deg f - deg g, so u g = f is a linear
+    system on that box: the multiplication matrix of g (``_mult_matrix``)
+    applied to u's coefficients.  It is solved by least squares through a
+    thin SVD, and the division is exact when the residual stays within
+    ``DIVISION_ZERO_REL`` of f's largest coefficient.  No coefficient of g
+    is divided by, so a small leading term of g does not amplify rounding.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return BiPoly.zero()
-    scale = f.max_abs()
     if g.is_constant:
         return BiPoly(f.coeffs / g.coeffs[0, 0])
-    df1, dg1 = f.deg1, g.deg1
-    if df1 < dg1 or f.deg2 < g.deg2:
+    shape = (f.deg1 - g.deg1 + 1, f.deg2 - g.deg2 + 1)
+    if min(shape) < 1:
         raise PolyDivisionError("degree of the divisor exceeds the dividend")
-    tol = DIVISION_ZERO_REL * max(scale, 1e-300)
-    F = f.coeffs.copy()
-    G = g.coeffs
-    g_lead = _uv_trim(G[dg1])
-    Q = np.zeros((df1 - dg1 + 1, f.deg2 - g.deg2 + 1), dtype=complex)
-    for a in range(df1 - dg1, -1, -1):
-        qa = _uv_divexact(_uv_trim(F[a + dg1], TRIM_TOL * max(1.0, scale)), g_lead, scale)
-        if np.any(np.abs(qa[Q.shape[1]:]) > tol):
-            raise PolyDivisionError("quotient exceeds the z2-degree of f / g")
-        qa = qa[: Q.shape[1]]
-        Q[a, : len(qa)] = qa
-        for i in range(dg1 + 1):
-            conv = np.convolve(qa, G[i])
-            F[a + i, : len(conv)] -= conv
-    if np.max(np.abs(F)) > tol:
+    M = _mult_matrix(g.coeffs, shape, f.coeffs.shape)
+    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
+    u = Vh.conj().T @ ((U.conj().T @ f.coeffs.ravel()) / sig)
+    if np.max(np.abs(M @ u - f.coeffs.ravel())) > DIVISION_ZERO_REL * f.max_abs():
         raise PolyDivisionError("bivariate division left a remainder")
-    return BiPoly(Q)
+    return BiPoly(u.reshape(shape))
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +303,7 @@ def _slice_gcd_deg1(f: BiPoly, g: BiPoly) -> int:
         t = r * np.exp(2j * np.pi * rng.uniform())
         u = f.coeffs @ (t ** np.arange(f.coeffs.shape[1]))
         v = g.coeffs @ (t ** np.arange(g.coeffs.shape[1]))
-        degs.append(_nullity(_uv_trim(u)[:, None], _uv_trim(v)[:, None]) - 1)
+        degs.append(_nullity(_trim_grid(u[:, None]), _trim_grid(v[:, None])) - 1)
     counts = np.bincount(degs)
     return int(np.argmax(counts))
 

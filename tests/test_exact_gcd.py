@@ -1,15 +1,17 @@
-"""Exact-arithmetic oracles for fraction reduction and determinants (sympy,
-an optional test dependency).
+"""Exact-arithmetic oracles for fraction reduction, division and determinants
+(sympy, an optional test dependency).
 
 Products of small factors with Gaussian-integer coefficients are exact in
 floating point, so sympy's GCD over Z[i] gives the true reduced degrees,
-and sympy's determinant over Q[i] the true determinant.
+sympy's product and remainder the true quotients, and sympy's determinant
+over Q[i] the true determinant.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
 sympy = pytest.importorskip("sympy")
 
@@ -19,7 +21,9 @@ from bidisklab.polynomials import (  # noqa: E402
     BiPoly,
     GcdSliceWarning,
     MatPoly,
+    PolyDivisionError,
     mat_determinant,
+    poly_divexact,
     reduce_fraction,
 )
 
@@ -73,6 +77,51 @@ def test_reduce_fraction_degrees_match_exact_gcd(seed):
     assert _degrees(q_exact) == tuple(np.subtract(_degrees(Q), _degrees(gcd)))
     assert _degrees(q_red) == _degrees(q_exact)
     assert _degrees(p_red) == _degrees(p_exact)
+
+
+def _stable_factor(rng):
+    """Gaussian-integer grid of bidegree (1, 1) whose constant term outweighs
+    all its other coefficients together, as a stable denominator's does."""
+    grid = rng.integers(-2, 3, (2, 2)) + 1j * rng.integers(-2, 3, (2, 2))
+    grid[1, 1] = grid[1, 1] or 1
+    grid[0, 0] = 0
+    grid[0, 0] = np.ceil(np.abs(grid).sum()) + 1
+    return BiPoly(grid)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_divexact_matches_exact_product(seed):
+    rng = np.random.default_rng(seed)
+    p, h = _stable_factor(rng), _gaussian_factor(rng, 2)
+    P, F = _exact(p), _exact(p) * _exact(h)
+    quotient = poly_divexact(BiPoly(_grid(F)), p)
+    assert quotient.coeffs.shape == h.coeffs.shape
+    assert np.abs(quotient.coeffs - h.coeffs).max() <= 1e-12 * np.abs(h.coeffs).max()
+    # one Gaussian-integer monomial more, inside the box of p h, leaves a
+    # remainder over Q[i]
+    a, b = (int(rng.integers(0, n + 1)) for n in (F.degree(Z1), F.degree(Z2)))
+    re, im = (int(v) for v in rng.integers(1, 3, 2))
+    G = F + sympy.Poly((re + im * sympy.I) * Z1 ** a * Z2 ** b, Z1, Z2, domain="QQ_I")
+    assert not G.rem(P).is_zero
+    with pytest.raises(PolyDivisionError):
+        poly_divexact(BiPoly(_grid(G)), p)
+
+
+def test_divexact_by_small_leading_terms():
+    # stable denominators have a dominant constant term and small leading
+    # terms; dividing by those amplifies rounding past the remainder threshold
+    theta = generate_family("diagonal", 25, d=3, seed=0)[0]
+    det = mat_determinant(theta.Q)
+    quotient = poly_divexact(poly_divexact(det, theta.p), theta.p)
+    assert (quotient.deg1, quotient.deg2) == (det.deg1 - 2 * theta.p.deg1,
+                                              det.deg2 - 2 * theta.p.deg2)
+    assert (quotient * theta.p * theta.p - det).max_abs() <= 1e-12 * det.max_abs()
+    g = np.array([[2, -0.5], [1e-3, 3e-4]], dtype=complex)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        quotient = poly_divexact(BiPoly(convolve2d(h, g)), BiPoly(g))
+        assert np.abs(quotient.coeffs - h).max() <= 1e-12 * np.abs(h).max()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

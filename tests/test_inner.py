@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -225,6 +226,23 @@ def test_degrees_match_golden_values_without_slice_warnings():
             got = ["%d%d%d%d" % (th.deg + th.det_deg)
                    for th in generate_family(kind, 25, d=2, seed=42)]
             assert got == codes.split(), kind
+
+
+# SHA-256 of one "label m1 m2 n1 n2" line per function, (m1, m2) = deg and
+# (n1, n2) = det_deg, over the builtins and seeds 0-3 of each family at
+# d = 2 and 3 (607 functions)
+DEGREE_DIGEST = "5e1e03f86551d4c9e8201c59bee3d71255c86484988d1f16b181def36fccf05e"
+
+
+def test_degrees_match_digest_over_seeded_families():
+    items = all_builtins() + [th for kind in ("diagonal", "product", "conjugated")
+                              for d in (2, 3) for seed in range(4)
+                              for th in generate_family(kind, 25, d=d, seed=seed)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GcdSliceWarning)
+        rows = "\n".join("%s %d %d %d %d" % ((th.label,) + th.deg + th.det_deg)
+                         for th in items)
+    assert hashlib.sha256(rows.encode()).hexdigest() == DEGREE_DIGEST
 
 
 # -- constructors ------------------------------------------------------

@@ -165,15 +165,15 @@ def test_divexact_and_failure():
     assert poly_divexact(num, den) == z1 * z2
     with pytest.raises(PolyDivisionError):
         poly_divexact(num + one, den)
-    # the quotient row z2 would exceed the z2-degree 0 of a quotient
+    # the quotient box of bidegree (0, 0) holds no u with u (z1 + z2) = z1 z2
     with pytest.raises(PolyDivisionError):
         poly_divexact(z1 * z2, z1 + z2)
 
 
 def test_divexact_quotient_stays_in_its_degree_box():
     # f = p h plus 1e-13-relative noise, p the denominator of a d = 3 diagonal
-    # item: the quotient's z2-degree is deg2 f - deg2 p, so the noise that
-    # long division carries past it is cut off, not kept as a coefficient
+    # item: the quotient is solved on the box of bidegree deg f - deg p, so
+    # the noise cannot raise its degree
     p = generate_family("diagonal", 25, d=3, seed=5)[4].p
     rng = np.random.default_rng(0)
     h = BiPoly(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
