@@ -2,6 +2,8 @@
 
 Everything here is found in the OpenBLAS that numpy links, through numpy's
 own extension, so dlsym searches that library whatever its file is called.
+Only the thread count is set this way: every factorization goes through
+``numpy.linalg``, so no LAPACK symbol is looked up and no scipy is loaded.
 
 ``one_blas_thread`` caps numpy's pool at one thread while a decorated call
 runs and puts the previous count back when the last such call returns.  The
@@ -11,11 +13,6 @@ numpy ships it sets the count of the whole process, not of the calling
 thread, so entries are counted: the first of overlapping calls (nested, or
 on ``thread_map`` workers) caps the pool and the last restores it.  Without
 the symbol (MKL, Accelerate, an older OpenBLAS) the decorator does nothing.
-
-``pivoted_qr`` is LAPACK's column-pivoted QR, xGEQP3 (Quintana-Orti, Sun &
-Bischof, SIAM J. Sci. Comput. 19, 1998), and xUNGQR, called through the
-LAPACKE interface that numpy's OpenBLAS exports.  Where numpy's BLAS
-exports no LAPACKE it returns None and the caller falls back to scipy.
 
 ``thread_map`` runs a batch's items side by side.
 """
@@ -29,21 +26,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
-import numpy as np
-
 THREADS_ENV = "BIDISK_LAB_THREADS"
 
 # Overlapping capped calls and the count to restore after the last one; one
 # record for the process, as the thread count it guards is process-wide.
 _entries = SimpleNamespace(lock=threading.Lock(), depth=0, saved=0)
-
-_COL_MAJOR = 102  # LAPACK_COL_MAJOR
-
-# numpy's wheels link an OpenBLAS with 64-bit integers, whose symbols end in
-# 64_: scipy-openblas64 (numpy >= 2) prefixes them with scipy_, openblas64_
-# (numpy 1.x) does not.  Unsuffixed LAPACKE symbols are left to the scipy
-# fallback, as their name does not tell their integer width.
-_LAPACKE_PREFIXES = ("scipy_", "")
 
 
 @functools.cache
@@ -67,47 +54,6 @@ def _thread_setter():
         fn.argtypes = [ctypes.c_int]
         fn.restype = ctypes.c_int
     return fn
-
-
-@functools.cache
-def _lapack_qr():
-    """numpy's 64-bit-integer LAPACKE zgeqp3 and zungqr, or None."""
-    lib, i64, ptr = _numpy_blas(), ctypes.c_int64, ctypes.c_void_p
-    for prefix in _LAPACKE_PREFIXES:
-        geqp3 = getattr(lib, f"{prefix}LAPACKE_zgeqp364_", None)
-        ungqr = getattr(lib, f"{prefix}LAPACKE_zungqr64_", None)
-        if geqp3 is not None and ungqr is not None:
-            geqp3.argtypes = [ctypes.c_int, i64, i64, ptr, i64, ptr, ptr]
-            ungqr.argtypes = [ctypes.c_int, i64, i64, i64, ptr, i64, ptr]
-            geqp3.restype = ungqr.restype = i64
-            return SimpleNamespace(geqp3=geqp3, ungqr=ungqr)
-    return None
-
-
-def pivoted_qr(a: np.ndarray):
-    """Economic column-pivoted QR (Q, R, piv) of a complex matrix, or None.
-
-    The factors are those of ``scipy.linalg.qr(a, mode="economic",
-    pivoting=True)``: a[:, piv] = Q R with |diag R| non-increasing.  None
-    means numpy's BLAS exports no LAPACKE.
-    """
-    lapack = _lapack_qr()
-    if lapack is None:
-        return None
-    qr = np.array(a, dtype=complex, order="F")
-    m, n = qr.shape
-    k, lda = min(m, n), max(1, m)
-    piv = np.zeros(n, dtype=np.int64)
-    tau = np.zeros(k, dtype=complex)
-    info = lapack.geqp3(_COL_MAJOR, m, n, qr.ctypes.data, lda, piv.ctypes.data,
-                        tau.ctypes.data)
-    if info == 0:
-        R = np.triu(qr[:k])
-        # the first k columns of the reflectors give the economic Q, in place
-        info = lapack.ungqr(_COL_MAJOR, m, k, k, qr.ctypes.data, lda, tau.ctypes.data)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACKE pivoted QR failed (info {info})")
-    return qr[:, :k], R, piv - 1
 
 
 def _worker_count(requested: int | None) -> int:

@@ -27,9 +27,10 @@ the d constant unit columns.
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
-sketches the span of the projected probe monomials, and a pivoted QR of
-the small coordinate matrix restores the orientation and the rank rule of
-a pivoted QR over all probe columns.  The sketch is sized by det_deg Theta
+sketches the span of the projected probe monomials, and the leading left
+singular vectors of the small coordinate matrix (``_orth_columns``) give
+the basis; its singular values are those of the probe columns themselves
+and decide the rank.  The sketch is sized by det_deg Theta
 (falling back to a bound proven from deg Theta), and one projection pass per
 rank level gives the basis, its Theta* image and its projection.
 
@@ -62,7 +63,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._blas import one_blas_thread, pivoted_qr
+from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .taylor import DecayClass, TaylorTable, _tail_norm, tail_diagnostic
 from .tolerances import (
@@ -346,7 +347,7 @@ _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
 # The sketch's frame keeps directions this much weaker than the rank rule
 # allows: a Gaussian sketch rescales directions unevenly, and the rank rule
-# belongs to the pivoted QR of the coordinates alone.  Round-off in the
+# belongs to the singular values of the coordinates alone.  Round-off in the
 # projected probe columns sits near 1e-15 of the largest, far below.
 _FRAME_TOL_REL = 1e-3 * RANK_REL_TOL
 
@@ -414,10 +415,11 @@ class ModelWorkspace:
         B = F Qc is an orthonormal basis, on the working grid, of their span,
         and Theta* B = (Theta* F) Qc and P B = (P F) Qc cost one product each.
         The frame F of a seeded complex Gaussian sketch is projected once
-        (``grid_images``); Qc is the pivoted QR of the rows of P F at the
-        probe monomials.  F is cut only far below the rank rule, so that QR
-        alone picks the basis and its rank, as a pivoted QR over every probe
-        column would.  With (m1, m2) = deg Theta, the proven bound
+        (``grid_images``); Qc holds the leading left singular vectors of the
+        adjoint of the rows of P F at the probe monomials.  F is cut only far
+        below the rank rule, so those singular values, which are the probe
+        columns' own once F spans them, alone pick the basis and its rank.
+        With (m1, m2) = deg Theta, the proven bound
         d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
         d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
         degree (A - m1, B - m2), which P annihilates.  The first sketch is
@@ -491,21 +493,21 @@ class ModelWorkspace:
 
 
 def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray:
-    """Rank-revealing orthonormalization (pivoted QR) of a column family.
+    """Orthonormal basis of a column family's span, its rank decided on
+    singular values.
 
-    The QR is ``_blas.pivoted_qr`` on numpy's LAPACK; scipy's, imported
-    here, only where numpy's BLAS exports no LAPACKE.
+    The leading left singular vectors, as many as ``rank_count`` counts of
+    the singular values.  A wide family is first reduced by the QR
+    cols* = Q R: cols = R* Q*, so the small triangle R* has its singular
+    values and left singular vectors.
     """
-    n = cols.shape[0]
+    n, m = cols.shape
     if cols.size == 0:
         return np.zeros((n, 0), dtype=complex)
-    factors = pivoted_qr(cols)
-    if factors is None:
-        import scipy.linalg
-
-        factors = scipy.linalg.qr(cols, mode="economic", pivoting=True)
-    Q, R, _ = factors
-    return np.ascontiguousarray(Q[:, :rank_count(np.abs(np.diag(R)), tol_rel=tol_rel)])
+    if n < m:
+        cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
+    U, sig, _ = np.linalg.svd(cols, full_matrices=False)
+    return np.ascontiguousarray(U[:, :rank_count(sig, tol_rel=tol_rel)])
 
 
 @one_blas_thread
@@ -513,7 +515,7 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid) -> Subspace:
     """Orthonormal basis of the truncated model space on `grid`.
 
     Spans the projections of every monomial of the grid, restricted to the
-    grid, with the rank decided by the pivoted-QR rule.
+    grid, with the rank decided on singular values.
     """
     ws = ModelWorkspace(theta, grid)
     frame, _, _, coords = ws.model_span(grid)
@@ -689,8 +691,9 @@ def _rank_level(ws: ModelWorkspace, tol_rel: float, wold=None) -> RankLevel:
 
     With a Wold family (``_wold_family``) the basis B is ``_wold_basis``.
     Theta* B = 0 there, so P B = B: the compressed shift is B* (z1 B), whose
-    degrees past the grid meet zeros of B*, the compression X is the pivoted
-    QR of B's nominal rows, and the noise floor is 0; no operator is
+    degrees past the grid meet zeros of B*, the compression X is the
+    leading left singular vectors of the adjoint of B's nominal rows
+    (``_orth_columns``), and the noise floor is 0; no operator is
     applied.  Without one, ``model_span`` gives B, Theta* B and P B from one
     projection of the sketch's frame.
     """

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import bidisklab
 from bidisklab import _blas, modelspace
+from bidisklab.agler import agler_spaces
 from bidisklab.experiments import generate_family, run_batch
 from bidisklab.inner import builtin, builtin_names
 from bidisklab.modelspace import rank_sweep
@@ -152,11 +153,7 @@ def test_rank_sweep_does_not_depend_on_the_scope(name, monkeypatch):
         assert np.abs(a.sigmas - b.sigmas).max() <= 1e-12
 
 
-# -- pivoted QR on numpy's LAPACK ------------------------------------------
-
-needs_lapacke = pytest.mark.skipif(_blas._lapack_qr() is None,
-                                   reason="numpy's BLAS exports no LAPACKE")
-
+# -- the rank-revealing basis and a library without scipy ------------------
 
 def _complex(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -168,48 +165,63 @@ def _qr_cases():
     near = _complex(rng, 60, 12)
     near[:, 7] = near[:, 2] + 1e-12 * _complex(rng, 60, 1)[:, 0]
     return {"tall": _complex(rng, 50, 9), "wide": _complex(rng, 9, 50),
-            "rank_deficient": low_rank, "near_dependent": near,
+            "rank_deficient": low_rank, "wide_rank_deficient": low_rank.conj().T,
+            "near_dependent": near,
             "empty_cols": _complex(rng, 5, 0), "empty_rows": _complex(rng, 0, 5),
             "level_frame": _complex(rng, 1568, 66), "level_coords": _complex(rng, 56, 1568)}
 
 
-@needs_lapacke
 @pytest.mark.parametrize("case", sorted(_qr_cases()))
-def test_pivoted_qr_matches_scipy(case):
+def test_orth_columns_spans_the_pivoted_qr(case):
+    import scipy.linalg  # the reference only; the library runs without scipy
+
     a = _qr_cases()[case]
     before = a.copy()
-    Q, R, piv = _blas.pivoted_qr(a)
-    Q0, R0, piv0 = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    U = modelspace._orth_columns(a)
     assert np.array_equal(a, before)  # the input is not overwritten
-    assert (Q.shape, R.shape) == (Q0.shape, R0.shape)
-    assert np.array_equal(piv, piv0)
     if a.size == 0:
+        assert U.shape == (a.shape[0], 0)
         return
-    scale = abs(R0[0, 0])
-    assert np.abs(np.abs(np.diag(R)) - np.abs(np.diag(R0))).max() <= 1e-14 * scale
-    assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-13)
-    assert np.abs(Q @ R - a[:, piv]).max() <= 1e-13 * scale
+    Q, R, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    ref = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
+    assert U.shape == ref.shape
+    widths = {"rank_deficient": 3, "wide_rank_deficient": 3, "near_dependent": 11}
+    assert U.shape[1] == widths.get(case, min(a.shape))
+    assert np.abs(U.conj().T @ U - np.eye(U.shape[1])).max() <= 1e-13
+    assert np.linalg.norm(ref - U @ (U.conj().T @ ref), 2) <= 1e-12
 
 
-@needs_lapacke
-def test_orth_columns_falls_back_to_scipy(monkeypatch):
-    cases = _qr_cases()
-    native = {k: modelspace._orth_columns(a) for k, a in cases.items()}
-    monkeypatch.setattr(_blas, "_lapack_qr", lambda: None)
-    for key, a in cases.items():
-        fallback = modelspace._orth_columns(a)
-        assert fallback.shape == native[key].shape, key
-        assert np.abs(fallback - native[key]).max(initial=0.0) <= 1e-13, key
+def _dims_and_ranks():
+    """Model dims and ranks of two sweeps, wandering dims of one Agler level,
+    and the graded answers of a three-item batch."""
+    schedule = [(4, 4), (6, 6), (8, 8)]
+    out = {}
+    for name in ("hadamard_z1z2", "scalar_stable4"):
+        report = rank_sweep(builtin(name), schedule)
+        out[name] = [[lv.dim_model, lv.rank] for lv in report.levels]
+    spaces = agler_spaces(builtin("scalar_stable4"), 8, 8)
+    out["agler"] = [spaces.model.dim, spaces.smax1.dim, spaces.smin2.dim,
+                    spaces.hkmax1.dim, spaces.hkmin2.dim]
+    batch = run_batch(generate_family("diagonal", 3, seed=42), schedule, max_workers=1)
+    out["batch"] = [[it.label, it.error, it.record.verdict, it.record.report.stabilized_rank,
+                     [[lv.dim_model, lv.rank] for lv in it.record.report.levels]]
+                    for it in batch.items]
+    return out
 
 
-@needs_lapacke
-def test_import_leaves_scipy_linalg_unloaded():
+def test_library_runs_without_scipy():
+    tests = str(Path(__file__).resolve().parent)
     src = str(Path(bidisklab.__file__).resolve().parents[1])
-    code = "import sys, bidisklab; print('scipy.linalg' in sys.modules)"
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises\n"
+            "from test_blas import _dims_and_ranks\n"
+            "print(json.dumps(_dims_and_ranks()))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])},
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == _dims_and_ranks()
 
 
 # -- thread_map and batch workers ------------------------------------------

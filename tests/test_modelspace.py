@@ -583,10 +583,10 @@ def test_sketch_widens_until_it_is_not_full(monkeypatch):
 
 def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     # A Hermitian stand-in for the projection: eleven spread-out directions
-    # of weight 1 and one of weight 1e-8 on the monomial at index 0.  A
-    # pivoted QR over the probe columns keeps the weak direction (pivot
-    # 1.6e-8 of the largest), but the Gaussian sketch sees it below 1e-8 of
-    # its own largest pivot, so a frame cut by the rank rule would drop it.
+    # of weight 1 and one of weight 2e-8 on the monomial at index 0.  The
+    # singular values of the probe columns keep the weak direction (2e-8 of
+    # the largest), but the Gaussian sketch sees it below 1e-8 of its own
+    # largest singular value, so a frame cut by the rank rule would drop it.
     # H = I - S S* for the Hermitian S below, which stands in for Theta* in
     # both projections that model_span makes.
     th = builtin("scalar_stable4")
@@ -597,14 +597,13 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     G[:, -1] = 0.0
     G[0, -1] = 1.0
     U, _ = np.linalg.qr(G)
-    weights = np.r_[np.ones(11), 1e-8]
+    weights = np.r_[np.ones(11), 2e-8]
     H = (U * weights) @ U.conj().T
     S = np.eye(grid.dim) - (U * (1 - np.sqrt(1 - weights))) @ U.conj().T
     ws = ModelWorkspace(th, grid)
     ws.grid_images = lambda x: (S @ x, x - S @ (S @ x))
-    _, R, _ = scipy.linalg.qr(H, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    assert np.sum(diag > 1e-8 * diag[0]) == 12
+    sig = np.linalg.svd(H, compute_uv=False)
+    assert np.sum(sig > 1e-8 * sig[0]) == 12
     frame, adj, proj, coords = ws.model_span(grid)
     span = frame @ coords
     assert span.shape[1] == 12

@@ -141,9 +141,9 @@ def test_matpoly_tensor_matches_entrywise_arithmetic(d, shapes, seed, sparsity):
 
 
 # The rank rules that ``rank_count`` replaced, as they read inline: the
-# pivoted-QR cut of ``modelspace._orth_columns``, ``numerical_rank``, the
-# null-space cut of ``agler._null_vectors`` and the Sylvester rank of
-# ``polynomials._nullity``.
+# cut of ``modelspace._orth_columns`` (then on the |diag R| of a pivoted QR,
+# now on singular values), ``numerical_rank``, the null-space cut of
+# ``agler._null_vectors`` and the Sylvester rank of ``polynomials._nullity``.
 
 def _orth_columns_rule(v, tol_rel):
     if v.size == 0 or v[0] <= RANK_ABS_TOL:
