@@ -29,7 +29,6 @@ from .inner import (
 )
 from .modelspace import _validate_schedule, decay_class, rank_sweep
 from .taylor import expand
-from .tolerances import RANK_REL_TOL
 
 
 def _load_theta(source: str) -> RationalInnerMatrix:
@@ -155,15 +154,13 @@ def inner_expand(source, trunc, out_path, quiet):
 @click.argument("source")
 @click.option("--schedule", default="4,4;6,6;8,8", show_default=True,
               help="Semicolon-separated truncation levels 'A,B'.")
-@click.option("--tol", type=float, default=RANK_REL_TOL, show_default=True,
-              help="Relative singular-value tolerance for the rank count.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--quiet", "-q", is_flag=True, default=False)
-def rank_cmd(source, schedule, tol, out_path, quiet):
+def rank_cmd(source, schedule, out_path, quiet):
     """Sweep the self-commutator rank of the first compressed shift."""
     theta = _require_inner(_load_theta(source))
     levels = _parse_schedule(schedule)
-    report = rank_sweep(theta, levels, tol_rel=tol)
+    report = rank_sweep(theta, levels)
     if out_path:
         serialize.save_json(serialize.rank_report_to_json(report), out_path)
     if not quiet:

@@ -10,7 +10,6 @@ as INCONCLUSIVE rather than dressed up as counterexamples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -267,8 +266,7 @@ def run_batch(family, schedule, out_dir=None,
             payload = (serialize.conjecture_record_to_json(it.record)
                        if it.record else {"label": it.label, "error": it.error,
                                           "verdict": "ERROR"})
-            with open(out / f"{it.label}.json", "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
+            serialize.save_json(payload, out / f"{it.label}.json")
         csv_path = out / "summary.csv"
         with open(csv_path, "w", newline="") as fh:
             fh.write("label,m1,m2,D1,D2,stabilized_rank,verdict\n")

@@ -26,11 +26,13 @@ coefficients that the operator on the padded grid gives as its images of
 the d constant unit columns.
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
-randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011)
-sketches the span of the projected probe monomials, and the leading left
-singular vectors of the small coordinate matrix (``_orth_columns``) give
-the basis; its singular values are those of the probe columns themselves
-and decide the rank.  The sketch is sized by det_deg Theta
+randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
+Alg. 4.1) sketches the span of the projected probe monomials and takes a
+plain QR of the sketch as its frame, and the leading left singular vectors
+of the small coordinate matrix (``_orth_columns``) give the basis; its
+singular values are those of the probe columns themselves and decide the
+rank by ``rank_count`` at ``RANK_REL_TOL``, the one tolerance of every rank
+in this module.  The sketch is sized by det_deg Theta
 (falling back to a bound proven from deg Theta), and one projection pass per
 rank level gives the basis, its Theta* image and its projection.
 
@@ -70,7 +72,6 @@ from .tolerances import (
     BASIS_ORTHO_TOL,
     COMMUTATOR_HERM_TOL,
     RANK_ABS_TOL,
-    RANK_REL_TOL,
     TRUNC_NOISE_SLACK,
     rank_count,
 )
@@ -345,11 +346,6 @@ def _headroom(grid: TruncGrid, theta: RationalInnerMatrix) -> TruncGrid:
 # draws them from a fixed seed so every basis is reproducible.
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
-# The sketch's frame keeps directions this much weaker than the rank rule
-# allows: a Gaussian sketch rescales directions unevenly, and the rank rule
-# belongs to the singular values of the coordinates alone.  Round-off in the
-# projected probe columns sits near 1e-15 of the largest, far below.
-_FRAME_TOL_REL = 1e-3 * RANK_REL_TOL
 
 # Complex entries of the probe-box column block one defect batch may hold (16 MB).
 _DEFECT_BATCH_ENTRIES = 1 << 20
@@ -414,11 +410,14 @@ class ModelWorkspace:
 
         B = F Qc is an orthonormal basis, on the working grid, of their span,
         and Theta* B = (Theta* F) Qc and P B = (P F) Qc cost one product each.
-        The frame F of a seeded complex Gaussian sketch is projected once
-        (``grid_images``); Qc holds the leading left singular vectors of the
-        adjoint of the rows of P F at the probe monomials.  F is cut only far
-        below the rank rule, so those singular values, which are the probe
-        columns' own once F spans them, alone pick the basis and its rank.
+        F is the reduced QR of a seeded complex Gaussian sketch's projection,
+        uncut, and is projected once (``grid_images``); Qc holds the leading
+        left singular vectors of the adjoint of the rows of P F at the probe
+        monomials.  F spans all the sample holds, so once the sample spans the
+        projected probe monomials those singular values are theirs; F's
+        columns past the sample's rank are orthogonal to that span and add
+        only round-off.  The singular values alone pick the basis, its rank
+        and whether the sketch came back full.
         With (m1, m2) = deg Theta, the proven bound
         d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
         d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
@@ -440,12 +439,12 @@ class ModelWorkspace:
             else:
                 sample.real[idx] = rng.standard_normal((idx.size, width))
                 sample.imag[idx] = rng.standard_normal((idx.size, width))
-            frame = _orth_columns(self.grid_images(sample)[1], _FRAME_TOL_REL)
-            if width >= idx.size or frame.shape[1] < width:
-                break
+            frame = np.linalg.qr(self.grid_images(sample)[1])[0]
+            adj, proj = self.grid_images(frame)
+            coords = _orth_columns(proj[idx].conj().T)
+            if width >= idx.size or coords.shape[1] < width:
+                return frame, adj, proj, coords
             width = max(2 * width, bound)
-        adj, proj = self.grid_images(frame)
-        return frame, adj, proj, _orth_columns(proj[idx].conj().T)
 
     def chopped_defect(self, probe: TruncGrid) -> float:
         """Largest mass a projected probe monomial carries outside the working grid.
@@ -492,14 +491,14 @@ class ModelWorkspace:
         return TRUNC_NOISE_SLACK * self.chopped_defect(self.nominal)
 
 
-def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray:
+def _orth_columns(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of a column family's span, its rank decided on
     singular values.
 
     The leading left singular vectors, as many as ``rank_count`` counts of
-    the singular values.  A wide family is first reduced by the QR
-    cols* = Q R: cols = R* Q*, so the small triangle R* has its singular
-    values and left singular vectors.
+    the singular values at ``RANK_REL_TOL``.  A wide family is first
+    reduced by the QR cols* = Q R: cols = R* Q*, so the small triangle R*
+    has its singular values and left singular vectors.
     """
     n, m = cols.shape
     if cols.size == 0:
@@ -507,7 +506,7 @@ def _orth_columns(cols: np.ndarray, tol_rel: float = RANK_REL_TOL) -> np.ndarray
     if n < m:
         cols = np.linalg.qr(cols.conj().T, mode="r").conj().T
     U, sig, _ = np.linalg.svd(cols, full_matrices=False)
-    return np.ascontiguousarray(U[:, :rank_count(sig, tol_rel=tol_rel)])
+    return np.ascontiguousarray(U[:, :rank_count(sig)])
 
 
 @one_blas_thread
@@ -575,13 +574,13 @@ def commutator(S: np.ndarray) -> np.ndarray:
     return C
 
 
-def numerical_rank(C: np.ndarray, tol_rel: float = RANK_REL_TOL,
-                   tol_abs: float = RANK_ABS_TOL) -> tuple[int, np.ndarray]:
-    """Count singular values by ``rank_count``, with `tol_abs` as the floor."""
+def numerical_rank(C: np.ndarray, tol_abs: float = RANK_ABS_TOL) -> tuple[int, np.ndarray]:
+    """Count singular values by ``rank_count`` at ``RANK_REL_TOL``, with
+    `tol_abs` as the floor."""
     if C.size == 0:
         return 0, np.zeros(0)
     sig = np.linalg.svd(C, compute_uv=False)
-    return rank_count(sig, tol_abs, tol_rel), sig
+    return rank_count(sig, tol_abs), sig
 
 
 # ----------------------------------------------------------------------
@@ -622,18 +621,16 @@ DECAY_PROBE_DEPTH = 40
 def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
     """Decay class of Theta's expansion, probed at a trustworthy depth.
 
-    For constant p the coefficients are Q / p(0, 0) outright; otherwise they
-    are the operator's images of the d constant unit columns.
+    A polynomial's expansion is finite, so constant p is FINITE outright;
+    otherwise the coefficients are the operator's images of the d constant
+    unit columns.
     """
+    if theta.p.is_constant:
+        return DecayClass.FINITE
     A, B = schedule[-1] if schedule else (0, 0)
     box = TruncGrid(max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2), theta.d)
-    if theta.p.is_constant:
-        q = theta.Q.coeffs[:, :, : box.A + 1, : box.B + 1].transpose(2, 3, 0, 1)
-        coeffs = np.zeros((box.A + 1, box.B + 1, theta.d, theta.d), dtype=complex)
-        coeffs[: q.shape[0], : q.shape[1]] = q / theta.p.coeffs[0, 0]
-    else:
-        coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
-    table = TaylorTable(theta.d, box.A, box.B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
+    coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
+    table = TaylorTable(theta.d, box.A, box.B, coeffs, _tail_norm(coeffs), finite_support=False)
     return tail_diagnostic(table).decay_class
 
 
@@ -686,7 +683,7 @@ def _wold_basis(wold, grid: TruncGrid) -> np.ndarray:
     return box.reshape(grid.dim, -1)
 
 
-def _rank_level(ws: ModelWorkspace, tol_rel: float, wold=None) -> RankLevel:
+def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     """``rank_at_level`` on the workspace of a nominal window.
 
     With a Wold family (``_wold_family``) the basis B is ``_wold_basis``.
@@ -710,32 +707,32 @@ def _rank_level(ws: ModelWorkspace, tol_rel: float, wold=None) -> RankLevel:
         basis = Subspace(ws.grid, _wold_basis(wold, ws.grid), label, ws)
         X = _orth_columns(basis.basis[rows].conj().T)
         S = basis.basis.conj().T @ shift_mult(basis.basis, ws.grid, 1)
-    rank, sig = numerical_rank(X.conj().T @ commutator(S) @ X, tol_rel, ws.noise_floor())
+    rank, sig = numerical_rank(X.conj().T @ commutator(S) @ X, ws.noise_floor())
     return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
 
 
 @one_blas_thread
-def rank_at_level(theta: RationalInnerMatrix, A: int, B: int,
-                  tol_rel: float = RANK_REL_TOL) -> RankLevel:
+def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
 
     The shift and its commutator are computed on the working grid of the
     (A, B) window (``ModelWorkspace.window``), then compressed onto the
     span of the projected monomials of the nominal (A, B) box before
     reading singular values; the compression keeps truncation-edge
-    reflections out of the estimate.  For non-polynomial Theta an additional absolute floor
+    reflections out of the estimate.  Every rank in it, of the basis, the
+    compression and the commutator, is counted by ``rank_count`` at
+    ``RANK_REL_TOL``; for non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
     A polynomial Theta's basis is its Wold family on the working grid
     (``_rank_level``), read off one small Agler level per call; otherwise
     the basis, the shift and the compression share one projection of the
     sketch's frame.
     """
-    return _rank_level(ModelWorkspace.window(theta, A, B), tol_rel, _wold_family(theta))
+    return _rank_level(ModelWorkspace.window(theta, A, B), _wold_family(theta))
 
 
 @one_blas_thread
-def rank_sweep(theta: RationalInnerMatrix, schedule,
-               tol_rel: float = RANK_REL_TOL) -> RankReport:
+def rank_sweep(theta: RationalInnerMatrix, schedule) -> RankReport:
     """Sweep commutator rank estimates across a truncation schedule.
 
     STABLE requires the last three levels to agree; ranks strictly
@@ -751,7 +748,7 @@ def rank_sweep(theta: RationalInnerMatrix, schedule,
     """
     sched = _validate_schedule(schedule)
     wold = _wold_family(theta)
-    levels = [_rank_level(ModelWorkspace.window(theta, A, B), tol_rel, wold) for A, B in sched]
+    levels = [_rank_level(ModelWorkspace.window(theta, A, B), wold) for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

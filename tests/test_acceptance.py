@@ -61,7 +61,7 @@ def scalar_suite():
     results = []
     for theta, expected in scalar_cases():
         t0 = time.perf_counter()
-        rep = rank_sweep(theta, SCHED_688, tol_rel=1e-8)
+        rep = rank_sweep(theta, SCHED_688)
         results.append((theta, expected, rep, time.perf_counter() - t0))
     return results
 

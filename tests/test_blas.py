@@ -15,6 +15,7 @@ from bidisklab.agler import agler_spaces
 from bidisklab.experiments import generate_family, run_batch
 from bidisklab.inner import builtin, builtin_names
 from bidisklab.modelspace import rank_sweep
+from bidisklab.tolerances import RANK_REL_TOL
 
 setter = _blas._thread_setter()
 needs_setter = pytest.mark.skipif(setter is None,
@@ -184,7 +185,7 @@ def test_orth_columns_spans_the_pivoted_qr(case):
         return
     Q, R, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    ref = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
+    ref = Q[:, : int(np.sum(diag > RANK_REL_TOL * diag[0]))]
     assert U.shape == ref.shape
     widths = {"rank_deficient": 3, "wide_rank_deficient": 3, "near_dependent": 11}
     assert U.shape[1] == widths.get(case, min(a.shape))

@@ -131,6 +131,12 @@ def test_rank_has_no_pad_option():
     assert run(["rank", "hadamard_z1z2", "--pad", "3", "3", "-q"]) == 2
 
 
+def test_rank_has_no_tol_option():
+    # every rank is counted at the library's one relative tolerance
+    assert "--tol" not in invoke("rank", "--help").output
+    assert run(["rank", "hadamard_z1z2", "--tol", "1e-6", "-q"]) == 2
+
+
 def test_truncations_out_of_range_exit_2():
     for args in (("agler", "dims", "scalar_stable4", "--trunc", "-1", "3"),
                  ("agler", "dims", "scalar_stable4", "--trunc", "0", "3"),

@@ -34,6 +34,7 @@ from bidisklab.modelspace import (
 )
 from bidisklab.polynomials import BiPoly, _convolve2d
 from bidisklab.taylor import expand, tail_diagnostic, DecayClass
+from bidisklab.tolerances import RANK_REL_TOL
 
 
 def test_grid_index_bijection():
@@ -586,9 +587,11 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     # of weight 1 and one of weight 2e-8 on the monomial at index 0.  The
     # singular values of the probe columns keep the weak direction (2e-8 of
     # the largest), but the Gaussian sketch sees it below 1e-8 of its own
-    # largest singular value, so a frame cut by the rank rule would drop it.
-    # H = I - S S* for the Hermitian S below, which stands in for Theta* in
-    # both projections that model_span makes.
+    # largest singular value, so a frame cut by the rank rule would drop it;
+    # the frame is the sketch's plain QR, one orthonormal column per sample
+    # column, and only the coordinates decide the rank.  H = I - S S* for
+    # the Hermitian S below, which stands in for Theta* in both projections
+    # that model_span makes.
     th = builtin("scalar_stable4")
     grid = TruncGrid(6, 6, 1)
     rng = np.random.default_rng(7)
@@ -600,11 +603,13 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     weights = np.r_[np.ones(11), 2e-8]
     H = (U * weights) @ U.conj().T
     S = np.eye(grid.dim) - (U * (1 - np.sqrt(1 - weights))) @ U.conj().T
-    ws = ModelWorkspace(th, grid)
-    ws.grid_images = lambda x: (S @ x, x - S @ (S @ x))
+    ws, widths = ModelWorkspace(th, grid), []
+    ws.grid_images = lambda x: widths.append(x.shape[1]) or (S @ x, x - S @ (S @ x))
     sig = np.linalg.svd(H, compute_uv=False)
     assert np.sum(sig > 1e-8 * sig[0]) == 12
     frame, adj, proj, coords = ws.model_span(grid)
+    assert widths[-1] == frame.shape[1] == widths[-2] > 12
+    assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() < 1e-13
     span = frame @ coords
     assert span.shape[1] == 12
     assert _largest_angle_sine(span, U) < 1e-6
@@ -700,20 +705,25 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
 # -- one projection pass per level, operators only ---------------------------
 
 def _sketch_widths(monkeypatch):
-    """Record, per model_span call, (width, frame rank) of each of its sketches."""
-    calls, orth = [], modelspace._orth_columns
+    """Record, per model_span call, (sample width, coordinate rank) of each
+    of its sketches: the frame has a column per sample column, and the
+    coordinates are the one rank decision inside model_span."""
+    calls, inside, orth, span = [], [], modelspace._orth_columns, ModelWorkspace.model_span
 
     def spy_span(self, probe):
         calls.append([])
-        return span(self, probe)
+        inside.append(calls[-1])
+        try:
+            return span(self, probe)
+        finally:
+            inside.pop()
 
-    def spy_orth(cols, tol_rel=modelspace.RANK_REL_TOL):
-        out = orth(cols, tol_rel)
-        if tol_rel == modelspace._FRAME_TOL_REL:
-            calls[-1].append((cols.shape[1], out.shape[1]))
+    def spy_orth(cols):
+        out = orth(cols)
+        if inside:
+            inside[-1].append((cols.shape[0], out.shape[1]))
         return out
 
-    span = ModelWorkspace.model_span
     monkeypatch.setattr(ModelWorkspace, "model_span", spy_span)
     monkeypatch.setattr(modelspace, "_orth_columns", spy_orth)
     return calls
@@ -800,7 +810,7 @@ def _reference_level(th, N):
     coords = basis.workspace.grid_images(basis.basis)[1][probe.indices_in(work)].conj().T
     Q, R, _ = scipy.linalg.qr(coords, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    X = Q[:, : int(np.sum(diag > modelspace.RANK_REL_TOL * diag[0]))]
+    X = Q[:, : int(np.sum(diag > RANK_REL_TOL * diag[0]))]
     floor = modelspace.RANK_ABS_TOL
     if not th.p.is_constant:
         floor = max(floor, modelspace.TRUNC_NOISE_SLACK * basis.workspace.chopped_defect(probe))
@@ -867,8 +877,8 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
             ws = ModelWorkspace.window(th, N, N)
             rows = ws.nominal.indices_in(ws.grid)
             spans.clear()
-            ref = modelspace._rank_level(ws, modelspace.RANK_REL_TOL, None)
-            level = modelspace._rank_level(ws, modelspace.RANK_REL_TOL, wold)
+            ref = modelspace._rank_level(ws, None)
+            level = modelspace._rank_level(ws, wold)
             key = (th.label, N)
             assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
             assert np.abs(level.sigmas - ref.sigmas).max() <= 1e-12 * ref.sigmas[0], key
@@ -910,30 +920,35 @@ def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
     report = rank_sweep(th, sched)
     sketch_level = one_blas_thread(modelspace._rank_level)  # as the sweep runs it
     for (A, B), level, wold_level in zip(sched, report.levels, wold_report.levels):
-        ref = sketch_level(ModelWorkspace.window(th, A, B), modelspace.RANK_REL_TOL, None)
+        ref = sketch_level(ModelWorkspace.window(th, A, B), None)
         assert np.array_equal(level.sigmas, ref.sigmas) and level.rank == ref.rank
         assert (level.dim_model, level.rank) == (wold_level.dim_model, wold_level.rank)
         assert np.abs(level.sigmas - wold_level.sigmas).max() <= 1e-12 * level.sigmas[0]
 
 
-def test_decay_probe_reads_q_for_constant_denominators(monkeypatch):
-    # a constant-p Theta's decay table is Q / p(0, 0); the class and the
-    # fitted ratio are those of the operator's images of the unit columns
-    seen, diagnose = [], modelspace.tail_diagnostic
+def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
+    # a polynomial's expansion is finite: a constant-p Theta is FINITE with
+    # no table, no operator and no diagnostic; a rational Theta's table is
+    # the operator's images of the d constant unit columns
+    seen, built = [], []
+    diagnose, operator = modelspace.tail_diagnostic, modelspace.BlockToeplitz
     monkeypatch.setattr(modelspace, "tail_diagnostic",
-                        lambda table: seen.append((table, diagnose(table))) or seen[-1][1])
+                        lambda table: seen.append(table) or diagnose(table))
+    monkeypatch.setattr(modelspace, "BlockToeplitz",
+                        lambda *args, **kw: built.append(args) or operator(*args, **kw))
     thetas = [builtin(name) for name in BUILTINS] + [scalar_z2n(3)]
     for kind in ("product", "diagonal", "conjugated"):
         thetas += generate_family(kind, 25, seed=42)
+    assert {th.p.is_constant for th in thetas} == {True, False}
     for th in thetas:
-        sched = [(4, 4), (6, 6), (8, 8)]
         seen.clear()
-        modelspace.decay_class(th, sched)
-        (table, diag), = seen
+        built.clear()
+        cls = modelspace.decay_class(th, [(4, 4), (6, 6), (8, 8)])
+        if th.p.is_constant:
+            assert (cls, seen, built) == (DecayClass.FINITE, [], []), th.label
+            continue
+        (table,) = seen
         box = TruncGrid(table.A, table.B, th.d)
-        coeffs = box.as_box(modelspace.BlockToeplitz(th, box) @ np.eye(box.dim, th.d))
+        coeffs = box.as_box(operator(th, box) @ np.eye(box.dim, th.d))
         assert np.array_equal(table.coeffs, coeffs), th.label
-        ref = diagnose(modelspace.TaylorTable(th.d, box.A, box.B, coeffs,
-                                              modelspace._tail_norm(coeffs),
-                                              th.p.is_constant))
-        assert (diag.decay_class, diag.fitted_ratio) == (ref.decay_class, ref.fitted_ratio)
+        assert cls is diagnose(table).decay_class, th.label

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bidisklab.agler import _WANDER_GAP_FRACTION  # noqa: E402
 from bidisklab.inner import builtin, swap_variables, unitary_conjugate  # noqa: E402
-from bidisklab.modelspace import _FRAME_TOL_REL, rank_at_level  # noqa: E402
+from bidisklab.modelspace import rank_at_level  # noqa: E402
 from bidisklab.polynomials import (  # noqa: E402
     BiPoly,
     MatPoly,
@@ -173,7 +173,7 @@ def _rank_inputs(draw):
     """Non-increasing values with zeros, tiny tops and entries at the thresholds."""
     top = draw(st.one_of(st.sampled_from([0.0, 1e-12, RANK_ABS_TOL, 1e-3, 1.0, 10.0]),
                          st.floats(1e-13, 1e4)))
-    tol_rel = draw(st.sampled_from([RANK_REL_TOL, _FRAME_TOL_REL, _WANDER_GAP_FRACTION]))
+    tol_rel = draw(st.sampled_from([RANK_REL_TOL, _WANDER_GAP_FRACTION]))
     # every floor the old callers passed to numerical_rank was >= RANK_ABS_TOL
     floor = draw(st.one_of(st.sampled_from([RANK_ABS_TOL, max(RANK_ABS_TOL, tol_rel * top)]),
                            st.floats(RANK_ABS_TOL, 1.0)))
