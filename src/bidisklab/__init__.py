@@ -54,7 +54,6 @@ from .modelspace import (
     Subspace,
     SweepVerdict,
     TruncGrid,
-    analytic_mult,
     backward_shift,
     commutator,
     compressed_shift,

@@ -312,8 +312,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
 
 
 @one_blas_thread
-def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
-                       C: np.ndarray | None = None) -> float:
+def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces) -> float:
     """Smallest singular value of the commutator on the z1-wandering space.
 
     A positive margin witnesses that the self-commutator has no kernel
@@ -321,9 +320,7 @@ def injectivity_margin(theta: RationalInnerMatrix, spaces: AglerSpaces,
     """
     if spaces.hkmax1.dim == 0:
         return float("inf")
-    if C is None:
-        C = commutator(spaces.shift)
     X = spaces.model.coords(spaces.hkmax1.basis)
-    M = C @ X
+    M = commutator(spaces.shift) @ X
     sig = np.linalg.svd(M, compute_uv=False)
     return float(sig[-1])

@@ -225,18 +225,18 @@ def degree(theta: RationalInnerMatrix) -> tuple[int, int]:
 
     Each entry Q_ij / p is put in reduced form first, and the degree of a
     scalar rational function is the max of its numerator and denominator
-    degrees per variable; the matrix degree is the entrywise maximum.
+    degrees per variable; the matrix degree is the entrywise maximum.  For
+    constant p that is the degree of Q's trimmed coefficient tensor.
     """
+    if theta.p.is_constant:
+        return theta.Q.deg1, theta.Q.deg2
     m1 = m2 = 0
     for i in range(theta.d):
         for j in range(theta.d):
             q = theta.Q[i, j]
             if q.is_zero:
                 continue
-            if theta.p.is_constant:
-                num, den = q, theta.p
-            else:
-                num, den = reduce_fraction(q, theta.p)
+            num, den = reduce_fraction(q, theta.p)
             m1 = max(m1, num.deg1, den.deg1)
             m2 = max(m2, num.deg2, den.deg2)
     return m1, m2

@@ -12,8 +12,7 @@ No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
 is causal, so on a lower box it is T_Q T_p^-1: ``BlockToeplitz`` applies
 T_Q by one block-Toeplitz product per z1-shift and T_p^-1 by a recursion
 over z1-rows, and the model projection is x - M (M* x); memory grows with
-the grid, not with its square.  ``analytic_mult`` is the dense test
-reference.
+the grid, not with its square.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -22,8 +21,8 @@ on W alone.  So bases work on the working grid and the shift one degree
 beyond it.  The headroom grid ("padded") enters the rank pipeline only as
 the set of points outside the working grid, where ``chopped_defect``
 measures the coefficient mass a restriction chops off, from Theta's
-coefficients that the operator on the padded grid gives as its images of
-the d constant unit columns.
+coefficients on the padded grid (``taylor.expand``, whose series of 1 / p
+runs the same z1-row recursion).
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
@@ -67,7 +66,8 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
-from .taylor import DecayClass, TaylorTable, _tail_norm, tail_diagnostic
+from .polynomials import BiPoly
+from .taylor import DecayClass, expand, tail_diagnostic
 from .tolerances import (
     BASIS_ORTHO_TOL,
     COMMUTATOR_HERM_TOL,
@@ -189,36 +189,40 @@ class Subspace:
 # multiplication by Theta = Q / p on a box
 # ----------------------------------------------------------------------
 
-def analytic_mult(table: TaylorTable, grid: TruncGrid) -> np.ndarray:
-    """Dense matrix of multiplication by Theta on the grid.
-
-    Block Toeplitz in both degree indices; output degrees beyond the grid
-    are discarded.  The Taylor cutoffs must cover the grid.  This is the
-    dense reference for ``BlockToeplitz``; the library never forms it.
-    """
-    if table.A < grid.A or table.B < grid.B or table.d != grid.d:
-        raise ValueError("Taylor table does not cover the grid")
-    A, B, d = grid.A, grid.B, grid.d
-    n = grid.dim
-    M = np.zeros((n, n), dtype=complex)
-    norms = np.linalg.norm(table.coeffs[: A + 1, : B + 1], axis=(2, 3))
-    kd = np.arange(d)
-    for c, e in zip(*np.nonzero(norms > 0.0)):
-        blk = table.coeffs[c, e]
-        a = np.arange(A + 1 - c)[:, None]
-        b = np.arange(B + 1 - e)[None, :]
-        src = (a * (B + 1) + b) * d
-        dst = ((a + c) * (B + 1) + (b + e)) * d
-        rows = dst[:, :, None, None] + kd[None, None, :, None]
-        cols = src[:, :, None, None] + kd[None, None, None, :]
-        M[rows, cols] += blk[None, None, :, :]
-    return M
-
-
 def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
     """Lower-triangular Toeplitz matrices of a stack of series (..., n)."""
     lag = np.subtract.outer(np.arange(series.shape[-1]), np.arange(series.shape[-1]))
     return np.where(lag >= 0, series[..., np.maximum(lag, 0)], 0.0)
+
+
+def _denominator_kernel(p: BiPoly, A: int, B: int):
+    """R_0 and the (c, R_c, R_c^H) of p on the (A, B) box (``BlockToeplitz``)."""
+    coeffs = np.zeros((min(A, p.deg1) + 1, B + 1), dtype=complex)
+    for a, b, v in p.terms():
+        if a <= A and b <= B:
+            coeffs[a, b] = v
+    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
+    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
+    P = _lower_toeplitz(coeffs)
+    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
+    rows = []
+    for c in range(1, len(P)):
+        if coeffs[c].any():
+            Rc = -R0 @ P[c]
+            rows.append((c, Rc, Rc.conj().T))
+    return R0, rows
+
+
+def _solve_denominator(R0, rows, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """T_p^-1 x (T_p^-* x if `adjoint`) for a stack x of z1-rows (A + 1, B + 1, k),
+    by the recursion of ``BlockToeplitz``."""
+    A, step = len(x) - 1, 1 if adjoint else -1
+    y = np.matmul(R0.conj().T if adjoint else R0, x)
+    for a in (range(A - 1, -1, -1) if adjoint else range(1, A + 1)):
+        for c, Rc, RcH in rows:
+            if 0 <= a + step * c <= A:
+                y[a] += (RcH if adjoint else Rc) @ y[a + step * c]
+    return y
 
 
 def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
@@ -227,25 +231,15 @@ def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
     For constant p, 1 / p is folded into the T_c and there are no rows.
     """
     A, B, d = grid.A, grid.B, grid.d
-    p = np.zeros((min(A, theta.p.deg1) + 1, B + 1), dtype=complex)
-    for a, b, v in theta.p.terms():
-        if a <= A and b <= B:
-            p[a, b] = v
-    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
-    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
-    P = _lower_toeplitz(p)
-    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
-    q = theta.Q.coeffs[:, :, : A + 1, : B + 1] / (p[0, 0] if theta.p.is_constant else 1.0)
+    R0, rows = _denominator_kernel(theta.p, A, B)
+    q = theta.Q.coeffs[:, :, : A + 1, : B + 1]
+    if theta.p.is_constant:
+        q = q / theta.p.coeffs[0, 0]
     series = np.zeros(q.shape[:3] + (B + 1,), dtype=complex)
     series[..., : q.shape[3]] = q
     # T_c[(b, i), (b', j)] = Q_{c, b - b'}[i, j]: [i, j, c, b, b'] -> [c, (b, i), (b', j)]
     T = _lower_toeplitz(series).transpose(2, 3, 0, 4, 1).reshape(-1, (B + 1) * d, (B + 1) * d)
-    rows = None if theta.p.is_constant else []
-    for c in range(1, len(p)):
-        if p[c].any():
-            Rc = -R0 @ P[c]
-            rows.append((c, Rc, Rc.conj().T))
-    return T, R0, rows
+    return T, R0, None if theta.p.is_constant else rows
 
 
 def _leading_kernel(kernel, grid: TruncGrid):
@@ -261,8 +255,8 @@ class BlockToeplitz:
     """Multiplication by Theta = Q / p on one degree box.
 
     ``M @ x`` and ``M.H @ x`` take a flat vector on the box or a block of
-    such columns.  Output degrees beyond the box are dropped, as in
-    ``analytic_mult``, whose matrix this operator never forms.  M is causal
+    such columns.  Output degrees beyond the box are dropped, and the
+    operator's n x n matrix is never formed.  M is causal
     and the box a lower box, so compressions multiply: M = T_Q T_p^-1 on
     the box and M* = T_p^-* T_Q*.  With Q = sum_c Q_c(z2) z1^c, T_Q maps the
     z1-rows x[a] of the box to sum_c T_c x[a - c], one matrix product per
@@ -277,8 +271,10 @@ class BlockToeplitz:
     the same recursion from the top row down with R_c^H; lower-triangular
     Toeplitz matrices commute, so it needs no others.  This is a
     quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
-    Digital Signal Processing*, 1984).  Built directly, the operator builds
-    its T_c, R_0 and R_c; a ``ModelWorkspace`` passes leading blocks of its own.
+    Digital Signal Processing*, 1984); ``_solve_denominator`` runs it, and
+    ``taylor.expand`` runs it on the unit at the origin for the series of
+    1 / p.  Built directly, the operator builds its T_c, R_0 and R_c; a
+    ``ModelWorkspace`` passes leading blocks of its own.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
@@ -306,14 +302,8 @@ class BlockToeplitz:
 
     def _denominator(self, box: np.ndarray) -> np.ndarray:
         _, R0, rows = self._kernel
-        A, step = self.grid.A, 1 if self.adjoint else -1
-        y = np.matmul(R0.conj().T if self.adjoint else R0,
-                      box.reshape(A + 1, self.grid.B + 1, -1))
-        for a in (range(A - 1, -1, -1) if self.adjoint else range(1, A + 1)):
-            for c, Rc, RcH in rows:
-                if 0 <= a + step * c <= A:
-                    y[a] += (RcH if self.adjoint else Rc) @ y[a + step * c]
-        return y.reshape(box.shape)
+        x = box.reshape(self.grid.A + 1, self.grid.B + 1, -1)
+        return _solve_denominator(R0, rows, x, self.adjoint).reshape(box.shape)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -364,12 +354,12 @@ class ModelWorkspace:
     ``mult_on`` from one kernel (the T_c, R_0, R_c of ``BlockToeplitz``)
     built on the padded grid and cut to each box.  Bases and shifts run on
     the working grid or one degree beyond it, where the anti-causal identity
-    (module docstring) makes them agree with the padded projection.  The
-    operator on the padded grid is applied in two places: ``chopped_defect``,
-    only for rational Theta, which sets the ``noise_floor`` of a rank level
-    and of the rational Agler spaces; and, for every Theta,
-    ``agler.commutator_kernel_formula``, which projects the kernel vectors
-    it builds on the padded grid.
+    (module docstring) makes them agree with the padded projection.  Only
+    ``agler.commutator_kernel_formula`` applies the operator on the padded
+    grid, to project the kernel vectors it builds there.  ``chopped_defect``,
+    which sets the ``noise_floor`` of a rational rank level and of the
+    rational Agler spaces, reads Theta's coefficients on the padded grid
+    from ``taylor.expand`` and applies only the probe-box operator.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
@@ -456,10 +446,9 @@ class ModelWorkspace:
         points O outside the working grid (M M*)_{O,Q} = M_{O,Q} M_{Q,Q}*,
         and the mass of probe column m is the m-th row norm of
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
-        conj(Theta_{p-q}[k, j]) at (q, j), gathered from the operator on the
-        padded grid applied to the d constant unit columns; M_{Q,Q} is the
-        operator on the probe box.  Outside points are taken in batches of
-        bounded memory.
+        conj(Theta_{p-q}[k, j]) at (q, j), gathered from Theta's coefficients
+        on the padded grid (``taylor.expand``); M_{Q,Q} is the operator on the
+        probe box.  Outside points are taken in batches of bounded memory.
         """
         outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
         outside[: self.grid.A + 1, : self.grid.B + 1] = False
@@ -467,10 +456,7 @@ class ModelWorkspace:
         if pa.size == 0 or probe.dim == 0:
             return 0.0
         mult, d = self.mult_on(probe), probe.d
-        # Theta's coefficients on the padded grid, [a, b, i, k] = Theta_ab[i, k]:
-        # the operator applied to the d constant unit columns
-        pad = self.padded
-        coeffs = pad.as_box(self.mult_on(pad) @ np.eye(pad.dim, d))
+        coeffs = expand(self.theta, self.padded.A, self.padded.B).coeffs
         batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * d))
         mass = np.zeros(probe.dim)
         for start in range(0, pa.size, batch):
@@ -622,15 +608,14 @@ def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
     """Decay class of Theta's expansion, probed at a trustworthy depth.
 
     A polynomial's expansion is finite, so constant p is FINITE outright;
-    otherwise the coefficients are the operator's images of the d constant
-    unit columns.
+    otherwise ``tail_diagnostic`` classifies the ``expand`` table on the
+    box of depth ``DECAY_PROBE_DEPTH``, raised where needed to two degrees
+    past the schedule's last level.
     """
     if theta.p.is_constant:
         return DecayClass.FINITE
     A, B = schedule[-1] if schedule else (0, 0)
-    box = TruncGrid(max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2), theta.d)
-    coeffs = box.as_box(BlockToeplitz(theta, box) @ np.eye(box.dim, theta.d))
-    table = TaylorTable(theta.d, box.A, box.B, coeffs, _tail_norm(coeffs), finite_support=False)
+    table = expand(theta, max(DECAY_PROBE_DEPTH, A + 2), max(DECAY_PROBE_DEPTH, B + 2))
     return tail_diagnostic(table).decay_class
 
 

@@ -1,16 +1,14 @@
 """Power-series expansion of Theta = Q / p into matrix Taylor coefficients.
 
-The model-space machinery never expands Theta: it applies Q / p as an
-operator (``modelspace.BlockToeplitz``), and its decay probe classifies
-the coefficients that operator returns with ``tail_diagnostic``.
-``expand`` feeds ``bidisklab inner expand`` and the tests only; it runs
-the convolution recursion
-
-    p(0,0) Theta_ab  =  Q_ab - sum_{(c,e) != (0,0)} p_ce Theta_{a-c, b-e},
-
-which is exact (to roundoff) whenever p(0,0) != 0.  The outer frame of a
-table carries a recorded tail norm; decay diagnostics downstream decide
-how much a truncation may be trusted.
+``expand`` is the one engine of Theta's coefficients on a degree box.  The
+series s of 1 / p comes from the z1-row recursion that
+``modelspace.BlockToeplitz`` runs for T_p^-1, and Theta = Q s is one
+shifted copy of s per nonzero coefficient block of Q; both steps are exact
+(to round-off) whenever p(0,0) != 0.  It feeds ``bidisklab inner expand``,
+the decay probe of rank sweeps (``modelspace.decay_class``) and the
+chopped defect of rational rank levels (``ModelWorkspace.chopped_defect``).
+The outer frame of a table carries a recorded tail norm; decay diagnostics
+downstream decide how much a truncation may be trusted.
 """
 
 from __future__ import annotations
@@ -63,40 +61,34 @@ class TailDiagnostic:
 
 
 def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
-    """Expand Theta = Q/p to the coefficient block [0..A] x [0..B]."""
+    """Expand Theta = Q/p to the coefficient block [0..A] x [0..B].
+
+    The series s of 1 / p on the box is T_p^-1 applied to the unit at the
+    origin, by the z1-row recursion of ``modelspace.BlockToeplitz``; Theta
+    = Q s is then one shifted copy of s per nonzero coefficient block of Q.
+    """
     if A < 0 or B < 0:
         raise ValueError("cutoffs must be nonnegative")
-    p00 = complex(theta.p(0.0, 0.0))
-    d = theta.d
-    Qc = np.zeros((A + 1, B + 1, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            entry = theta.Q[i, j].coeffs
-            a = min(A + 1, entry.shape[0])
-            b = min(B + 1, entry.shape[1])
-            Qc[:a, :b, i, j] = entry[:a, :b]
-    p_terms = [(a, b, v) for a, b, v in theta.p.terms() if (a, b) != (0, 0)]
-    coeffs = np.zeros((A + 1, B + 1, d, d), dtype=complex)
-    if not p_terms:
-        coeffs = Qc / p00
-    else:
-        # every term lowers a + b, so each antidiagonal a + b = s depends
-        # only on earlier ones and is solved at once, term by term in order
-        for s in range(A + B + 1):
-            a = np.arange(max(0, s - B), min(A, s) + 1)
-            acc = Qc[a, s - a]
-            for c, e, v in p_terms:
-                i, j = np.searchsorted(a, [c, s - e + 1])
-                if i < j:
-                    acc[i:j] -= v * coeffs[a[i:j] - c, s - a[i:j] - e]
-            coeffs[a, s - a] = acc / p00
-    return TaylorTable(d, A, B, coeffs, _tail_norm(coeffs), not p_terms)
+    # modelspace builds on this module
+    from .modelspace import _denominator_kernel, _solve_denominator
+
+    unit = np.zeros((A + 1, B + 1, 1), dtype=complex)
+    unit[0, 0] = 1.0
+    s = _solve_denominator(*_denominator_kernel(theta.p, A, B), unit)
+    a, b = np.nonzero(s[..., 0])
+    s = s[: a.max() + 1, : b.max() + 1]  # its support: the origin alone for constant p
+    Q = theta.Q.coeffs[:, :, : A + 1, : B + 1]
+    coeffs = np.zeros((A + 1, B + 1, theta.d, theta.d), dtype=complex)
+    for c, e in zip(*np.nonzero(Q.any(axis=(0, 1)))):
+        block = s[: A + 1 - c, : B + 1 - e, :, None] * Q[:, :, c, e]
+        coeffs[c: c + block.shape[0], e: e + block.shape[1]] += block
+    return TaylorTable(theta.d, A, B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
 
 
 def _tail_norm(coeffs: np.ndarray) -> float:
     """Largest coefficient norm on the outer edges a = A and b = B."""
-    norms = np.linalg.norm(coeffs, axis=(2, 3))
-    return float(max(norms[-1, :].max(), norms[:, -1].max()))
+    edges = np.concatenate([coeffs[-1], coeffs[:, -1]])
+    return float(np.linalg.norm(edges, axis=(1, 2)).max())
 
 
 def coefficient_energy(table: TaylorTable) -> float:

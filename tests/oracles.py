@@ -1,0 +1,66 @@
+"""Dense references for the tests, sharing no code with the library's engines.
+
+``_expand_pointwise`` solves p Theta = Q for Theta's Taylor coefficients one
+coefficient at a time, and ``analytic_mult`` forms the dense matrix of
+multiplication by a coefficient block; together they are the reference for
+``taylor.expand`` and for ``modelspace.BlockToeplitz``, which the library
+never forms as a matrix.
+"""
+
+import numpy as np
+
+
+def _expand_pointwise(theta, A, B):
+    """Theta's coefficients on [0..A] x [0..B] as an (A + 1, B + 1, d, d) array:
+    the convolution recursion p(0,0) Theta_ab = Q_ab - sum p_ce Theta_{a-c, b-e}
+    over (c, e) != (0, 0), one coefficient at a time, over every (a, b)."""
+    p00 = complex(theta.p(0.0, 0.0))
+    d = theta.d
+    Qc = np.zeros((A + 1, B + 1, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            entry = theta.Q[i, j].coeffs
+            a, b = min(A + 1, entry.shape[0]), min(B + 1, entry.shape[1])
+            Qc[:a, :b, i, j] = entry[:a, :b]
+    p_terms = [(a, b, v) for a, b, v in theta.p.terms() if (a, b) != (0, 0)]
+    if not p_terms:
+        return Qc / p00
+    coeffs = np.zeros((A + 1, B + 1, d, d), dtype=complex)
+    for a in range(A + 1):
+        for b in range(B + 1):
+            acc = Qc[a, b].copy()
+            for c, e, v in p_terms:
+                if c <= a and e <= b:
+                    acc -= v * coeffs[a - c, b - e]
+            coeffs[a, b] = acc / p00
+    return coeffs
+
+
+def analytic_mult(coeffs, grid):
+    """Dense matrix of multiplication by the coefficient block on the grid.
+
+    Block Toeplitz in both degree indices; output degrees beyond the grid
+    are discarded.  The block, (A + 1, B + 1, d, d), must cover the grid.
+    """
+    if coeffs.shape[0] <= grid.A or coeffs.shape[1] <= grid.B or coeffs.shape[2] != grid.d:
+        raise ValueError("coefficient block does not cover the grid")
+    A, B, d = grid.A, grid.B, grid.d
+    n = grid.dim
+    M = np.zeros((n, n), dtype=complex)
+    norms = np.linalg.norm(coeffs[: A + 1, : B + 1], axis=(2, 3))
+    kd = np.arange(d)
+    for c, e in zip(*np.nonzero(norms > 0.0)):
+        blk = coeffs[c, e]
+        a = np.arange(A + 1 - c)[:, None]
+        b = np.arange(B + 1 - e)[None, :]
+        src = (a * (B + 1) + b) * d
+        dst = ((a + c) * (B + 1) + (b + e)) * d
+        rows = dst[:, :, None, None] + kd[None, None, :, None]
+        cols = src[:, :, None, None] + kd[None, None, None, :]
+        M[rows, cols] += blk[None, None, :, :]
+    return M
+
+
+def dense_mult(theta, grid):
+    """Dense matrix of multiplication by Theta on the grid, from the oracle."""
+    return analytic_mult(_expand_pointwise(theta, grid.A, grid.B), grid)

@@ -20,7 +20,6 @@ from bidisklab.inner import (
 from bidisklab.modelspace import (
     ModelWorkspace,
     TruncGrid,
-    analytic_mult,
     commutator,
     compressed_shift,
     model_basis,
@@ -35,6 +34,7 @@ from bidisklab.modelspace import (
 from bidisklab.polynomials import BiPoly, _convolve2d
 from bidisklab.taylor import expand, tail_diagnostic, DecayClass
 from bidisklab.tolerances import RANK_REL_TOL
+from oracles import _expand_pointwise, analytic_mult, dense_mult
 
 
 def test_grid_index_bijection():
@@ -53,7 +53,7 @@ def test_grid_index_bijection():
 def test_analytic_mult_monomial_shift():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    M = analytic_mult(expand(th, 3, 3), g)
+    M = dense_mult(th, g)
     for a in range(4):
         for b in range(4):
             col = M[:, g.flat(a, b, 0)]
@@ -70,14 +70,14 @@ def test_analytic_mult_identity():
     from bidisklab.polynomials import MatPoly
     th = RationalInnerMatrix(2, MatPoly.identity(2), BiPoly.one(), "I")
     g = TruncGrid(2, 2, 2)
-    M = analytic_mult(expand(th, 2, 2), g)
+    M = dense_mult(th, g)
     assert np.allclose(M, np.eye(g.dim))
 
 
 def test_analytic_mult_hadamard_first_column():
     th = builtin("hadamard_z1z2")
     g = TruncGrid(1, 1, 2)
-    M = analytic_mult(expand(th, 1, 1), g)
+    M = dense_mult(th, g)
     for k in range(2):
         col = M[:, g.flat(0, 0, k)].reshape(2, 2, 2)
         sign = 1.0 if k == 0 else -1.0
@@ -88,13 +88,13 @@ def test_analytic_mult_hadamard_first_column():
 def test_analytic_mult_cutoff_mismatch():
     th = builtin("scalar_z1z2")
     with pytest.raises(ValueError):
-        analytic_mult(expand(th, 2, 2), TruncGrid(3, 3, 1))
+        analytic_mult(_expand_pointwise(th, 2, 2), TruncGrid(3, 3, 1))
 
 
 def test_adjoint_backward_shift():
     th = builtin("scalar_z1z2")
     g = TruncGrid(3, 3, 1)
-    M = analytic_mult(expand(th, 3, 3), g).conj().T
+    M = dense_mult(th, g).conj().T
     for a in range(4):
         for b in range(4):
             col = M[:, g.flat(a, b, 0)]
@@ -109,7 +109,7 @@ def test_adjoint_backward_shift():
 def test_adjoint_double_backward_shift():
     th = scalar_z2n(2)
     g = TruncGrid(2, 4, 1)
-    M = analytic_mult(expand(th, 2, 4), g).conj().T
+    M = dense_mult(th, g).conj().T
     f = np.zeros(g.dim)
     f[g.flat(0, 3, 0)] = 1.0  # z2^3
     out = M @ f
@@ -122,9 +122,9 @@ def test_adjoint_equals_restricted_padded_transpose():
     th = builtin("hadamard_deg21")
     g = TruncGrid(4, 4, 2)
     big = TruncGrid(7, 6, 2)
-    table = expand(th, 7, 6)
-    direct = analytic_mult(table, g).conj().T
-    padded = analytic_mult(table, big).conj().T
+    coeffs = _expand_pointwise(th, 7, 6)
+    direct = analytic_mult(coeffs, g).conj().T
+    padded = analytic_mult(coeffs, big).conj().T
     idx = g.indices_in(big)
     assert np.allclose(direct, padded[np.ix_(idx, idx)])
 
@@ -385,14 +385,14 @@ def _defect_theta(name):
 ALL_THETAS = list(BUILTINS) + ["scalar_z2n(3)", "conjugated_stable4_favorite"]
 
 
-def _fft_mult(table, grid, x, adjoint=False):
-    """Multiplication by the Taylor table on the grid as an FFT convolution.
+def _fft_mult(coeffs, grid, x, adjoint=False):
+    """Multiplication by the coefficient block on the grid as an FFT convolution.
 
     The circular length 2A + 1 (2B + 1) keeps the wrap-around off degrees
     0..A (0..B) for the causal product and the anti-causal adjoint alike.
     """
     shape = (2 * grid.A + 1, 2 * grid.B + 1)
-    kernel = np.fft.fft2(table.coeffs[: grid.A + 1, : grid.B + 1], s=shape, axes=(0, 1))
+    kernel = np.fft.fft2(coeffs[: grid.A + 1, : grid.B + 1], s=shape, axes=(0, 1))
     box = np.asarray(x).reshape(grid.A + 1, grid.B + 1, grid.d, -1)
     spec = np.fft.fft2(box, s=shape, axes=(0, 1))
     if adjoint:
@@ -402,8 +402,9 @@ def _fft_mult(table, grid, x, adjoint=False):
 
 
 # The reference is the dense matrix ("direct") or an FFT convolution of the
-# Taylor table ("fft").  Inputs are real unit vectors and complex columns:
-# a complex-coefficient Theta fed a real input must keep its imaginary part.
+# oracle's Taylor coefficients ("fft").  Inputs are real unit vectors and
+# complex columns: a complex-coefficient Theta fed a real input must keep
+# its imaginary part.
 @pytest.mark.parametrize("reference", ["direct", "fft"])
 @pytest.mark.parametrize("name", ALL_THETAS)
 @pytest.mark.parametrize("A,B", [(3, 3), (4, 2), (2, 5)])
@@ -411,16 +412,16 @@ def test_convolution_operators_match_dense(name, A, B, reference):
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(A, B, th.d))
     n = ws.padded.dim
-    table = expand(th, ws.padded.A, ws.padded.B)
-    M = analytic_mult(table, ws.padded)
+    coeffs = _expand_pointwise(th, ws.padded.A, ws.padded.B)
+    M = analytic_mult(coeffs, ws.padded)
     op = ws.mult_on(ws.padded)
     rng = np.random.default_rng(A + 10 * B)
     for x in (np.eye(n), rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
         if reference == "direct":
             ref, ref_h = M @ x, M.conj().T @ x
         else:
-            ref = _fft_mult(table, ws.padded, x)
-            ref_h = _fft_mult(table, ws.padded, x, adjoint=True)
+            ref = _fft_mult(coeffs, ws.padded, x)
+            ref_h = _fft_mult(coeffs, ws.padded, x, adjoint=True)
         assert np.abs(op @ x - ref).max() < 1e-13
         assert np.abs(op.H @ x - ref_h).max() < 1e-13
     eye = np.eye(n)
@@ -436,17 +437,18 @@ def test_convolution_operators_match_dense(name, A, B, reference):
 @pytest.mark.parametrize("name", ["scalar_favorite", "scalar_stable4",
                                   "conjugated_stable4_favorite"])
 def test_recursion_forward_error_at_64(name):
-    # the z1-row recursion against an FFT convolution of the Taylor table on
-    # the padded (64,64) window, where a dense matrix would take about 320 MB
+    # the z1-row recursion against an FFT convolution of the oracle's Taylor
+    # coefficients on the padded (64,64) window, where a dense matrix would
+    # take about 320 MB
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(64, 64, th.d))
-    table = expand(th, ws.padded.A, ws.padded.B)
+    coeffs = _expand_pointwise(th, ws.padded.A, ws.padded.B)
     M = ws.mult_on(ws.padded)
     rng = np.random.default_rng(64)
     n = ws.padded.dim
     x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     for op, adjoint in ((M, False), (M.H, True)):
-        ref = _fft_mult(table, ws.padded, x, adjoint)
+        ref = _fft_mult(coeffs, ws.padded, x, adjoint)
         err = np.linalg.norm(op @ x - ref, axis=0) / np.linalg.norm(ref, axis=0)
         assert err.max() < 1e-12
 
@@ -489,7 +491,7 @@ def test_chopped_defect_matches_dense_columns(name, monkeypatch):
         probe = TruncGrid(pa, pb, th.d)
         ws = ModelWorkspace(th, TruncGrid(wa, wb, th.d))
         more.append(_outside_points(ws).size > probe.dim)
-        M = analytic_mult(expand(th, ws.padded.A, ws.padded.B), ws.padded)
+        M = dense_mult(th, ws.padded)
         cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
         ref = float(np.linalg.norm(cols[_outside_points(ws)], axis=0).max())
         assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
@@ -531,7 +533,7 @@ def test_polynomial_convolution_matches_scipy():
 def _dense_reference_basis(theta, work, probe):
     """Pivoted QR over every restricted probe column of the dense projection."""
     ws = ModelWorkspace(theta, work)
-    M = analytic_mult(expand(theta, ws.padded.A, ws.padded.B), ws.padded)
+    M = dense_mult(theta, ws.padded)
     proj = np.eye(ws.padded.dim) - M @ M.conj().T
     cols = proj[:, probe.indices_in(ws.padded)][work.indices_in(ws.padded)]
     Q, R, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
@@ -751,14 +753,16 @@ def test_first_sketch_is_never_full(monkeypatch):
 
 def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
     # a rational rank level holds operators only: its workspace builds one
-    # kernel, on the padded grid, every box slices it, and the operator is
-    # applied there for its chopped defect; a polynomial level builds and
-    # applies no operator on its window, only on the small Agler level its
-    # Wold family comes from; neither a level nor a sweep expands a Taylor
-    # table, and a sweep probes the decay class once
+    # kernel, on the padded grid, and every box slices it; the operator is
+    # not applied on the padded grid, and Theta's coefficients are expanded
+    # once, on the padded box, for the chopped defect.  A polynomial level
+    # builds and applies no operator on its window, only on the small Agler
+    # level its Wold family comes from, and expands nothing.  A sweep probes
+    # the decay class once, which expands once for rational Theta only
     built, applied, expanded, probed = [], [], [], []
-    kernel, matmul, probe = (modelspace._rational_kernel, modelspace.BlockToeplitz.__matmul__,
-                             modelspace.decay_class)
+    kernel, matmul, probe, expand = (modelspace._rational_kernel,
+                                     modelspace.BlockToeplitz.__matmul__,
+                                     modelspace.decay_class, taylor.expand)
 
     def spy_kernel(theta, grid):
         built.append((grid.A, grid.B))
@@ -768,6 +772,10 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
         applied.append((self.grid.A, self.grid.B))
         return matmul(self, x)
 
+    def spy_expand(theta, A, B):
+        expanded.append((A, B))
+        return expand(theta, A, B)
+
     def spy_probe(theta, schedule=None):
         probed.append(schedule)
         return probe(theta, schedule)
@@ -776,28 +784,38 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
     monkeypatch.setattr(modelspace.BlockToeplitz, "__matmul__", spy_matmul)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("bidisklab") \
-                and getattr(module, "expand", None) is taylor.expand:
-            monkeypatch.setattr(module, "expand", lambda *args: expanded.append(args))
+                and getattr(module, "expand", None) is expand:
+            monkeypatch.setattr(module, "expand", spy_expand)
+    assert modelspace.expand is spy_expand
     monkeypatch.setattr(modelspace, "decay_class", spy_probe)
     th = builtin("scalar_stable4")
     padded = ModelWorkspace.window(th, 8, 8).padded
     rank_at_level(th, 8, 8)
     assert built == [(padded.A, padded.B)]
-    assert (padded.A, padded.B) in applied
+    assert applied and (padded.A, padded.B) not in applied
+    assert expanded == [(padded.A, padded.B)]
     th = builtin("hadamard_z1z2")  # deg (1, 1): its Agler level is the (1, 1) window
     small = ModelWorkspace.window(th, 1, 1).padded
     built.clear()
     applied.clear()
+    expanded.clear()
     rank_at_level(th, 8, 8)
     assert built and applied
     assert all(a <= small.A and b <= small.B for a, b in built + applied)
     assert ModelWorkspace.window(th, 8, 8).grid.A > small.A
+    assert expanded == []
     sched = [(4, 4), (6, 6), (8, 8)]
     for name in ("hadamard_z1z2", "scalar_stable4"):
+        th = builtin(name)
         probed.clear()
-        rank_sweep(builtin(name), sched)
+        expanded.clear()
+        rank_sweep(th, sched)
         assert probed == [sched], name
-    assert expanded == []
+        levels = [] if th.p.is_constant else [
+            (ws.padded.A, ws.padded.B) for ws in (ModelWorkspace.window(th, A, B)
+                                                  for A, B in sched)]
+        probes = [] if th.p.is_constant else [(modelspace.DECAY_PROBE_DEPTH,) * 2]
+        assert sorted(expanded) == sorted(levels + probes), name
 
 
 def _reference_level(th, N):
@@ -929,7 +947,7 @@ def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
 def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
     # a polynomial's expansion is finite: a constant-p Theta is FINITE with
     # no table, no operator and no diagnostic; a rational Theta's table is
-    # the operator's images of the d constant unit columns
+    # its expansion on the depth-40 box, within round-off of the oracle
     seen, built = [], []
     diagnose, operator = modelspace.tail_diagnostic, modelspace.BlockToeplitz
     monkeypatch.setattr(modelspace, "tail_diagnostic",
@@ -948,7 +966,7 @@ def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
             assert (cls, seen, built) == (DecayClass.FINITE, [], []), th.label
             continue
         (table,) = seen
-        box = TruncGrid(table.A, table.B, th.d)
-        coeffs = box.as_box(operator(th, box) @ np.eye(box.dim, th.d))
-        assert np.array_equal(table.coeffs, coeffs), th.label
+        assert (table.A, table.B, table.finite_support) == (40, 40, False), th.label
+        ref = _expand_pointwise(th, table.A, table.B)
+        assert np.abs(table.coeffs - ref).max() <= 1e-15 * np.abs(ref).max(), th.label
         assert cls is diagnose(table).decay_class, th.label
