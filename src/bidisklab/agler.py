@@ -25,7 +25,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
 from .modelspace import (
-    BlockToeplitz,
+    ModelWorkspace,
     Subspace,
     TruncGrid,
     backward_shift,
@@ -82,21 +82,20 @@ def _null_vectors(G: np.ndarray, floor: float, tol_rel: float) -> np.ndarray:
     return Vh[rank_count(sig, floor, tol_rel):].conj().T
 
 
-def _invariance_block(theta: RationalInnerMatrix, basis: Subspace,
-                      K_depth: int) -> np.ndarray:
+def _invariance_block(ws: ModelWorkspace, basis: Subspace, K_depth: int) -> np.ndarray:
     """Stacked coefficients of Theta*(z1^k phi) for k = 0..K_depth.
 
     The k-th map only adds output rows below z1-degree zero of the k = 0
-    map, so one adjoint application, built from Theta's numerator and
-    denominator, to z1^K_depth phi on the grid raised by K_depth degrees in
-    z1 yields every constraint; the returned block has one row per
-    coefficient of the deepest map and one column per basis vector.
+    map, so one adjoint application of the window's Theta (``ws.mult``) to
+    z1^K_depth phi on the basis grid raised by K_depth degrees in z1 yields
+    every constraint; the returned block has one row per coefficient of the
+    deepest map and one column per basis vector.
     """
     grid = basis.grid
     deep = TruncGrid(grid.A + K_depth, grid.B, grid.d)
     lifted = np.zeros((deep.A + 1, grid.B + 1, grid.d, basis.dim), dtype=complex)
     lifted[K_depth:] = grid.as_box(basis.basis)
-    return BlockToeplitz(theta, deep).H @ lifted.reshape(deep.dim, basis.dim)
+    return ws.mult(lifted.reshape(deep.dim, basis.dim), deep, adjoint=True)
 
 
 def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
@@ -104,27 +103,25 @@ def compute_smax1(theta: RationalInnerMatrix, basis: Subspace,
     """Maximal z1-invariant subspace of the truncated model space.
 
     Returns the combinations f of basis columns with Theta*(z1^k f) = 0
-    for k = 0..K_depth, orthonormal in the ambient grid.  The zero test
-    discounts the ``noise_floor`` of ``basis.workspace_for(theta)``, which
-    depends on the window, not on the basis.
+    for k = 0..K_depth, orthonormal in the ambient grid.  The block and the
+    zero test come from one window, ``basis.workspace_for(theta)``, whose
+    ``noise_floor`` the test discounts: it depends on the window, not the basis.
     """
     if K_depth < 1:
         raise ValueError("invariance depth must be at least 1")
-    G = _invariance_block(theta, basis, K_depth)
-    null = _null_vectors(G, basis.workspace_for(theta).noise_floor(), RANK_REL_TOL)
+    ws = basis.workspace_for(theta)
+    G = _invariance_block(ws, basis, K_depth)
+    null = _null_vectors(G, ws.noise_floor(), RANK_REL_TOL)
     return Subspace(basis.grid, basis.basis @ null,
                     f"smax1({theta.label})", basis.workspace)
 
 
 def compute_smin2(theta: RationalInnerMatrix, basis: Subspace,
                   smax1: Subspace) -> Subspace:
-    """Orthogonal complement of the invariant subspace inside the model basis."""
+    """Orthogonal complement of the invariant subspace inside the model basis:
+    the null space of smax1's model coordinates X* (X's singular values are 1)."""
     X = basis.coords(smax1.basis)
-    if X.shape[1] == 0:
-        comp = basis.basis
-    else:
-        U, _, _ = np.linalg.svd(X, full_matrices=True)
-        comp = basis.basis @ U[:, smax1.dim:]
+    comp = basis.basis @ _null_vectors(X.conj().T, 0.0, RANK_REL_TOL)
     return Subspace(basis.grid, comp, f"smin2({theta.label})", basis.workspace)
 
 
@@ -138,9 +135,6 @@ _WANDER_GAP_FRACTION = 0.3
 def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
                exact: bool) -> Subspace:
     """space minus z_j times space, via the shift Gram matrix null space."""
-    if space.dim == 0:
-        return Subspace(space.grid, space.basis[:, :0], space.label + "-wandering",
-                        space.workspace)
     shifted = shift_mult(space.basis, space.grid, j)
     G = shifted.conj().T @ space.basis
     null = _null_vectors(G, 0.0, RANK_REL_TOL if exact else _WANDER_GAP_FRACTION)
@@ -275,7 +269,6 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
     e = np.asarray(e, dtype=complex).reshape(theta.d)
     w1, w2 = w
     padded = ws.padded
-    M = ws.mult_on(padded)
     # the padded-grid vectors to project: the Szego kernel at w times e, then
     # the formula route's two numerators (zero without a wandering space)
     vecs = np.zeros((padded.A + 1, padded.B + 1, theta.d, 3), dtype=complex)
@@ -291,7 +284,7 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
         weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
         # division by p(0, z2) on the padded z2-range is a product by R_0
         nB = min(padded.B + 1, fbox.shape[1])
-        inv0 = M.inv_p0[:, :nB]
+        inv0 = ws.inv_p0[:, :nB]
         # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
         g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
         vecs[0, :, :, 1] = inv0 @ g1
@@ -300,7 +293,8 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
         g2 = np.einsum("abdn,n->abd", fbox[1:][: padded.A + 1, :nB], weights2)
         vecs[: g2.shape[0], :, :, 2] = np.matmul(inv0, g2)
     x = vecs.reshape(padded.dim, 3)
-    kw, formula1, formula2 = padded.restrict(x - M @ (M.H @ x), grid).T
+    kw, formula1, formula2 = padded.restrict(
+        x - ws.mult(ws.mult(x, padded, adjoint=True), padded), grid).T
 
     # matrix route: coordinates of the kernel at w, split by summand
     y = model.coords(kw)

@@ -9,10 +9,10 @@ orthonormal model-space bases, compressed shifts, self-commutators, and
 numerical rank estimates swept over a truncation schedule.
 
 No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
-is causal, so on a lower box it is T_Q T_p^-1: ``BlockToeplitz`` applies
-T_Q by one block-Toeplitz product per z1-shift and T_p^-1 by a recursion
-over z1-rows, and the model projection is x - M (M* x); memory grows with
-the grid, not with its square.
+is causal, so on a lower box it is T_Q T_p^-1, and a truncation window
+(``ModelWorkspace.mult``) applies it by one block-Toeplitz product per
+z1-shift and a recursion over z1-rows; the model projection is
+x - M (M* x), and memory grows with the grid, not with its square.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -21,8 +21,8 @@ on W alone.  So bases work on the working grid and the shift one degree
 beyond it.  The headroom grid ("padded") enters the rank pipeline only as
 the set of points outside the working grid, where ``chopped_defect``
 measures the coefficient mass a restriction chops off, from Theta's
-coefficients on the padded grid (``taylor.expand``, whose series of 1 / p
-runs the same z1-row recursion).
+coefficients on the padded grid, which the window's own series of 1 / p
+gives (``taylor._coefficients``).
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
@@ -61,13 +61,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from ._blas import one_blas_thread
 from .inner import RationalInnerMatrix
-from .polynomials import BiPoly
-from .taylor import DecayClass, expand, tail_diagnostic
+from .taylor import (
+    DecayClass,
+    _coefficients,
+    _denominator_kernel,
+    _lower_toeplitz,
+    _solve_denominator,
+    expand,
+    tail_diagnostic,
+)
 from .tolerances import (
     BASIS_ORTHO_TOL,
     COMMUTATOR_HERM_TOL,
@@ -189,46 +197,10 @@ class Subspace:
 # multiplication by Theta = Q / p on a box
 # ----------------------------------------------------------------------
 
-def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
-    """Lower-triangular Toeplitz matrices of a stack of series (..., n)."""
-    lag = np.subtract.outer(np.arange(series.shape[-1]), np.arange(series.shape[-1]))
-    return np.where(lag >= 0, series[..., np.maximum(lag, 0)], 0.0)
-
-
-def _denominator_kernel(p: BiPoly, A: int, B: int):
-    """R_0 and the (c, R_c, R_c^H) of p on the (A, B) box (``BlockToeplitz``)."""
-    coeffs = np.zeros((min(A, p.deg1) + 1, B + 1), dtype=complex)
-    for a, b, v in p.terms():
-        if a <= A and b <= B:
-            coeffs[a, b] = v
-    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
-    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
-    P = _lower_toeplitz(coeffs)
-    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
-    rows = []
-    for c in range(1, len(P)):
-        if coeffs[c].any():
-            Rc = -R0 @ P[c]
-            rows.append((c, Rc, Rc.conj().T))
-    return R0, rows
-
-
-def _solve_denominator(R0, rows, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """T_p^-1 x (T_p^-* x if `adjoint`) for a stack x of z1-rows (A + 1, B + 1, k),
-    by the recursion of ``BlockToeplitz``."""
-    A, step = len(x) - 1, 1 if adjoint else -1
-    y = np.matmul(R0.conj().T if adjoint else R0, x)
-    for a in (range(A - 1, -1, -1) if adjoint else range(1, A + 1)):
-        for c, Rc, RcH in rows:
-            if 0 <= a + step * c <= A:
-                y[a] += (RcH if adjoint else Rc) @ y[a + step * c]
-    return y
-
-
 def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
     """T_c of Q per z1-shift c, R_0 and the (c, R_c, R_c^H) of p on the box.
 
-    For constant p, 1 / p is folded into the T_c and there are no rows.
+    For constant p, 1 / p is folded into the T_c and ``mult`` skips p.
     """
     A, B, d = grid.A, grid.B, grid.d
     R0, rows = _denominator_kernel(theta.p, A, B)
@@ -239,87 +211,7 @@ def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
     series[..., : q.shape[3]] = q
     # T_c[(b, i), (b', j)] = Q_{c, b - b'}[i, j]: [i, j, c, b, b'] -> [c, (b, i), (b', j)]
     T = _lower_toeplitz(series).transpose(2, 3, 0, 4, 1).reshape(-1, (B + 1) * d, (B + 1) * d)
-    return T, R0, None if theta.p.is_constant else rows
-
-
-def _leading_kernel(kernel, grid: TruncGrid):
-    """The kernel of a smaller lower box: the leading blocks of the lower
-    (block) triangular Toeplitz T_c, R_0 and R_c."""
-    T, R0, rows = kernel
-    k, n = (grid.B + 1) * grid.d, grid.B + 1
-    rows = rows and [(c, Rc[:n, :n], RcH[:n, :n]) for c, Rc, RcH in rows]
-    return T[: grid.A + 1, :k, :k], R0[:n, :n], rows
-
-
-class BlockToeplitz:
-    """Multiplication by Theta = Q / p on one degree box.
-
-    ``M @ x`` and ``M.H @ x`` take a flat vector on the box or a block of
-    such columns.  Output degrees beyond the box are dropped, and the
-    operator's n x n matrix is never formed.  M is causal
-    and the box a lower box, so compressions multiply: M = T_Q T_p^-1 on
-    the box and M* = T_p^-* T_Q*.  With Q = sum_c Q_c(z2) z1^c, T_Q maps the
-    z1-rows x[a] of the box to sum_c T_c x[a - c], one matrix product per
-    z1-shift, T_c the lower block-Toeplitz matrix of Q_c; T_Q* sums T_c^H
-    x[a + c].  T_p^-1 solves p y = x one z1-row at a time: with
-    p = sum_c p_c(z2) z1^c,
-
-        y[a] = R_0 x[a] + sum_{c = 1..m1} R_c y[a - c],
-
-    where R_0 (``inv_p0``) and R_c are the (B + 1) x (B + 1) lower-triangular
-    Toeplitz matrices of the series 1 / p_0 and -p_c / p_0.  The adjoint runs
-    the same recursion from the top row down with R_c^H; lower-triangular
-    Toeplitz matrices commute, so it needs no others.  This is a
-    quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
-    Digital Signal Processing*, 1984); ``_solve_denominator`` runs it, and
-    ``taylor.expand`` runs it on the unit at the origin for the series of
-    1 / p.  Built directly, the operator builds its T_c, R_0 and R_c; a
-    ``ModelWorkspace`` passes leading blocks of its own.
-    """
-
-    def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid,
-                 adjoint: bool = False, _kernel=None):
-        if theta.d != grid.d:
-            raise ValueError("grid dimension disagrees with Theta")
-        self.theta, self.grid, self.adjoint = theta, grid, adjoint
-        self._kernel = _kernel or _rational_kernel(theta, grid)
-        self.inv_p0 = self._kernel[1]
-
-    @property
-    def H(self) -> "BlockToeplitz":
-        return BlockToeplitz(self.theta, self.grid, not self.adjoint, self._kernel)
-
-    def _numerator(self, box: np.ndarray) -> np.ndarray:
-        A = self.grid.A
-        x = box.reshape(A + 1, -1, box.shape[-1])
-        out = np.zeros(x.shape, dtype=complex)
-        for c, Tc in enumerate(self._kernel[0]):
-            if self.adjoint:
-                out[: A + 1 - c] += Tc.conj().T @ x[c:]
-            else:
-                out[c:] += Tc @ x[: A + 1 - c]
-        return out.reshape(box.shape)
-
-    def _denominator(self, box: np.ndarray) -> np.ndarray:
-        _, R0, rows = self._kernel
-        x = box.reshape(self.grid.A + 1, self.grid.B + 1, -1)
-        return _solve_denominator(R0, rows, x, self.adjoint).reshape(box.shape)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        g = self.grid
-        if x.shape[0] != g.dim:
-            raise ValueError("vector length disagrees with the grid dimension")
-        if x.size == 0:
-            return np.zeros(x.shape, dtype=complex)
-        box = x.reshape(g.A + 1, g.B + 1, g.d, -1)
-        if self._kernel[2] is None:
-            out = self._numerator(box)
-        elif self.adjoint:
-            out = self._denominator(self._numerator(box))
-        else:
-            out = self._numerator(self._denominator(box))
-        return out.reshape(x.shape)
+    return T, R0, rows
 
 
 # ----------------------------------------------------------------------
@@ -349,17 +241,14 @@ class ModelWorkspace:
     points outside the working grid are where ``chopped_defect`` measures
     truncation noise.  ``ModelWorkspace(theta, grid)`` takes the working grid
     as its nominal box; ``ModelWorkspace.window(theta, A, B)`` raises the
-    nominal (A, B) box by the headroom first.  The workspace holds only
-    operators: multiplication by Theta on a box, built on first use by
-    ``mult_on`` from one kernel (the T_c, R_0, R_c of ``BlockToeplitz``)
-    built on the padded grid and cut to each box.  Bases and shifts run on
-    the working grid or one degree beyond it, where the anti-causal identity
-    (module docstring) makes them agree with the padded projection.  Only
-    ``agler.commutator_kernel_formula`` applies the operator on the padded
-    grid, to project the kernel vectors it builds there.  ``chopped_defect``,
-    which sets the ``noise_floor`` of a rational rank level and of the
-    rational Agler spaces, reads Theta's coefficients on the padded grid
-    from ``taylor.expand`` and applies only the probe-box operator.
+    nominal (A, B) box by the headroom first.  The window is the one thing
+    that applies Theta (``mult``), from one kernel built on the padded grid
+    on first use.  Bases and shifts run on the working grid or one degree
+    beyond it, where the anti-causal identity (module docstring) makes them
+    agree with the padded projection; only ``agler.commutator_kernel_formula``
+    applies Theta on the padded grid, to the kernel vectors it builds there.
+    ``chopped_defect`` sets the ``noise_floor`` of rational rank levels and
+    Agler spaces from the same kernel.
     """
 
     def __init__(self, theta: RationalInnerMatrix, grid: TruncGrid):
@@ -368,8 +257,6 @@ class ModelWorkspace:
         self.theta = theta
         self.grid = self.nominal = grid
         self.padded = _headroom(grid, theta)
-        self._kernel = None
-        self._mults: dict[tuple[int, int], BlockToeplitz] = {}
 
     @classmethod
     def window(cls, theta: RationalInnerMatrix, A: int, B: int) -> "ModelWorkspace":
@@ -379,21 +266,67 @@ class ModelWorkspace:
         ws.nominal = nominal
         return ws
 
-    def mult_on(self, grid: TruncGrid) -> BlockToeplitz:
-        """Multiplication by Theta on a box inside the padded grid (cached)."""
-        key = (grid.A, grid.B)
-        if key not in self._mults:
-            if self._kernel is None:
-                self._kernel = _rational_kernel(self.theta, self.padded)
-            self._mults[key] = BlockToeplitz(self.theta, grid,
-                                             _kernel=_leading_kernel(self._kernel, grid))
-        return self._mults[key]
+    @cached_property
+    def _kernel(self):
+        return _rational_kernel(self.theta, self.padded)
+
+    @property
+    def inv_p0(self) -> np.ndarray:
+        """R_0 on the padded grid: division by p(0, z2) of z2-series up to padded.B."""
+        return self._kernel[1]
+
+    def mult(self, x: np.ndarray, box: TruncGrid, adjoint: bool = False) -> np.ndarray:
+        """Theta x, or Theta* x if `adjoint`, for a flat vector or column block x
+        on a lower box; degrees beyond the box are dropped.
+
+        Theta is causal and the box a lower box, so compressions multiply:
+        Theta = T_Q T_p^-1 and Theta* = T_p^-* T_Q*.  With Q = sum_c Q_c(z2)
+        z1^c, T_Q maps the z1-rows x[a] to sum_c T_c x[a - c], T_c the lower
+        block-Toeplitz matrix of Q_c; T_Q* sums T_c^H x[a + c].  T_p^-1 solves
+        p y = x one z1-row at a time: with p = sum_c p_c(z2) z1^c,
+
+            y[a] = R_0 x[a] + sum_{c = 1..m1} R_c y[a - c],
+
+        R_0 (``inv_p0``) and R_c the lower-triangular Toeplitz matrices of the
+        series 1 / p_0 and -p_c / p_0.  The adjoint runs it from the top row
+        down with R_c^H; lower-triangular Toeplitz matrices commute.  This is a
+        quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
+        Digital Signal Processing*, 1984; ``taylor._solve_denominator``).  The
+        box cuts the leading blocks of the padded kernel, so it may be no
+        taller in z2 than the padded grid, but any z1-extent works: the kernel
+        holds every z1-shift of Q and p.
+        """
+        x = np.asarray(x)
+        if box.d != self.theta.d:
+            raise ValueError("grid dimension disagrees with Theta")
+        if x.shape[0] != box.dim:
+            raise ValueError("vector length disagrees with the grid dimension")
+        if box.B > self.padded.B:
+            raise ValueError("box is taller in z2 than the padded grid")
+        if x.size == 0:
+            return np.zeros(x.shape, dtype=complex)
+        T, R0, rows = self._kernel
+        A, n, rational = box.A, box.B + 1, not self.theta.p.is_constant
+        T, R0 = T[: A + 1, : n * box.d, : n * box.d], R0[:n, :n]
+        rows = [(c, Rc[:n, :n], RcH[:n, :n]) for c, Rc, RcH in rows]
+        y = x.reshape(A + 1, n, -1)
+        if rational and not adjoint:
+            y = _solve_denominator(R0, rows, y)
+        y = y.reshape(A + 1, n * box.d, -1)
+        out = np.zeros(y.shape, dtype=complex)
+        for c, Tc in enumerate(T):
+            if adjoint:
+                out[: A + 1 - c] += Tc.conj().T @ y[c:]
+            else:
+                out[c:] += Tc @ y[: A + 1 - c]
+        if rational and adjoint:
+            out = _solve_denominator(R0, rows, out.reshape(A + 1, n, -1), adjoint=True)
+        return out.reshape(x.shape)
 
     def grid_images(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Theta* vec and P vec = vec - Theta Theta* vec for working-grid vectors (or columns)."""
-        mult = self.mult_on(self.grid)
-        adj = mult.H @ vec
-        return adj, vec - mult @ adj
+        adj = self.mult(vec, self.grid, adjoint=True)
+        return adj, vec - self.mult(adj, self.grid)
 
     def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, ...]:
         """Frame F, Theta* F, P F and coordinates Qc of the projected probe monomials.
@@ -447,17 +380,17 @@ class ModelWorkspace:
         and the mass of probe column m is the m-th row norm of
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
         conj(Theta_{p-q}[k, j]) at (q, j), gathered from Theta's coefficients
-        on the padded grid (``taylor.expand``); M_{Q,Q} is the operator on the
-        probe box.  Outside points are taken in batches of bounded memory.
+        on the padded grid, which the window's R_0 and R_c give
+        (``taylor._coefficients``); M_{Q,Q} is ``mult`` on the probe box.
+        Outside points are taken in batches of bounded memory.
         """
         outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
         outside[: self.grid.A + 1, : self.grid.B + 1] = False
         pa, pb = np.nonzero(outside)
         if pa.size == 0 or probe.dim == 0:
             return 0.0
-        mult, d = self.mult_on(probe), probe.d
-        coeffs = expand(self.theta, self.padded.A, self.padded.B).coeffs
-        batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * d))
+        coeffs = _coefficients(self.theta, self.padded.A, *self._kernel[1:])
+        batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * probe.d))
         mass = np.zeros(probe.dim)
         for start in range(0, pa.size, batch):
             da = pa[None, start: start + batch] - np.arange(probe.A + 1)[:, None]
@@ -466,7 +399,7 @@ class ModelWorkspace:
             blocks = coeffs[np.maximum(da, 0)[:, None, :], np.maximum(db, 0)[None, :, :]]
             blocks = np.where(causal[..., None, None], blocks.conj(), 0.0)
             cols = blocks.transpose(0, 1, 4, 2, 3).reshape(probe.dim, -1)
-            mass += (np.abs(mult @ cols) ** 2).sum(axis=1)
+            mass += (np.abs(self.mult(cols, probe)) ** 2).sum(axis=1)
         return float(np.sqrt(mass.max()))
 
     def noise_floor(self) -> float:
@@ -537,7 +470,7 @@ def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
     big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
     Z = shift_mult(g.embed(basis.basis, big), big, j)
     rows = g.indices_in(big)
-    return basis.basis.conj().T @ Z[rows] - adj.conj().T @ (ws.mult_on(big).H @ Z)[rows]
+    return basis.basis.conj().T @ Z[rows] - adj.conj().T @ ws.mult(Z, big, adjoint=True)[rows]
 
 
 @one_blas_thread
@@ -546,7 +479,7 @@ def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> np.
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
     ws = basis.workspace_for(theta)
-    return _shift_matrix(ws, basis, ws.mult_on(basis.grid).H @ basis.basis, j)
+    return _shift_matrix(ws, basis, ws.mult(basis.basis, basis.grid, adjoint=True), j)
 
 
 def commutator(S: np.ndarray) -> np.ndarray:

@@ -100,8 +100,12 @@ class BiPoly:
 
     @classmethod
     def from_terms(cls, terms) -> "BiPoly":
-        """Build from an iterable of (a, b, value) triples."""
+        """Build from an iterable of (a, b, value) triples; the exponents a and
+        b must be nonnegative integers."""
         terms = list(terms)
+        for a, b, _ in terms:
+            if not all(isinstance(e, (int, np.integer)) and e >= 0 for e in (a, b)):
+                raise ValueError(f"exponents must be nonnegative integers, not ({a!r}, {b!r})")
         if not terms:
             return cls.zero()
         amax = max(t[0] for t in terms)

@@ -41,13 +41,18 @@ def theta_to_json(theta: RationalInnerMatrix) -> dict:
 def theta_from_json(data: dict) -> RationalInnerMatrix:
     """Decode an inner-function candidate; innerness is NOT validated here.
 
-    Only p(0, 0) != 0 is checked; ``inner.require_inner`` admits the
-    candidate before any model-space computation trusts it.
+    Only the shape, Q as d lists of d term lists, and p(0, 0) != 0 are
+    checked; ``inner.require_inner`` admits the candidate before any
+    model-space computation trusts it.
     """
     d = int(data["d"])
+    rows = data["Q"]
+    if not (isinstance(rows, list) and len(rows) == d and all(
+            isinstance(row, list) and len(row) == d
+            and all(isinstance(entry, list) for entry in row) for row in rows)):
+        raise ValueError(f"Q must be a {d} x {d} list of term lists")
     p = poly_from_terms(data.get("p", [{"a": 0, "b": 0, "re": 1.0}]))
-    Q = MatPoly([[poly_from_terms(data["Q"][i][j]) for j in range(d)]
-                 for i in range(d)])
+    Q = MatPoly([[poly_from_terms(entry) for entry in row] for row in rows])
     return RationalInnerMatrix(d, Q, p, data.get("label", ""))
 
 

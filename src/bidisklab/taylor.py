@@ -1,13 +1,14 @@
 """Power-series expansion of Theta = Q / p into matrix Taylor coefficients.
 
 ``expand`` is the one engine of Theta's coefficients on a degree box.  The
-series s of 1 / p comes from the z1-row recursion that
-``modelspace.BlockToeplitz`` runs for T_p^-1, and Theta = Q s is one
-shifted copy of s per nonzero coefficient block of Q; both steps are exact
-(to round-off) whenever p(0,0) != 0.  It feeds ``bidisklab inner expand``,
-the decay probe of rank sweeps (``modelspace.decay_class``) and the
-chopped defect of rational rank levels (``ModelWorkspace.chopped_defect``).
-The outer frame of a table carries a recorded tail norm; decay diagnostics
+series s of 1 / p is T_p^-1 of the unit at the origin, by the z1-row
+recursion (``_solve_denominator``) with which ``modelspace.ModelWorkspace.mult``
+also divides by p, and Theta = Q s is one shifted copy of s per nonzero
+coefficient block of Q (``_coefficients``); both steps are exact (to
+round-off) whenever p(0,0) != 0.  It feeds ``bidisklab inner expand`` and
+the decay probe of rank sweeps (``modelspace.decay_class``); a window's
+chopped defect runs ``_coefficients`` on the window's own R_0 and R_c.  The
+outer frame of a table carries a recorded tail norm; decay diagnostics
 downstream decide how much a truncation may be trusted.
 """
 
@@ -19,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .inner import RationalInnerMatrix
+from .polynomials import BiPoly
 from .tolerances import SLOW_DECAY_RATIO
 
 
@@ -60,21 +62,50 @@ class TailDiagnostic:
     fitted_ratio: float
 
 
-def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
-    """Expand Theta = Q/p to the coefficient block [0..A] x [0..B].
+def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices of a stack of series (..., n)."""
+    lag = np.subtract.outer(np.arange(series.shape[-1]), np.arange(series.shape[-1]))
+    return np.where(lag >= 0, series[..., np.maximum(lag, 0)], 0.0)
 
-    The series s of 1 / p on the box is T_p^-1 applied to the unit at the
-    origin, by the z1-row recursion of ``modelspace.BlockToeplitz``; Theta
-    = Q s is then one shifted copy of s per nonzero coefficient block of Q.
-    """
-    if A < 0 or B < 0:
-        raise ValueError("cutoffs must be nonnegative")
-    # modelspace builds on this module
-    from .modelspace import _denominator_kernel, _solve_denominator
 
+def _denominator_kernel(p: BiPoly, A: int, B: int):
+    """R_0 and the (c, R_c, R_c^H) of p = sum_c p_c(z2) z1^c on the (A, B) box: the
+    Toeplitz matrices of the series 1 / p_0 and -p_c / p_0 (``_solve_denominator``)."""
+    coeffs = np.zeros((min(A, p.deg1) + 1, B + 1), dtype=complex)
+    for a, b, v in p.terms():
+        if a <= A and b <= B:
+            coeffs[a, b] = v
+    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
+    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
+    P = _lower_toeplitz(coeffs)
+    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
+    rows = []
+    for c in range(1, len(P)):
+        if coeffs[c].any():
+            Rc = -R0 @ P[c]
+            rows.append((c, Rc, Rc.conj().T))
+    return R0, rows
+
+
+def _solve_denominator(R0, rows, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """T_p^-1 x (T_p^-* x if `adjoint`) for a stack x of z1-rows (A + 1, B + 1, k),
+    by the z1-row recursion of ``modelspace.ModelWorkspace.mult``."""
+    A, step = len(x) - 1, 1 if adjoint else -1
+    y = np.matmul(R0.conj().T if adjoint else R0, x)
+    for a in (range(A - 1, -1, -1) if adjoint else range(1, A + 1)):
+        for c, Rc, RcH in rows:
+            if 0 <= a + step * c <= A:
+                y[a] += (RcH if adjoint else Rc) @ y[a + step * c]
+    return y
+
+
+def _coefficients(theta: RationalInnerMatrix, A: int, R0, rows) -> np.ndarray:
+    """Theta's coefficients on the (A, len(R0) - 1) box, from p's R_0 and R_c
+    there: Q times the series of 1 / p, T_p^-1 of the unit at the origin."""
+    B = len(R0) - 1
     unit = np.zeros((A + 1, B + 1, 1), dtype=complex)
     unit[0, 0] = 1.0
-    s = _solve_denominator(*_denominator_kernel(theta.p, A, B), unit)
+    s = _solve_denominator(R0, rows, unit)
     a, b = np.nonzero(s[..., 0])
     s = s[: a.max() + 1, : b.max() + 1]  # its support: the origin alone for constant p
     Q = theta.Q.coeffs[:, :, : A + 1, : B + 1]
@@ -82,6 +113,14 @@ def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
     for c, e in zip(*np.nonzero(Q.any(axis=(0, 1)))):
         block = s[: A + 1 - c, : B + 1 - e, :, None] * Q[:, :, c, e]
         coeffs[c: c + block.shape[0], e: e + block.shape[1]] += block
+    return coeffs
+
+
+def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
+    """Expand Theta = Q/p to the coefficient block [0..A] x [0..B] (``_coefficients``)."""
+    if A < 0 or B < 0:
+        raise ValueError("cutoffs must be nonnegative")
+    coeffs = _coefficients(theta, A, *_denominator_kernel(theta.p, A, B))
     return TaylorTable(theta.d, A, B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
 
 

@@ -3,8 +3,8 @@
 ``_expand_pointwise`` solves p Theta = Q for Theta's Taylor coefficients one
 coefficient at a time, and ``analytic_mult`` forms the dense matrix of
 multiplication by a coefficient block; together they are the reference for
-``taylor.expand`` and for ``modelspace.BlockToeplitz``, which the library
-never forms as a matrix.
+``taylor.expand`` and for ``modelspace.ModelWorkspace.mult``, which never
+forms the matrix.
 """
 
 import numpy as np

@@ -290,10 +290,10 @@ def test_criterion_11_property_suite():
         f = rng.standard_normal(small.dim) + 1j * rng.standard_normal(small.dim)
         fp = small.embed(f, ws.padded)
         scale = np.linalg.norm(fp)
-        M = ws.mult_on(ws.padded)
-        iso = abs(np.linalg.norm(M @ fp) - scale)
-        pf = fp - M @ (M.H @ fp)
-        idem = np.linalg.norm(pf - M @ (M.H @ pf) - pf)
+        P = ws.padded
+        iso = abs(np.linalg.norm(ws.mult(fp, P)) - scale)
+        pf = fp - ws.mult(ws.mult(fp, P, adjoint=True), P)
+        idem = np.linalg.norm(pf - ws.mult(ws.mult(pf, P, adjoint=True), P) - pf)
         interior_ok = interior_ok and iso <= 1e-8 * scale and idem <= 1e-8 * scale
 
     conj_ok = True

@@ -97,6 +97,22 @@ def test_smin2_hadamard_block():
     assert span_defect(sp.smin2, target) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["hadamard_deg21", "hadamard_z1z2", "scalar_stable4",
+                                  "scalar_z2n(3)", "z1"])
+def test_smin2_is_the_complement_of_smax1(name):
+    # smin2 and smax1 split the model span orthogonally; for theta = z1 no
+    # direction is z1-invariant, so smin2 is the model basis itself
+    th = from_scalar(BiPoly.monomial(1, 0), BiPoly.one(), "z1") if name == "z1" else builtin(name)
+    for N in (2, 5, 9):
+        sp = agler_spaces(th, N, N)
+        model, smin2 = sp.model.basis, sp.smin2.basis
+        assert sp.smax1.dim + sp.smin2.dim == sp.model.dim, (name, N)
+        assert np.abs(sp.smax1.basis.conj().T @ smin2).max(initial=0.0) <= 1e-12, (name, N)
+        assert np.abs(smin2 - model @ (model.conj().T @ smin2)).max(initial=0.0) <= 1e-12
+        if name == "z1":
+            assert sp.smax1.dim == 0 and np.array_equal(smin2, model)
+
+
 def test_direct_sum_dimensions():
     for name in ("scalar_z1z2", "hadamard_z1z2", "hadamard_deg21",
                  "scalar_favorite", "scalar_stable4"):

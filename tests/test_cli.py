@@ -77,6 +77,29 @@ def test_unstable_denominator_file_exits_2(tmp_path):
     assert "UNSTABLE_DENOMINATOR" in invoke("inner", "check", str(tmp_path / "origin.json")).output
 
 
+# Q = 0.5 z1 + 0.5 / z1 has a negative exponent, which an index would wrap
+# onto the top row; a 2 x 2 Q under d = 1 would be cut to its corner.
+# Either was once read as theta = z1 and passed the check.
+MALFORMED = {
+    "laurent.json": {"d": 1, "Q": [[[{"a": 1, "b": 0, "re": 0.5},
+                                      {"a": -1, "b": 0, "re": 0.5}]]]},
+    "oversized_q.json": {"d": 1, "Q": [[[{"a": 1, "b": 0, "re": 1.0}], []],
+                                       [[], [{"a": 0, "b": 0, "re": 1.0}]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_theta_file_exits_2(tmp_path, name):
+    path = tmp_path / name
+    serialize.save_json(MALFORMED[name], path)
+    for args in (("inner", "check", str(path)), ("rank", str(path))):
+        res = invoke(*args)
+        assert res.exit_code == 2, args
+        assert res.output.startswith("input rejected: ValueError: "), args
+    with pytest.raises(ValueError):
+        serialize.theta_from_json(MALFORMED[name])
+
+
 def test_inner_expand_writes_table(tmp_path):
     out = tmp_path / "table.json"
     res = invoke("inner", "expand", "scalar_favorite", "--trunc", "6", "6",

@@ -335,10 +335,10 @@ def test_interior_isometry_and_idempotence():
         small = TruncGrid(8 - m1, 8 - m2, th.d)
         f = rng.standard_normal(small.dim) + 1j * rng.standard_normal(small.dim)
         fp = small.embed(f, ws.padded)
-        M = ws.mult_on(ws.padded)
-        iso = abs(np.linalg.norm(M @ fp) - np.linalg.norm(fp))
-        pf = fp - M @ (M.H @ fp)
-        idem = np.linalg.norm(pf - M @ (M.H @ pf) - pf)
+        P = ws.padded
+        iso = abs(np.linalg.norm(ws.mult(fp, P)) - np.linalg.norm(fp))
+        pf = fp - ws.mult(ws.mult(fp, P, adjoint=True), P)
+        idem = np.linalg.norm(pf - ws.mult(ws.mult(pf, P, adjoint=True), P) - pf)
         scale = np.linalg.norm(fp)
         if th.p.is_constant:
             bound = 1e-8 * scale
@@ -414,7 +414,7 @@ def test_convolution_operators_match_dense(name, A, B, reference):
     n = ws.padded.dim
     coeffs = _expand_pointwise(th, ws.padded.A, ws.padded.B)
     M = analytic_mult(coeffs, ws.padded)
-    op = ws.mult_on(ws.padded)
+    P = ws.padded
     rng = np.random.default_rng(A + 10 * B)
     for x in (np.eye(n), rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
         if reference == "direct":
@@ -422,11 +422,11 @@ def test_convolution_operators_match_dense(name, A, B, reference):
         else:
             ref = _fft_mult(coeffs, ws.padded, x)
             ref_h = _fft_mult(coeffs, ws.padded, x, adjoint=True)
-        assert np.abs(op @ x - ref).max() < 1e-13
-        assert np.abs(op.H @ x - ref_h).max() < 1e-13
+        assert np.abs(ws.mult(x, P) - ref).max() < 1e-13
+        assert np.abs(ws.mult(x, P, adjoint=True) - ref_h).max() < 1e-13
     eye = np.eye(n)
     proj = eye - M @ M.conj().T
-    assert np.abs(eye - op @ (op.H @ eye) - proj).max() < 1e-13
+    assert np.abs(eye - ws.mult(ws.mult(eye, P, adjoint=True), P) - proj).max() < 1e-13
     # anti-causal identity: the padded projection cut to the working grid
     # is the projection built on the working grid alone
     work = ws.grid.indices_in(ws.padded)
@@ -443,31 +443,32 @@ def test_recursion_forward_error_at_64(name):
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(64, 64, th.d))
     coeffs = _expand_pointwise(th, ws.padded.A, ws.padded.B)
-    M = ws.mult_on(ws.padded)
     rng = np.random.default_rng(64)
     n = ws.padded.dim
     x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
-    for op, adjoint in ((M, False), (M.H, True)):
+    for adjoint in (False, True):
         ref = _fft_mult(coeffs, ws.padded, x, adjoint)
-        err = np.linalg.norm(op @ x - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        err = np.linalg.norm(ws.mult(x, ws.padded, adjoint) - ref, axis=0) \
+            / np.linalg.norm(ref, axis=0)
         assert err.max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_THETAS)
 def test_sliced_operator_matches_fresh_operator(name):
-    # every box of a workspace takes the leading blocks of the kernel built
-    # on its padded grid; they must act as the kernel built on the box alone,
-    # also on boxes that no coefficient block of Q reaches (scalar_z2n(3)
-    # with B < 3)
+    # every box of a window cuts the leading blocks of the kernel built on
+    # its padded grid; they must act as a fresh window on the box does, also
+    # on boxes that no coefficient block of Q reaches (scalar_z2n(3) with
+    # B < 3)
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(6, 5, th.d))
     rng = np.random.default_rng(3)
     for A, B in ((0, 0), (2, 1), (1, 2), (6, 5), (7, 5), (6, 6), (ws.padded.A, ws.padded.B)):
         box = TruncGrid(A, B, th.d)
         x = rng.standard_normal((box.dim, 4)) + 1j * rng.standard_normal((box.dim, 4))
-        sliced, fresh = ws.mult_on(box), modelspace.BlockToeplitz(th, box)
-        for op, ref in ((sliced, fresh), (sliced.H, fresh.H)):
-            assert np.abs(op @ x - ref @ x).max() <= 1e-15 * np.abs(x).max(), (A, B)
+        fresh = ModelWorkspace(th, box)
+        for adjoint in (False, True):
+            assert np.abs(ws.mult(x, box, adjoint) - fresh.mult(x, box, adjoint)).max() \
+                <= 1e-15 * np.abs(x).max(), (A, B)
 
 
 def _outside_points(ws):
@@ -507,11 +508,12 @@ def test_convolution_operators_vector_and_block_agree():
     ws = ModelWorkspace(th, TruncGrid(5, 3, 2))
     rng = np.random.default_rng(3)
     F = rng.standard_normal((ws.padded.dim, 4)) + 1j * rng.standard_normal((ws.padded.dim, 4))
-    M = ws.mult_on(ws.padded)
-    block = F - M @ (M.H @ F)
+    P = ws.padded
+    block = F - ws.mult(ws.mult(F, P, adjoint=True), P)
     for k in range(4):
-        assert np.allclose(F[:, k] - M @ (M.H @ F[:, k]), block[:, k], atol=1e-14)
-    assert (M @ F[:, :0]).shape == (ws.padded.dim, 0)
+        assert np.allclose(F[:, k] - ws.mult(ws.mult(F[:, k], P, adjoint=True), P),
+                           block[:, k], atol=1e-14)
+    assert ws.mult(F[:, :0], P).shape == (ws.padded.dim, 0)
 
 
 def test_polynomial_convolution_matches_scipy():
@@ -646,13 +648,13 @@ def _padded_chopped_mass(ws, probe, from_probe):
     """Largest norm over the outside points of the padded M M* e_m, m in `probe`."""
     rows, outside = probe.indices_in(ws.padded), _outside_points(ws)
     apply, read = (rows, outside) if from_probe else (outside, rows)
-    M = ws.mult_on(ws.padded)
+    P = ws.padded
     mass = np.zeros(rows.size)
     for start in range(0, apply.size, 64):
         cols = apply[start: start + 64]
         unit = np.zeros((ws.padded.dim, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
-        chopped = np.abs((M @ (M.H @ unit))[read]) ** 2
+        chopped = np.abs(ws.mult(ws.mult(unit, P, adjoint=True), P)[read]) ** 2
         if from_probe:
             mass[start: start + cols.size] = chopped.sum(axis=0)
         else:
@@ -751,71 +753,121 @@ def test_first_sketch_is_never_full(monkeypatch):
         assert rank < width
 
 
-def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
-    # a rational rank level holds operators only: its workspace builds one
-    # kernel, on the padded grid, and every box slices it; the operator is
-    # not applied on the padded grid, and Theta's coefficients are expanded
-    # once, on the padded box, for the chopped defect.  A polynomial level
-    # builds and applies no operator on its window, only on the small Agler
-    # level its Wold family comes from, and expands nothing.  A sweep probes
-    # the decay class once, which expands once for rational Theta only
-    built, applied, expanded, probed = [], [], [], []
-    kernel, matmul, probe, expand = (modelspace._rational_kernel,
-                                     modelspace.BlockToeplitz.__matmul__,
-                                     modelspace.decay_class, taylor.expand)
+def _spy_kernels(monkeypatch):
+    """Record the kernels windows build, the boxes Theta is applied on, and
+    each call of ``_denominator_kernel`` with whether a kernel build made it.
+
+    Every original is captured before anything is patched, and
+    ``_denominator_kernel`` is rebound in every module that binds it.
+    """
+    built, applied, denominators, building = [], [], [], []
+    kernel, mult, den = modelspace._rational_kernel, ModelWorkspace.mult, taylor._denominator_kernel
 
     def spy_kernel(theta, grid):
         built.append((grid.A, grid.B))
-        return kernel(theta, grid)
+        building.append(grid)
+        try:
+            return kernel(theta, grid)
+        finally:
+            building.pop()
 
-    def spy_matmul(self, x):
-        applied.append((self.grid.A, self.grid.B))
-        return matmul(self, x)
+    def spy_mult(self, x, box, adjoint=False):
+        applied.append((box.A, box.B))
+        return mult(self, x, box, adjoint)
 
-    def spy_expand(theta, A, B):
-        expanded.append((A, B))
-        return expand(theta, A, B)
+    def spy_den(poly, A, B):
+        denominators.append((A, B, bool(building)))
+        return den(poly, A, B)
+
+    monkeypatch.setattr(modelspace, "_rational_kernel", spy_kernel)
+    monkeypatch.setattr(ModelWorkspace, "mult", spy_mult)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bidisklab") \
+                and getattr(module, "_denominator_kernel", None) is den:
+            monkeypatch.setattr(module, "_denominator_kernel", spy_den)
+    assert modelspace._denominator_kernel is taylor._denominator_kernel is spy_den
+    return built, applied, denominators
+
+
+def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
+    # a rational rank level builds one kernel, on its padded grid, and p's
+    # R_0 and R_c only inside that build: the chopped defect reads Theta's
+    # coefficients off it.  Theta is never applied on the padded grid.  A
+    # polynomial level builds no kernel on its window, only on the small
+    # Agler level its Wold family comes from.  A sweep's only other p-kernel
+    # is its decay probe's, for rational Theta only
+    built, applied, denominators = _spy_kernels(monkeypatch)
+    probed, probe = [], modelspace.decay_class
 
     def spy_probe(theta, schedule=None):
         probed.append(schedule)
         return probe(theta, schedule)
 
-    monkeypatch.setattr(modelspace, "_rational_kernel", spy_kernel)
-    monkeypatch.setattr(modelspace.BlockToeplitz, "__matmul__", spy_matmul)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("bidisklab") \
-                and getattr(module, "expand", None) is expand:
-            monkeypatch.setattr(module, "expand", spy_expand)
-    assert modelspace.expand is spy_expand
     monkeypatch.setattr(modelspace, "decay_class", spy_probe)
+
+    def clear():
+        for seen in (built, applied, denominators, probed):
+            seen.clear()
+
     th = builtin("scalar_stable4")
     padded = ModelWorkspace.window(th, 8, 8).padded
     rank_at_level(th, 8, 8)
     assert built == [(padded.A, padded.B)]
     assert applied and (padded.A, padded.B) not in applied
-    assert expanded == [(padded.A, padded.B)]
+    assert denominators == [(padded.A, padded.B, True)]
     th = builtin("hadamard_z1z2")  # deg (1, 1): its Agler level is the (1, 1) window
     small = ModelWorkspace.window(th, 1, 1).padded
-    built.clear()
-    applied.clear()
-    expanded.clear()
+    clear()
     rank_at_level(th, 8, 8)
-    assert built and applied
-    assert all(a <= small.A and b <= small.B for a, b in built + applied)
+    assert built == [(small.A, small.B)]
+    assert applied and all(a <= small.A and b <= small.B for a, b in applied)
     assert ModelWorkspace.window(th, 8, 8).grid.A > small.A
-    assert expanded == []
+    assert denominators == [(small.A, small.B, True)]
     sched = [(4, 4), (6, 6), (8, 8)]
     for name in ("hadamard_z1z2", "scalar_stable4"):
         th = builtin(name)
-        probed.clear()
-        expanded.clear()
+        clear()
         rank_sweep(th, sched)
         assert probed == [sched], name
-        levels = [] if th.p.is_constant else [
+        windows = [(small.A, small.B)] if th.p.is_constant else [
             (ws.padded.A, ws.padded.B) for ws in (ModelWorkspace.window(th, A, B)
                                                   for A, B in sched)]
+        assert sorted(built) == sorted(windows), name
+        assert sorted((A, B) for A, B, inside in denominators if inside) == sorted(windows)
         probes = [] if th.p.is_constant else [(modelspace.DECAY_PROBE_DEPTH,) * 2]
-        assert sorted(expanded) == sorted(levels + probes), name
+        assert [(A, B) for A, B, inside in denominators if not inside] == probes, name
+
+
+@pytest.mark.parametrize("name", ["hadamard_z1z2", "scalar_stable4"])
+def test_agler_spaces_build_one_kernel(name, monkeypatch):
+    # the model basis, the invariance block and the noise floor all apply the
+    # one window's Theta, so one call builds one kernel and one p-kernel
+    built, applied, denominators = _spy_kernels(monkeypatch)
+    th = builtin(name)
+    ws = ModelWorkspace.window(th, 6, 6)
+    agler_spaces(th, 6, 6)
+    assert built == [(ws.padded.A, ws.padded.B)]
+    assert denominators == [(ws.padded.A, ws.padded.B, True)]
+    assert (ws.grid.A + 6, ws.grid.B) in applied  # the invariance block's deep box
+
+
+def test_mult_rejects_boxes_the_kernel_does_not_cover():
+    th = builtin("scalar_stable4")
+    ws = ModelWorkspace(th, TruncGrid(4, 4, th.d))
+    tall = TruncGrid(2, ws.padded.B + 1, th.d)
+    with pytest.raises(ValueError, match="taller in z2"):
+        ws.mult(np.zeros(tall.dim), tall)
+    with pytest.raises(ValueError, match="taller in z2"):
+        ws.mult(np.zeros(tall.dim), tall, adjoint=True)
+    with pytest.raises(ValueError, match="vector length"):
+        ws.mult(np.zeros(ws.grid.dim + 1), ws.grid)
+    with pytest.raises(ValueError, match="grid dimension"):
+        ws.mult(np.zeros(ws.grid.dim * 2), TruncGrid(4, 4, 2))
+    # a z1-extent past the padded grid is covered: the kernel holds every z1-shift
+    long = TruncGrid(ws.padded.A + 5, 3, th.d)
+    x = np.random.default_rng(2).standard_normal(long.dim)
+    assert np.abs(ws.mult(x, long) - ModelWorkspace(th, long).mult(x, long)).max() \
+        <= 1e-15 * np.abs(x).max()
 
 
 def _reference_level(th, N):
@@ -904,7 +956,7 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
             sketch = frame @ coords
             wb = modelspace._wold_basis(wold, ws.grid)
             assert np.linalg.norm(sketch.conj().T @ wb, axis=0).min() >= 1 - 1e-12, key
-            assert np.abs(ws.mult_on(ws.grid).H @ wb).max() <= 1e-12, key
+            assert np.abs(ws.mult(wb, ws.grid, adjoint=True)).max() <= 1e-12, key
             X = modelspace._orth_columns((proj[rows] @ coords).conj().T)
             Xw = modelspace._orth_columns(wb[rows].conj().T)
             assert _largest_angle_sine(sketch @ X, wb @ Xw) <= 1e-12, key
@@ -949,11 +1001,14 @@ def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
     # no table, no operator and no diagnostic; a rational Theta's table is
     # its expansion on the depth-40 box, within round-off of the oracle
     seen, built = [], []
-    diagnose, operator = modelspace.tail_diagnostic, modelspace.BlockToeplitz
+    diagnose, kernel, mult = (modelspace.tail_diagnostic, modelspace._rational_kernel,
+                              ModelWorkspace.mult)
     monkeypatch.setattr(modelspace, "tail_diagnostic",
                         lambda table: seen.append(table) or diagnose(table))
-    monkeypatch.setattr(modelspace, "BlockToeplitz",
-                        lambda *args, **kw: built.append(args) or operator(*args, **kw))
+    monkeypatch.setattr(modelspace, "_rational_kernel",
+                        lambda *args: built.append(args) or kernel(*args))
+    monkeypatch.setattr(ModelWorkspace, "mult",
+                        lambda *args, **kw: built.append(args) or mult(*args, **kw))
     thetas = [builtin(name) for name in BUILTINS] + [scalar_z2n(3)]
     for kind in ("product", "diagonal", "conjugated"):
         thetas += generate_family(kind, 25, seed=42)

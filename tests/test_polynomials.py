@@ -29,6 +29,14 @@ def test_multiplicative_identity():
     assert one * f == f
 
 
+def test_from_terms_rejects_negative_and_fractional_exponents():
+    # a negative exponent used to wrap to the top row: 6 z1^2 here
+    for terms in ([(2, 0, 1), (-1, 0, 5)], [(0, -2, 1)], [(1.5, 0, 1)], [(0, 1.0, 1)]):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            BiPoly.from_terms(terms)
+    assert BiPoly.from_terms([(np.int64(2), 0, 1)]) == BiPoly.monomial(2, 0)
+
+
 def test_square_of_sum():
     s = z1 + z2
     expected = BiPoly.from_terms([(2, 0, 1), (1, 1, 2), (0, 2, 1)])
