@@ -77,7 +77,10 @@ def _null_vectors(G: np.ndarray, floor: float, tol_rel: float) -> np.ndarray:
     s = G.shape[1]
     if s == 0:
         return np.zeros((0, 0), dtype=complex)
-    # with rows >= cols the thin factorization already carries all of Vh
+    # a tall G is first reduced to the triangle R of G = Q R, which has G's
+    # singular values and Vh; only a wide G needs the full Vh
+    if G.shape[0] > s:
+        G = np.linalg.qr(G, mode="r")
     _, sig, Vh = np.linalg.svd(G, full_matrices=G.shape[0] < s)
     return Vh[rank_count(sig, floor, tol_rel):].conj().T
 

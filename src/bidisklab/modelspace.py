@@ -42,11 +42,16 @@ z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
 W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
 p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
 (m1, m2) = deg Theta, read once off one small ``agler_spaces`` level
-(``_wold_family``); their shifts that fit the working grid are an exact
-orthonormal basis there (``_wold_basis``), with no sketch, no QR over the
-grid and no operator application.  The family is exact only where p is
-constant, so rational Theta, and any polynomial Theta whose small-level
-wandering dimensions are not (n2, n1), keep the sketch.
+(``_wold_family``).  Their shifts that fit the working grid are an exact
+orthonormal basis there, and the level never forms it: in these Wold
+coordinates the compressed shift is a block shift, a coupling block and
+a finite block Toeplitz section, each entry the inner product of two
+small degree boxes, and the nominal compression is the identity on the
+shifts inside the nominal box and a small SVD on the few at its edge
+(``_wold_coordinates``).  No sketch, no grid-sized array and no operator
+application.  The family is exact only where p is constant, so rational
+Theta, and any polynomial Theta whose small-level wandering dimensions
+are not (n2, n1), keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
@@ -162,6 +167,12 @@ def backward_shift(vec: np.ndarray, grid: TruncGrid, j: int) -> np.ndarray:
     return out.reshape(vec.shape)
 
 
+def _check_orthonormal(defect: float) -> None:
+    """Reject a basis whose Frobenius defect ||B* B - I|| exceeds ``BASIS_ORTHO_TOL``."""
+    if defect > BASIS_ORTHO_TOL:
+        raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Column-orthonormal basis of a subspace of a truncated grid."""
@@ -176,9 +187,7 @@ class Subspace:
             raise ValueError("basis rows disagree with the grid dimension")
         if self.basis.shape[1]:
             gram = self.basis.conj().T @ self.basis
-            defect = np.linalg.norm(gram - np.eye(self.basis.shape[1]), "fro")
-            if defect > BASIS_ORTHO_TOL:
-                raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
+            _check_orthonormal(np.linalg.norm(gram - np.eye(self.basis.shape[1]), "fro"))
 
     @property
     def dim(self) -> int:
@@ -585,48 +594,136 @@ def _wold_family(theta: RationalInnerMatrix):
     return w1.grid.as_box(w1.basis)[: m1 + 1, : m2], w2.grid.as_box(w2.basis)[: m1, : m2 + 1]
 
 
-def _wold_basis(wold, grid: TruncGrid) -> np.ndarray:
-    """The columns z1^k phi, k = 0..A - m1, then z2^l psi, l = 0..B - m2, on
-    the grid, for phi in W1 and psi in W2 (``_wold_family``): every shift
-    whose degree box fits.  The columns are orthonormal and lie in the model
-    space exactly."""
+def _overlap(size: int, moved: int, shift: int) -> tuple[int, int]:
+    """Index range [lo, hi) of a box side of `size` cells that a side of
+    `moved` cells covers once shifted by `shift`; empty when lo >= hi."""
+    return max(0, shift), min(size, moved + shift)
+
+
+def _box_inner(g: np.ndarray, f: np.ndarray, s1: int, s2: int) -> np.ndarray:
+    """g* (z1^s1 z2^s2 f) for degree boxes (a, b, component, vector) at the
+    origin: the inner products of g's vectors with f's shifted ones, summed
+    over the overlap of the two boxes.  The shift may be negative."""
+    a0, a1 = _overlap(g.shape[0], f.shape[0], s1)
+    b0, b1 = _overlap(g.shape[1], f.shape[1], s2)
+    if a0 >= a1 or b0 >= b1:
+        return np.zeros((g.shape[3], f.shape[3]), dtype=complex)
+    gs = g[a0:a1, b0:b1].reshape(-1, g.shape[3])
+    return gs.conj().T @ f[a0 - s1: a1 - s1, b0 - s2: b1 - s2].reshape(-1, f.shape[3])
+
+
+def _toeplitz_section(blocks: dict, rows: int, cols: int) -> np.ndarray:
+    """Finite section of a block Toeplitz matrix: block (i, j) is blocks[i - j],
+    and zero where the offset i - j has no block, for i < rows and j < cols."""
+    n, m = next(iter(blocks.values())).shape
+    out = np.zeros((rows, n, cols, m), dtype=complex)
+    for t, block in blocks.items():
+        j = np.arange(max(0, -t), min(cols, rows - t))
+        out[j + t, :, j, :] = block
+    return out.reshape(rows * n, cols * m)
+
+
+def _edge_rows(wold, nominal: TruncGrid, first, count) -> np.ndarray:
+    """Nominal-box rows of the edge columns z1^k phi, first[0] <= k < count[0],
+    then z2^l psi, first[1] <= l < count[1], on the cells they can reach:
+    z1-degrees from first[0] on, and below them z2-degrees from first[1] on."""
+    phi, psi = wold
+    columns = [(phi, k, 0) for k in range(first[0], count[0])]
+    columns += [(psi, 0, l) for l in range(first[1], count[1])]
+    width = sum(box.shape[3] for box, _, _ in columns)
+    out = []
+    for a0, a1, b0 in ((first[0], nominal.A + 1, 0), (0, first[0], first[1])):
+        cells = (a1 - a0, max(nominal.B + 1 - b0, 0), nominal.d)
+        canvas = np.zeros(cells + (width,), dtype=complex)
+        col = 0
+        for box, a, b in columns:
+            i0, i1 = _overlap(cells[0], box.shape[0], a - a0)
+            j0, j1 = _overlap(cells[1], box.shape[1], b - b0)
+            if i0 < i1 and j0 < j1:
+                canvas[i0:i1, j0:j1, :, col: col + box.shape[3]] = \
+                    box[i0 + a0 - a: i1 + a0 - a, j0 + b0 - b: j1 + b0 - b]
+            col += box.shape[3]
+        out.append(canvas.reshape(np.prod(cells), width))
+    return np.concatenate(out)
+
+
+def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]:
+    """Compressed shift S and nominal compression X of a polynomial Theta's
+    rank level, in Wold coordinates.
+
+    The coordinates are the columns z1^k phi, k < K1 = A_w - m1 + 1, then
+    z2^l psi, l < K2 = B_w - m2 + 1, for phi in W1 and psi in W2
+    (``_wold_family``): every shift whose degree box fits the working grid
+    (A_w, B_w).  Theta* vanishes on these orthonormal model-space vectors,
+    so S = B* (z1 B) for B the columns on the grid, and B is never formed:
+    every entry of S is an inner product of two small boxes
+    (``_box_inner``), structural zeros included.  S holds the block shift
+    z1^k phi -> z1^(k+1) phi, whose top block leaves the grid, the
+    couplings <z1 z2^l psi, z1^k phi>, and the finite section of the block
+    Toeplitz T_(l'l) = F_(l' - l), F_t = <z1 psi, z2^t psi>.  The defect
+    ||B* B - I|| is summed from the same small Grams, each weighted by how
+    often the grid repeats its pair, and checked as ``Subspace`` checks it.
+
+    X is the leading right singular vectors of B's nominal rows.  A column
+    whose degree box lies inside the nominal box, in z1 and in z2, keeps all
+    its mass there, so X is the identity on those and an SVD of the few
+    edge columns' nominal rows (``_edge_rows``) gives the rest;
+    ``rank_count`` judges [1, ..., 1, sigma_edge].
+    """
     phi, psi = wold
     m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
-    k1, k2 = grid.A - m1 + 1, grid.B - m2 + 1
-    box = np.zeros((grid.A + 1, grid.B + 1, grid.d, k1 * n2 + k2 * n1), dtype=complex)
-    for k in range(k1):
-        box[k: k + m1 + 1, : m2, :, k * n2: (k + 1) * n2] = phi
-    for l in range(k2):
-        box[: m1, l: l + m2 + 1, :, k1 * n2 + l * n1: k1 * n2 + (l + 1) * n1] = psi
-    return box.reshape(grid.dim, -1)
+    K1, K2 = ws.grid.A - m1 + 1, ws.grid.B - m2 + 1
+    lags = {s: _box_inner(phi, phi, s, 0) for s in range(-m1, m1 + 1)}
+    grams = {t: _box_inner(psi, psi, 0, t) for t in range(-m2, m2 + 1)}
+    n = K1 * n2  # the z1^k phi come first
+    S = np.zeros((n + K2 * n1,) * 2, dtype=complex)
+    S[:n, :n] = _toeplitz_section({1 - s: g for s, g in lags.items()}, K1, K1)
+    S[n:, n:] = _toeplitz_section({t: _box_inner(psi, psi, 1, -t) for t in grams}, K2, K2)
+    sq = sum((K1 - abs(s)) * np.linalg.norm(g - (s == 0) * np.eye(n2)) ** 2
+             for s, g in lags.items() if abs(s) < K1)
+    sq += sum((K2 - abs(t)) * np.linalg.norm(g - (t == 0) * np.eye(n1)) ** 2
+              for t, g in grams.items() if abs(t) < K2)
+    for k in range(min(K1, m1 + 1)):
+        for l in range(min(K2, m2 + 1)):
+            at_k, at_l = slice(k * n2, (k + 1) * n2), slice(n + l * n1, n + (l + 1) * n1)
+            S[at_l, at_k] = _box_inner(psi, phi, k + 1, -l)
+            S[at_k, at_l] = _box_inner(phi, psi, 1 - k, l)
+            sq += 2 * np.linalg.norm(_box_inner(psi, phi, k, -l)) ** 2
+    _check_orthonormal(np.sqrt(sq))
+    A, B = ws.nominal.A, ws.nominal.B
+    I1 = max(0, A - m1 + 1) if phi.shape[1] <= B + 1 else 0
+    I2 = max(0, B - m2 + 1) if psi.shape[0] <= A + 1 else 0
+    interior = np.r_[0: I1 * n2, n: n + I2 * n1]
+    edge = np.r_[I1 * n2: n, n + I2 * n1: S.shape[0]]
+    _, sig, Vh = np.linalg.svd(_edge_rows(wold, ws.nominal, (I1, I2), (K1, K2)),
+                               full_matrices=False)
+    keep = rank_count(np.sort(np.r_[np.ones(interior.size), sig])[::-1]) - interior.size
+    X = np.zeros((S.shape[0], interior.size + keep), dtype=complex)
+    X[interior, np.arange(interior.size)] = 1.0
+    X[edge, interior.size:] = Vh[:keep].conj().T
+    return S, X
 
 
 def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     """``rank_at_level`` on the workspace of a nominal window.
 
-    With a Wold family (``_wold_family``) the basis B is ``_wold_basis``.
-    Theta* B = 0 there, so P B = B: the compressed shift is B* (z1 B), whose
-    degrees past the grid meet zeros of B*, the compression X is the
-    leading left singular vectors of the adjoint of B's nominal rows
-    (``_orth_columns``), and the noise floor is 0; no operator is
-    applied.  Without one, ``model_span`` gives B, Theta* B and P B from one
+    With a Wold family (``_wold_family``) the shift S and the compression X
+    are assembled in Wold coordinates (``_wold_coordinates``), and the noise
+    floor is 0; no operator is applied and no array of the grid's size is
+    formed.  Without one, ``model_span`` gives B, Theta* B and P B from one
     projection of the sketch's frame.
     """
-    probe, label = ws.nominal, f"model({ws.theta.label})"
-    rows = probe.indices_in(ws.grid)
     if wold is None:
         frame, adj, proj, coords = ws.model_span(ws.grid)
-        X = _orth_columns((proj[rows] @ coords).conj().T)
-        basis = Subspace(ws.grid, frame @ coords, label, ws)
+        X = _orth_columns((proj[ws.nominal.indices_in(ws.grid)] @ coords).conj().T)
+        basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
         adj = adj @ coords
         del frame, proj  # only B and Theta* B outlive the frame
         S = _shift_matrix(ws, basis, adj, 1)
     else:
-        basis = Subspace(ws.grid, _wold_basis(wold, ws.grid), label, ws)
-        X = _orth_columns(basis.basis[rows].conj().T)
-        S = basis.basis.conj().T @ shift_mult(basis.basis, ws.grid, 1)
+        S, X = _wold_coordinates(ws, wold)
     rank, sig = numerical_rank(X.conj().T @ commutator(S) @ X, ws.noise_floor())
-    return RankLevel(probe.A, probe.B, X.shape[1], sig, rank)
+    return RankLevel(ws.nominal.A, ws.nominal.B, X.shape[1], sig, rank)
 
 
 @one_blas_thread
@@ -641,9 +738,10 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     compression and the commutator, is counted by ``rank_count`` at
     ``RANK_REL_TOL``; for non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
-    A polynomial Theta's basis is its Wold family on the working grid
-    (``_rank_level``), read off one small Agler level per call; otherwise
-    the basis, the shift and the compression share one projection of the
+    A polynomial Theta's level runs in the Wold coordinates of the working
+    grid (``_wold_coordinates``), from a family read off one small Agler
+    level per call, and forms no array of the grid's size; otherwise the
+    basis, the shift and the compression share one projection of the
     sketch's frame.
     """
     return _rank_level(ModelWorkspace.window(theta, A, B), _wold_family(theta))
@@ -658,8 +756,8 @@ def rank_sweep(theta: RationalInnerMatrix, schedule) -> RankReport:
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise; ``decay_class``
     probes Theta's coefficients once for it.  A polynomial Theta's Wold
-    family (``_wold_family``) is read once and every level builds its basis
-    from it; the others sketch each level.  The levels run
+    family (``_wold_family``) is read once and every level runs in its
+    coordinates; the others sketch each level.  The levels run
     one after another on the calling thread: on two threads they contend
     for the GIL, and the time a sweep takes then follows the load on the
     host rather than the work.

@@ -23,9 +23,20 @@ def poly_to_terms(p: BiPoly) -> list[dict]:
             for a, b, v in p.terms()]
 
 
+def _number(value, what: str, integer: bool = False):
+    """`value` if it is a JSON integer (or any JSON number, unless `integer`);
+    a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a real number'}, "
+                         f"not {value!r}")
+    return value
+
+
 def poly_from_terms(terms) -> BiPoly:
-    return BiPoly.from_terms((t["a"], t["b"], t.get("re", 0.0) + 1j * t.get("im", 0.0))
-                             for t in terms)
+    return BiPoly.from_terms(
+        (_number(t["a"], "exponent", True), _number(t["b"], "exponent", True),
+         _number(t.get("re", 0.0), "coefficient") + 1j * _number(t.get("im", 0.0), "coefficient"))
+        for t in terms)
 
 
 def theta_to_json(theta: RationalInnerMatrix) -> dict:
@@ -41,11 +52,11 @@ def theta_to_json(theta: RationalInnerMatrix) -> dict:
 def theta_from_json(data: dict) -> RationalInnerMatrix:
     """Decode an inner-function candidate; innerness is NOT validated here.
 
-    Only the shape, Q as d lists of d term lists, and p(0, 0) != 0 are
-    checked; ``inner.require_inner`` admits the candidate before any
-    model-space computation trusts it.
+    Only the shape, an integer d, Q as d lists of d term lists, integer
+    exponents, real coefficients and p(0, 0) != 0 are checked; ``inner.require_inner``
+    admits the candidate before any model-space computation trusts it.
     """
-    d = int(data["d"])
+    d = _number(data["d"], "d", True)
     rows = data["Q"]
     if not (isinstance(rows, list) and len(rows) == d and all(
             isinstance(row, list) and len(row) == d

@@ -90,8 +90,14 @@ def _denominator_kernel(p: BiPoly, A: int, B: int):
 def _solve_denominator(R0, rows, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """T_p^-1 x (T_p^-* x if `adjoint`) for a stack x of z1-rows (A + 1, B + 1, k),
     by the z1-row recursion of ``modelspace.ModelWorkspace.mult``."""
-    A, step = len(x) - 1, 1 if adjoint else -1
-    y = np.matmul(R0.conj().T if adjoint else R0, x)
+    return _row_recursion(rows, np.matmul(R0.conj().T if adjoint else R0, x), adjoint)
+
+
+def _row_recursion(rows, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The z1-row recursion of T_p^-1 on y = R_0 x, in place: y[a] += sum_c
+    R_c y[a - c] from the bottom row up; if `adjoint`, that of T_p^-* on
+    y = R_0^H x, y[a] += sum_c R_c^H y[a + c] from the top row down."""
+    A, step = len(y) - 1, 1 if adjoint else -1
     for a in (range(A - 1, -1, -1) if adjoint else range(1, A + 1)):
         for c, Rc, RcH in rows:
             if 0 <= a + step * c <= A:
@@ -103,9 +109,9 @@ def _coefficients(theta: RationalInnerMatrix, A: int, R0, rows) -> np.ndarray:
     """Theta's coefficients on the (A, len(R0) - 1) box, from p's R_0 and R_c
     there: Q times the series of 1 / p, T_p^-1 of the unit at the origin."""
     B = len(R0) - 1
-    unit = np.zeros((A + 1, B + 1, 1), dtype=complex)
-    unit[0, 0] = 1.0
-    s = _solve_denominator(R0, rows, unit)
+    s = np.zeros((A + 1, B + 1, 1), dtype=complex)
+    s[0, :, 0] = R0[:, 0]  # R_0 times the unit; the unit's other rows are zero
+    s = _row_recursion(rows, s)
     a, b = np.nonzero(s[..., 0])
     s = s[: a.max() + 1, : b.max() + 1]  # its support: the origin alone for constant p
     Q = theta.Q.coeffs[:, :, : A + 1, : B + 1]

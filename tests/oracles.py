@@ -4,7 +4,8 @@
 coefficient at a time, and ``analytic_mult`` forms the dense matrix of
 multiplication by a coefficient block; together they are the reference for
 ``taylor.expand`` and for ``modelspace.ModelWorkspace.mult``, which never
-forms the matrix.
+forms the matrix.  ``_wold_basis`` places a polynomial Theta's Wold family
+on a grid, the basis that a Wold rank level never forms.
 """
 
 import numpy as np
@@ -64,3 +65,19 @@ def analytic_mult(coeffs, grid):
 def dense_mult(theta, grid):
     """Dense matrix of multiplication by Theta on the grid, from the oracle."""
     return analytic_mult(_expand_pointwise(theta, grid.A, grid.B), grid)
+
+
+def _wold_basis(wold, grid):
+    """The columns z1^k phi, k = 0..A - m1, then z2^l psi, l = 0..B - m2, on
+    the grid, for phi in W1 and psi in W2 (``modelspace._wold_family``):
+    every shift whose degree box fits.  The columns are orthonormal and lie
+    in the model space exactly."""
+    phi, psi = wold
+    m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
+    k1, k2 = grid.A - m1 + 1, grid.B - m2 + 1
+    box = np.zeros((grid.A + 1, grid.B + 1, grid.d, k1 * n2 + k2 * n1), dtype=complex)
+    for k in range(k1):
+        box[k: k + m1 + 1, : m2, :, k * n2: (k + 1) * n2] = phi
+    for l in range(k2):
+        box[: m1, l: l + m2 + 1, :, k1 * n2 + l * n1: k1 * n2 + (l + 1) * n1] = psi
+    return box.reshape(grid.dim, -1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bidisklab.agler import (
+    _null_vectors,
     _wandering,
     agler_kernel_residual,
     agler_spaces,
@@ -21,6 +22,7 @@ from bidisklab.inner import (
 )
 from bidisklab.modelspace import Subspace, TruncGrid, probe_model_basis
 from bidisklab.polynomials import BiPoly, MatPoly
+from bidisklab.tolerances import RANK_REL_TOL
 
 
 def span_defect(space, target):
@@ -337,3 +339,19 @@ def test_compute_ops_compose_like_agler_spaces():
     sp = agler_spaces(th, 6, 6)
     assert smax1.dim == sp.smax1.dim
     assert smin2.dim == sp.smin2.dim
+
+
+@pytest.mark.parametrize("rows", [3, 8, 60])
+def test_null_vectors_span_the_null_space_of_the_full_svd(rows):
+    # a tall block is reduced to its QR triangle first; the null vectors
+    # still span what the full SVD of the block leaves uncounted
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((rows, 5)) + 1j * rng.standard_normal((rows, 5))
+    G = G @ np.diag([1.0, 0.5, 1e-3, 1e-10, 0.0]) @ np.linalg.qr(
+        rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    null = _null_vectors(G, 0.0, RANK_REL_TOL)
+    Vh = np.linalg.svd(G)[2]
+    ref = Vh[min(rows, 3):].conj().T
+    assert null.shape == ref.shape
+    assert np.linalg.norm(null.conj().T @ null - np.eye(null.shape[1])) <= 1e-12
+    assert np.linalg.norm(null - ref @ (ref.conj().T @ null), 2) <= 1e-12

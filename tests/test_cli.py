@@ -78,13 +78,17 @@ def test_unstable_denominator_file_exits_2(tmp_path):
 
 
 # Q = 0.5 z1 + 0.5 / z1 has a negative exponent, which an index would wrap
-# onto the top row; a 2 x 2 Q under d = 1 would be cut to its corner.
-# Either was once read as theta = z1 and passed the check.
+# onto the top row; a 2 x 2 Q under d = 1 would be cut to its corner; a
+# fractional d would be rounded down to 1, and a coefficient or an exponent
+# true read as 1.  Each was once read as theta = z1 and passed the check.
 MALFORMED = {
     "laurent.json": {"d": 1, "Q": [[[{"a": 1, "b": 0, "re": 0.5},
                                       {"a": -1, "b": 0, "re": 0.5}]]]},
     "oversized_q.json": {"d": 1, "Q": [[[{"a": 1, "b": 0, "re": 1.0}], []],
                                        [[], [{"a": 0, "b": 0, "re": 1.0}]]]},
+    "fractional_d.json": {"d": 1.9, "Q": [[[{"a": 1, "b": 0, "re": 1.0}]]]},
+    "bool_coeff.json": {"d": 1, "Q": [[[{"a": 1, "b": 0, "re": True}]]]},
+    "bool_exponent.json": {"d": 1, "Q": [[[{"a": True, "b": 0, "re": 1.0}]]]},
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from bidisklab.modelspace import (
 from bidisklab.polynomials import BiPoly, _convolve2d
 from bidisklab.taylor import expand, tail_diagnostic, DecayClass
 from bidisklab.tolerances import RANK_REL_TOL
-from oracles import _expand_pointwise, analytic_mult, dense_mult
+from oracles import _expand_pointwise, _wold_basis, analytic_mult, dense_mult
 
 
 def test_grid_index_bijection():
@@ -954,12 +955,60 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
             assert np.abs(level.sigmas - ref.sigmas).max() <= 1e-12 * ref.sigmas[0], key
             frame, _, proj, coords = spans[0]
             sketch = frame @ coords
-            wb = modelspace._wold_basis(wold, ws.grid)
+            wb = _wold_basis(wold, ws.grid)
             assert np.linalg.norm(sketch.conj().T @ wb, axis=0).min() >= 1 - 1e-12, key
             assert np.abs(ws.mult(wb, ws.grid, adjoint=True)).max() <= 1e-12, key
             X = modelspace._orth_columns((proj[rows] @ coords).conj().T)
             Xw = modelspace._orth_columns(wb[rows].conj().T)
             assert _largest_angle_sine(sketch @ X, wb @ Xw) <= 1e-12, key
+
+
+# nominal boxes below, at and just above the family's degree boxes, and
+# boxes whose z1 or z2 side alone is below deg Theta - 1
+SMALL_BOXES = [(0, 0), (1, 1), (2, 2), (3, 3), (1, 4), (4, 1), (2, 7), (7, 2), (5, 5),
+               (8, 8), (12, 9)]
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wold_level_matches_the_sketch_on_small_boxes(group):
+    # the interior columns are judged in z1 and in z2: a nominal box thinner
+    # than a family's box leaves every column of that family on the edge
+    for th in _wold_items(group):
+        wold = modelspace._wold_family(th)
+        for A, B in SMALL_BOXES:
+            ws = ModelWorkspace.window(th, A, B)
+            ref = modelspace._rank_level(ws, None)
+            level = modelspace._rank_level(ws, wold)
+            key = (th.label, A, B)
+            assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
+            scale = ref.sigmas.max(initial=0.0)
+            assert np.abs(level.sigmas - ref.sigmas).max(initial=0.0) <= 1e-12 * scale, key
+
+
+def test_wold_level_forms_no_working_grid_array():
+    # a Wold level never forms its d (A_w + 1)(B_w + 1) x dim basis on the
+    # working grid, so its traced peak stays below that one block
+    th = builtin("hadamard_z1z2")
+    ws = ModelWorkspace.window(th, 64, 64)
+    rank_at_level(th, 4, 4)  # caches on Theta and first-call allocations
+    tracemalloc.start()
+    try:
+        level = rank_at_level(th, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (m1, m2), (n1, n2) = th.deg, th.det_deg
+    columns = (ws.grid.A - m1 + 1) * n2 + (ws.grid.B - m2 + 1) * n1
+    assert level.dim_model == 130
+    assert peak < ws.grid.dim * columns * np.dtype(complex).itemsize
+
+
+def test_wold_level_rejects_a_family_that_is_not_orthonormal():
+    th = builtin("hadamard_z1z2")
+    phi, psi = modelspace._wold_family(th)
+    modelspace._rank_level(ModelWorkspace.window(th, 8, 8), (phi, psi))
+    with pytest.raises(ValueError, match="basis columns not orthonormal"):
+        modelspace._rank_level(ModelWorkspace.window(th, 8, 8), (1.01 * phi, psi))
 
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
