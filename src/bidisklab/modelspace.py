@@ -41,17 +41,19 @@ decomposition of the canonical pair S_max1 + S_min2 (Bickel & Knese, JFA
 z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
 W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
 p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
-(m1, m2) = deg Theta, read once off one small ``agler_spaces`` level
-(``_wold_family``).  Their shifts that fit the working grid are an exact
-orthonormal basis there, and the level never forms it: in these Wold
-coordinates the compressed shift is a block shift, a coupling block and
-a finite block Toeplitz section, each entry the inner product of two
-small degree boxes, and the nominal compression is the identity on the
-shifts inside the nominal box and a small SVD on the few at its edge
-(``_wold_coordinates``).  No sketch, no grid-sized array and no operator
-application.  The family is exact only where p is constant, so rational
-Theta, and any polynomial Theta whose small-level wandering dimensions
-are not (n2, n1), keep the sketch.
+(m1, m2) = deg Theta, read once off the sketch level of one small
+``agler_spaces`` window (``_wold_family``).  Their shifts that fit the
+working grid are an exact orthonormal basis there, and the level never
+forms it: in these Wold coordinates the compressed shift is a block
+shift, a coupling block and a finite block Toeplitz section, each entry
+the inner product of two small degree boxes, and the nominal compression
+is the identity on the shifts inside the nominal box and a small SVD on
+the few at its edge (``_wold_coordinates``).  No sketch, no grid-sized
+array and no operator application.  ``agler_spaces`` at or above the
+family's level places the shifts the nominal box sees on its working
+grid, cut the same way.  The family is exact only where p is constant,
+so rational Theta, and any polynomial Theta whose small-level wandering
+dimensions are not (n2, n1), keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
@@ -576,18 +578,20 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
 def _wold_family(theta: RationalInnerMatrix):
     """Wandering bases (W1, W2) of polynomial Theta as degree boxes, or None.
 
-    Both come from one ``agler_spaces`` level at (max(m1, 1), max(m2, 1)),
-    (m1, m2) = deg Theta: ``hkmax1`` cut to its degree box (m1, m2 - 1) and
-    ``hkmin2`` to (m1 - 1, m2), as (a, b, component, vector) arrays.  None
-    for rational Theta, and for a polynomial one whose wandering dimensions
-    there are not (n2, n1), (n1, n2) = det_deg Theta; those keep the sketch.
+    Both come from the sketch level of ``agler_spaces`` at (max(m1, 1),
+    max(m2, 1)), (m1, m2) = deg Theta (``agler._sketch_spaces``):
+    ``hkmax1`` cut to its degree box (m1, m2 - 1) and ``hkmin2`` to
+    (m1 - 1, m2), as (a, b, component, vector) arrays.  None for rational
+    Theta, and for a polynomial one whose wandering dimensions there are
+    not (n2, n1), (n1, n2) = det_deg Theta; those keep the sketch, in rank
+    levels and in ``agler_spaces``.  Each call reads the family afresh.
     """
     if not theta.p.is_constant:
         return None
-    from .agler import agler_spaces  # agler builds on this module
+    from .agler import _sketch_spaces  # agler builds on this module
 
     (m1, m2), (n1, n2) = theta.deg, theta.det_deg
-    spaces = agler_spaces(theta, max(m1, 1), max(m2, 1))
+    spaces = _sketch_spaces(theta, max(m1, 1), max(m2, 1))
     w1, w2 = spaces.hkmax1, spaces.hkmin2
     if (w1.dim, w2.dim) != (n2, n1):
         return None

@@ -842,14 +842,29 @@ def test_rank_level_builds_no_padded_grid_operator(monkeypatch):
 @pytest.mark.parametrize("name", ["hadamard_z1z2", "scalar_stable4"])
 def test_agler_spaces_build_one_kernel(name, monkeypatch):
     # the model basis, the invariance block and the noise floor all apply the
-    # one window's Theta, so one call builds one kernel and one p-kernel
+    # one window's Theta, so one call builds one kernel and one p-kernel.  A
+    # polynomial level is assembled from its Wold family: it builds and
+    # applies exactly what the family's sketch level at (1, 1) does, and
+    # applies Theta nowhere on its own window
     built, applied, denominators = _spy_kernels(monkeypatch)
     th = builtin(name)
     ws = ModelWorkspace.window(th, 6, 6)
     agler_spaces(th, 6, 6)
-    assert built == [(ws.padded.A, ws.padded.B)]
-    assert denominators == [(ws.padded.A, ws.padded.B, True)]
-    assert (ws.grid.A + 6, ws.grid.B) in applied  # the invariance block's deep box
+    if not th.p.is_constant:
+        assert built == [(ws.padded.A, ws.padded.B)]
+        assert denominators == [(ws.padded.A, ws.padded.B, True)]
+        assert (ws.grid.A + 6, ws.grid.B) in applied  # the invariance block's deep box
+        return
+    small = ModelWorkspace.window(th, 1, 1).padded
+    assert th.deg == (1, 1) and ws.grid.A > small.A and ws.grid.B > small.B
+    assert built == [(small.A, small.B)]
+    assert denominators == [(small.A, small.B, True)]
+    assert applied and all(a <= small.A and b <= small.B for a, b in applied)
+    seen = [list(spied) for spied in (built, applied, denominators)]
+    for spied in (built, applied, denominators):
+        spied.clear()
+    agler._sketch_spaces(th, 1, 1)
+    assert seen == [built, applied, denominators]
 
 
 def test_mult_rejects_boxes_the_kernel_does_not_cover():
@@ -1024,18 +1039,26 @@ def test_wandering_vectors_stay_in_their_degree_boxes(group):
 
 
 def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
+    # a family read one W1 vector short is refused: rank levels and Agler
+    # spaces above the family's level run the sketch, bitwise
     th = generate_family("conjugated", 1, seed=42)[0]
     sched = [(4, 4), (6, 6), (8, 8)]
     wold_report = rank_sweep(th, sched)
-    real = agler.agler_spaces
+    real = agler._sketch_spaces
+    level = tuple(max(m, 1) for m in th.deg)
 
     def one_short(theta, A, B):
         spaces = real(theta, A, B)
+        if (A, B) != level:
+            return spaces
         w1 = spaces.hkmax1
         return dataclasses.replace(spaces, hkmax1=Subspace(w1.grid, w1.basis[:, 1:]))
 
-    monkeypatch.setattr(agler, "agler_spaces", one_short)
+    monkeypatch.setattr(agler, "_sketch_spaces", one_short)
     assert modelspace._wold_family(th) is None
+    spaces, ref = agler_spaces(th, 8, 8), one_blas_thread(real)(th, 8, 8)
+    for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
+        assert np.array_equal(getattr(spaces, name).basis, getattr(ref, name).basis), name
     report = rank_sweep(th, sched)
     sketch_level = one_blas_thread(modelspace._rank_level)  # as the sweep runs it
     for (A, B), level, wold_level in zip(sched, report.levels, wold_report.levels):
@@ -1043,6 +1066,50 @@ def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
         assert np.array_equal(level.sigmas, ref.sigmas) and level.rank == ref.rank
         assert (level.dim_model, level.rank) == (wold_level.dim_model, wold_level.rank)
         assert np.abs(level.sigmas - wold_level.sigmas).max() <= 1e-12 * level.sigmas[0]
+
+
+def _agler_level_boxes(th, deepest):
+    """Square and asymmetric boxes at and above the level (max(m1, 1),
+    max(m2, 1)) that a polynomial Theta's Wold family is read at, up to
+    (deepest, deepest)."""
+    f1, f2 = (max(m, 1) for m in th.deg)
+    boxes = [(f1, f2), (f1, f2 + 3), (f1 + 4, f2 + 1), (12, 12), (deepest, deepest)]
+    return sorted({(max(A, f1), max(B, f2)) for A, B in boxes})
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wold_agler_level_matches_the_sketch(group):
+    # at and above the family's level agler_spaces assembles its spaces from
+    # the Wold family: the sketch level's dims and spans, every space.  The
+    # sketch reference at (16, 16) takes 50 ms a Theta for d = 3, so only
+    # the builtins go that deep
+    items = _wold_items(group)
+    assert items
+    sketch = one_blas_thread(agler._sketch_spaces)
+    for th in items:
+        for A, B in _agler_level_boxes(th, 16 if group == "builtins" else 12):
+            spaces, ref = agler_spaces(th, A, B), sketch(th, A, B)
+            key = (th.label, A, B)
+            assert spaces.model.grid == ref.model.grid, key
+            for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
+                got, want = getattr(spaces, name).basis, getattr(ref, name).basis
+                assert got.shape == want.shape, key + (name,)
+                assert _largest_angle_sine(got, want) <= 1e-12, key + (name,)
+
+
+def test_agler_levels_below_the_family_run_the_sketch():
+    # below the level (2, 1) of hadamard_deg21's family the answers stay the
+    # sketch's, where a Wold assembly would differ; A = 0 has no invariance
+    # depth and is refused
+    th = builtin("hadamard_deg21")
+    sketch = one_blas_thread(agler._sketch_spaces)
+    for (A, B), dims in (((1, 1), (3, 3)), ((1, 4), (3, 9))):
+        spaces, ref = agler_spaces(th, A, B), sketch(th, A, B)
+        assert (spaces.smax1.dim, spaces.smin2.dim) == dims, (A, B)
+        for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
+            assert np.array_equal(getattr(spaces, name).basis, getattr(ref, name).basis)
+    with pytest.raises(ValueError, match="invariance depth"):
+        agler_spaces(th, 0, 4)
 
 
 def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
