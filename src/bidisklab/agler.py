@@ -12,9 +12,9 @@ orthonormal bases reproduce the Agler kernels in the decomposition
 The spaces take one of two routes.  The sketch level (``_sketch_spaces``)
 reads them off the sketched model basis of the window: smax1 is the null
 space of an invariance block, smin2 its complement.  A polynomial Theta's
-spaces at or above the small level its Wold family is read at
-(``modelspace._wold_family``, itself a sketch level) are assembled from
-that family instead (``_wold_spaces``): smax1 and smin2 are the shifts of
+spaces above the small level its Wold family is read at
+(``modelspace._wold_family``, itself that level's sketch) are assembled
+from that family instead (``_wold_spaces``): smax1 and smin2 are the shifts of
 the two wandering spaces the nominal box sees, placed on the working grid,
 and no operator is applied.  Rational Theta keep the sketch.
 
@@ -232,15 +232,17 @@ def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpace
 def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """Compute the invariant subspaces and wandering quotients at (A, B).
 
-    A polynomial Theta's spaces at or above the level its Wold family is read
-    at, (max(m1, 1), max(m2, 1)) for (m1, m2) = deg Theta, are assembled from
+    A polynomial Theta's spaces above the level its Wold family is read at,
+    (max(m1, 1), max(m2, 1)) for (m1, m2) = deg Theta, are assembled from
     that family (``_wold_spaces``); each call reads the family afresh.  The
     others, rational Theta, a family whose wandering dimensions do not match
-    det_deg Theta and boxes below the family's level, run the sketch level
+    det_deg Theta, boxes below the family's level and the family's level
+    itself, whose sketch is the family read, run the sketch level
     (``_sketch_spaces``): the invariant subspaces are null spaces of an
     invariance block on the sketched model basis.
     """
-    if theta.p.is_constant and all(n >= max(m, 1) for n, m in zip((A, B), theta.deg)):
+    level = tuple(max(m, 1) for m in theta.deg)
+    if theta.p.is_constant and (A, B) != level and A >= level[0] and B >= level[1]:
         wold = _wold_family(theta)
         if wold is not None:
             return _wold_spaces(theta, wold, A, B)

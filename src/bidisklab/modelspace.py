@@ -17,23 +17,25 @@ x - M (M* x), and memory grows with the grid, not with its square.
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
 columns at lattice points of W, cut back to W, equal I - M_W M_W* built
-on W alone.  So bases work on the working grid and the shift one degree
-beyond it.  The headroom grid ("padded") enters the rank pipeline only as
-the set of points outside the working grid, where ``chopped_defect``
-measures the coefficient mass a restriction chops off, from Theta's
-coefficients on the padded grid, which the window's own series of 1 / p
-gives (``taylor._coefficients``).
+on W alone.  So bases and shifts work on the working grid.  The headroom
+grid ("padded") enters the rank pipeline only as the set of points
+outside the working grid, where ``chopped_defect`` measures the
+coefficient mass a restriction chops off, from Theta's coefficients on
+the padded grid, which the window's own series of 1 / p gives
+(``taylor._coefficients``).
 
 Model-space bases come from one builder, ``ModelWorkspace.model_span``: a
 randomized range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
 Alg. 4.1) sketches the span of the projected probe monomials and takes a
-plain QR of the sketch as its frame, and the leading left singular vectors
-of the small coordinate matrix (``_orth_columns``) give the basis; its
-singular values are those of the probe columns themselves and decide the
-rank by ``rank_count`` at ``RANK_REL_TOL``, the one tolerance of every rank
-in this module.  The sketch is sized by det_deg Theta
-(falling back to a bound proven from deg Theta), and one projection pass per
-rank level gives the basis, its Theta* image and its projection.
+plain QR of the sketch as its frame F.  On the whole working grid the Ritz
+pairs of P on F (``_ritz_pairs``) give the basis, its Theta* image and its
+projection; a smaller probe box takes the singular vectors of F's
+projected rows there (``_orth_columns``).  Either way the values are those
+of the probe columns themselves and decide the rank by ``rank_count`` at
+``RANK_REL_TOL``, the one tolerance of every rank in this module.  The
+sketch is sized by det_deg Theta (falling back to a bound proven from
+deg Theta).  The compressed shift continues Theta*(z_j B) from Theta* B
+(``_shift_matrix``) and applies no operator.
 
 Rank levels of a polynomial Theta take a second route.  By the Wold
 decomposition of the canonical pair S_max1 + S_min2 (Bickel & Knese, JFA
@@ -49,11 +51,12 @@ shift, a coupling block and a finite block Toeplitz section, each entry
 the inner product of two small degree boxes, and the nominal compression
 is the identity on the shifts inside the nominal box and a small SVD on
 the few at its edge (``_wold_coordinates``).  No sketch, no grid-sized
-array and no operator application.  ``agler_spaces`` at or above the
-family's level places the shifts the nominal box sees on its working
-grid, cut the same way.  The family is exact only where p is constant,
-so rational Theta, and any polynomial Theta whose small-level wandering
-dimensions are not (n2, n1), keep the sketch.
+array and no operator application.  ``agler_spaces`` above the family's
+level places the shifts the nominal box sees on its working grid, cut the
+same way; at that level it is the sketch the family is read from.  The
+family is exact only where p is constant, so rational Theta, and any
+polynomial Theta whose small-level wandering dimensions are not (n2, n1),
+keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
@@ -254,9 +257,9 @@ class ModelWorkspace:
     as its nominal box; ``ModelWorkspace.window(theta, A, B)`` raises the
     nominal (A, B) box by the headroom first.  The window is the one thing
     that applies Theta (``mult``), from one kernel built on the padded grid
-    on first use.  Bases and shifts run on the working grid or one degree
-    beyond it, where the anti-causal identity (module docstring) makes them
-    agree with the padded projection; only ``agler.commutator_kernel_formula``
+    on first use.  Bases and shifts run on the working grid or a box inside
+    it, where the anti-causal identity (module docstring) makes them agree
+    with the padded projection; only ``agler.commutator_kernel_formula``
     applies Theta on the padded grid, to the kernel vectors it builds there.
     ``chopped_defect`` sets the ``noise_floor`` of rational rank levels and
     Agler spaces from the same kernel.
@@ -340,18 +343,20 @@ class ModelWorkspace:
         return adj, vec - self.mult(adj, self.grid)
 
     def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, ...]:
-        """Frame F, Theta* F, P F and coordinates Qc of the projected probe monomials.
+        """Frame F, Theta* F, coordinates V and Ritz values of the projected
+        probe monomials.
 
-        B = F Qc is an orthonormal basis, on the working grid, of their span,
-        and Theta* B = (Theta* F) Qc and P B = (P F) Qc cost one product each.
-        F is the reduced QR of a seeded complex Gaussian sketch's projection,
-        uncut, and is projected once (``grid_images``); Qc holds the leading
-        left singular vectors of the adjoint of the rows of P F at the probe
-        monomials.  F spans all the sample holds, so once the sample spans the
-        projected probe monomials those singular values are theirs; F's
-        columns past the sample's rank are orthogonal to that span and add
-        only round-off.  The singular values alone pick the basis, its rank
-        and whether the sketch came back full.
+        B = F V is an orthonormal basis, on the working grid, of their span,
+        and Theta* B = (Theta* F) V.  F is the uncut reduced QR of a seeded
+        complex Gaussian sketch's projection (``grid_images``); it spans all
+        the sample holds, and its columns past the sample's rank add only
+        round-off.  On a whole-grid probe the span is the range of P, so V
+        and the values are the leading Ritz pairs of P on F (``_ritz_pairs``)
+        and P B = B diag(ritz).  A smaller probe projects F's rows there,
+        (P F)[probe] = F[probe] - Theta (Theta* F)[probe] on the probe box, V
+        holds the leading left singular vectors of their adjoint
+        (``_orth_columns``) and ritz is None.  Either way the values alone
+        pick the basis, its rank and whether the sketch came back full.
         With (m1, m2) = deg Theta, the proven bound
         d (m1 (B + 1) + m2 (A + 1)) counts the probe monomials beyond the
         d (A + 1 - m1) (B + 1 - m2) dimensions of Q g = Theta (p g), g of
@@ -361,23 +366,30 @@ class ModelWorkspace:
         while a sketch comes back full the next takes at least the bound,
         then doubles, so B is right whatever det_deg returns.
         """
-        idx = probe.indices_in(self.grid)
+        idx, whole = probe.indices_in(self.grid), probe == self.grid
         (m1, m2), (n1, n2) = self.theta.deg, self.theta.det_deg
         bound = probe.d * (m1 * (probe.B + 1) + m2 * (probe.A + 1)) + _SKETCH_OVERSAMPLE
         width = min(bound, n2 * (probe.A + 1) + n1 * (probe.B + 1) + _SKETCH_OVERSAMPLE)
         rng = np.random.default_rng(_SKETCH_SEED)
         while True:
-            sample = np.zeros((self.grid.dim, min(width, idx.size)), dtype=complex)
             if width >= idx.size:
-                sample[idx, np.arange(idx.size)] = 1.0
+                sample = probe.embed(np.eye(idx.size), self.grid)
             else:
-                sample.real[idx] = rng.standard_normal((idx.size, width))
-                sample.imag[idx] = rng.standard_normal((idx.size, width))
+                sample = np.empty((idx.size, width), dtype=complex)
+                sample.real = rng.standard_normal((idx.size, width))
+                sample.imag = rng.standard_normal((idx.size, width))
+                if not whole:
+                    sample = probe.embed(sample, self.grid)
             frame = np.linalg.qr(self.grid_images(sample)[1])[0]
-            adj, proj = self.grid_images(frame)
-            coords = _orth_columns(proj[idx].conj().T)
+            del sample
+            adj = self.mult(frame, self.grid, adjoint=True)
+            if whole:
+                coords, ritz = _ritz_pairs(adj)
+            else:
+                coords, ritz = _orth_columns(
+                    (frame[idx] - self.mult(adj[idx], probe)).conj().T), None
             if width >= idx.size or coords.shape[1] < width:
-                return frame, adj, proj, coords
+                return frame, adj, coords, ritz
             width = max(2 * width, bound)
 
     def chopped_defect(self, probe: TruncGrid) -> float:
@@ -439,15 +451,30 @@ def _orth_columns(cols: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(U[:, :rank_count(sig)])
 
 
+def _ritz_pairs(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading Ritz vectors and values of P = I - Theta Theta* on an
+    orthonormal frame F, from adj = Theta* F.
+
+    F* P F = I - adj* adj is Hermitian positive semidefinite (Halko,
+    Martinsson & Tropp, SIAM Review 53, 2011, sec. 5.3), so its left
+    singular vectors and values are its eigenpairs, and ``rank_count``
+    counts them.  An SVD rather than ``eigh``: the library runs no other
+    Hermitian eigensolver, and ``eigh`` would page in LAPACK code for it.
+    """
+    V, lam, _ = np.linalg.svd(np.eye(adj.shape[1]) - adj.conj().T @ adj)
+    keep = rank_count(lam)
+    return V[:, :keep], lam[:keep]
+
+
 @one_blas_thread
 def model_basis(theta: RationalInnerMatrix, grid: TruncGrid) -> Subspace:
     """Orthonormal basis of the truncated model space on `grid`.
 
     Spans the projections of every monomial of the grid, restricted to the
-    grid, with the rank decided on singular values.
+    grid, with the rank decided on the Ritz values of P.
     """
     ws = ModelWorkspace(theta, grid)
-    frame, _, _, coords = ws.model_span(grid)
+    frame, _, coords, _ = ws.model_span(grid)
     return Subspace(grid, frame @ coords, f"model({theta.label})", ws)
 
 
@@ -463,34 +490,61 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int) -> Subspace:
     truncation.
     """
     ws = ModelWorkspace.window(theta, A, B)
-    frame, _, _, coords = ws.model_span(ws.nominal)
+    frame, _, coords, _ = ws.model_span(ws.nominal)
     return Subspace(ws.grid, frame @ coords, f"model({theta.label})@({A},{B})", ws)
 
 
-def _shift_matrix(ws: ModelWorkspace, basis: Subspace, adj: np.ndarray,
+def _entering_slice(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The degree-0 slice of U* (z x) for the polynomial U = sum_k coeffs[k] z^k
+    and a degree box x (a, b, component, column), the shifted variable first
+    in both: sum over k = (c, e), c >= 1, of coeffs[c, e]^H x[c - 1, b + e]."""
+    out = np.zeros(x.shape[1:], dtype=complex)
+    n = x.shape[1]
+    for c, e in zip(*np.nonzero(coeffs.any(axis=(2, 3)))):
+        if 1 <= c <= x.shape[0] and e < n:
+            out[: n - e] += coeffs[c, e].conj().T @ x[c - 1, e:]
+    return out
+
+
+def _shift_matrix(theta: RationalInnerMatrix, basis: Subspace, adj: np.ndarray,
                   j: int) -> np.ndarray:
     """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis.
 
     Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
-    - <Theta*(z_j phi_beta), Theta* phi_alpha>, evaluated on the basis grid
-    raised by one degree in z_j, so the multiplication never overflows.
-    Theta* is anti-causal, so on that grid Theta* of the embedded basis is
-    `adj` embedded, and only z_j times the basis needs the adjoint.
+    - <Theta*(z_j phi_beta), Theta* phi_alpha> on the basis grid.  Theta*
+    commutes with the backward shift, so Theta*(z_j f) is z_j Theta* f plus
+    a slice D at z_j-degree 0, exactly on the grid: Theta* = T_p^-* T_Q*
+    only lowers degrees.  Applying T_p* gives T_p* D = T_Q* (z_j f)
+    - T_p* (z_j Theta* f), which lies in that slice; the polynomial
+    adjoints reach it only from the first m_j slices of z_j f and
+    z_j Theta* f (``_entering_slice``), and on it T_p* is the Toeplitz
+    adjoint of p at z_j = 0, solved for D.  So z_j never leaves the grid
+    and no operator is applied; for j = 1 and constant p,
+    D = sum_(c >= 1) (Q_c / p)* f[c - 1].
     """
-    g = basis.grid
-    big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
-    Z = shift_mult(g.embed(basis.basis, big), big, j)
-    rows = g.indices_in(big)
-    return basis.basis.conj().T @ Z[rows] - adj.conj().T @ ws.mult(Z, big, adjoint=True)[rows]
+    axes = (0, 1) if j == 1 else (1, 0)  # the shifted variable first
+    f = basis.grid.as_box(basis.basis).transpose(*axes, 2, 3)
+    fa = basis.grid.as_box(adj).transpose(*axes, 2, 3)
+    p = theta.p.coeffs.transpose(axes)
+    rhs = _entering_slice(theta.Q.coeffs.transpose(*(a + 2 for a in axes), 0, 1), f)
+    rhs -= _entering_slice(p[:, :, None, None] * np.eye(basis.grid.d), fa)
+    n, k = f.shape[1], basis.dim
+    p0 = np.zeros(n, dtype=complex)
+    p0[: p.shape[1]] = p[0, :n]
+    D = np.linalg.solve(_lower_toeplitz(p0).conj().T, rhs.reshape(n, -1))
+    S = f[1:].reshape(-1, k).conj().T @ f[:-1].reshape(-1, k)
+    S -= fa[1:].reshape(-1, k).conj().T @ fa[:-1].reshape(-1, k)
+    return S - fa[0].reshape(-1, k).conj().T @ D.reshape(-1, k)
 
 
 @one_blas_thread
 def compressed_shift(theta: RationalInnerMatrix, basis: Subspace, j: int) -> np.ndarray:
-    """Matrix of the compressed shift: project z_j times each basis column."""
+    """Matrix of the compressed shift: project z_j times each basis column,
+    from one application of Theta* to the basis (``_shift_matrix``)."""
     if j not in (1, 2):
         raise ValueError("variable index must be 1 or 2")
     ws = basis.workspace_for(theta)
-    return _shift_matrix(ws, basis, ws.mult(basis.basis, basis.grid, adjoint=True), j)
+    return _shift_matrix(theta, basis, ws.mult(basis.basis, basis.grid, adjoint=True), j)
 
 
 def commutator(S: np.ndarray) -> np.ndarray:
@@ -714,16 +768,18 @@ def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     With a Wold family (``_wold_family``) the shift S and the compression X
     are assembled in Wold coordinates (``_wold_coordinates``), and the noise
     floor is 0; no operator is applied and no array of the grid's size is
-    formed.  Without one, ``model_span`` gives B, Theta* B and P B from one
-    projection of the sketch's frame.
+    formed.  Without one, ``model_span`` gives B and Theta* B from the
+    sketch's frame and its one adjoint image, and X is built from the
+    nominal rows of P B = B diag(ritz); the shift applies no operator
+    (``_shift_matrix``).
     """
     if wold is None:
-        frame, adj, proj, coords = ws.model_span(ws.grid)
-        X = _orth_columns((proj[ws.nominal.indices_in(ws.grid)] @ coords).conj().T)
+        frame, adj, coords, ritz = ws.model_span(ws.grid)
         basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
         adj = adj @ coords
-        del frame, proj  # only B and Theta* B outlive the frame
-        S = _shift_matrix(ws, basis, adj, 1)
+        del frame  # only B and Theta* B outlive the frame
+        X = _orth_columns((basis.basis[ws.nominal.indices_in(ws.grid)] * ritz).conj().T)
+        S = _shift_matrix(ws.theta, basis, adj, 1)
     else:
         S, X = _wold_coordinates(ws, wold)
     rank, sig = numerical_rank(X.conj().T @ commutator(S) @ X, ws.noise_floor())
@@ -745,8 +801,10 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     A polynomial Theta's level runs in the Wold coordinates of the working
     grid (``_wold_coordinates``), from a family read off one small Agler
     level per call, and forms no array of the grid's size; otherwise the
-    basis, the shift and the compression share one projection of the
-    sketch's frame.
+    basis and the compression come from the Ritz pairs of the projection
+    on the sketch's frame, and the level applies Theta three times: twice
+    to project the sample and once to the frame (``model_span``), plus the
+    chopped defect's.
     """
     return _rank_level(ModelWorkspace.window(theta, A, B), _wold_family(theta))
 

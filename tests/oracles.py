@@ -6,9 +6,14 @@ multiplication by a coefficient block; together they are the reference for
 ``taylor.expand`` and for ``modelspace.ModelWorkspace.mult``, which never
 forms the matrix.  ``_wold_basis`` places a polynomial Theta's Wold family
 on a grid, the basis that a Wold rank level never forms.
+``raised_box_shift`` is the compressed shift computed on the basis grid
+raised one degree in z_j, where the window applies Theta* to z_j times the
+basis; ``modelspace._shift_matrix`` applies no operator.
 """
 
 import numpy as np
+
+from bidisklab.modelspace import TruncGrid, shift_mult
 
 
 def _expand_pointwise(theta, A, B):
@@ -81,3 +86,20 @@ def _wold_basis(wold, grid):
     for l in range(k2):
         box[: m1, l: l + m2 + 1, :, k1 * n2 + l * n1: k1 * n2 + (l + 1) * n1] = psi
     return box.reshape(grid.dim, -1)
+
+
+def raised_box_shift(ws, basis, adj, j):
+    """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis.
+
+    Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
+    - <Theta*(z_j phi_beta), Theta* phi_alpha>, evaluated on the basis grid
+    raised by one degree in z_j, so the multiplication never overflows.
+    Theta* is anti-causal, so on that grid Theta* of the embedded basis is
+    `adj` embedded, and only z_j times the basis needs the adjoint, which
+    the window `ws` applies on the raised box.
+    """
+    g = basis.grid
+    big = TruncGrid(g.A + (j == 1), g.B + (j == 2), g.d)
+    Z = shift_mult(g.embed(basis.basis, big), big, j)
+    rows = g.indices_in(big)
+    return basis.basis.conj().T @ Z[rows] - adj.conj().T @ ws.mult(Z, big, adjoint=True)[rows]

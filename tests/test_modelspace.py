@@ -9,7 +9,7 @@ from scipy.signal import convolve2d
 
 from bidisklab import agler, modelspace, taylor
 from bidisklab._blas import one_blas_thread
-from bidisklab.agler import agler_spaces
+from bidisklab.agler import agler_kernel_residual, agler_spaces
 from bidisklab.experiments import generate_family
 from bidisklab.inner import (
     builtin,
@@ -34,8 +34,14 @@ from bidisklab.modelspace import (
 )
 from bidisklab.polynomials import BiPoly, _convolve2d
 from bidisklab.taylor import expand, tail_diagnostic, DecayClass
-from bidisklab.tolerances import RANK_REL_TOL
-from oracles import _expand_pointwise, _wold_basis, analytic_mult, dense_mult
+from bidisklab.tolerances import RANK_REL_TOL, rank_count
+from oracles import (
+    _expand_pointwise,
+    _wold_basis,
+    analytic_mult,
+    dense_mult,
+    raised_box_shift,
+)
 
 
 def test_grid_index_bijection():
@@ -590,13 +596,13 @@ def test_sketch_widens_until_it_is_not_full(monkeypatch):
 def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     # A Hermitian stand-in for the projection: eleven spread-out directions
     # of weight 1 and one of weight 2e-8 on the monomial at index 0.  The
-    # singular values of the probe columns keep the weak direction (2e-8 of
-    # the largest), but the Gaussian sketch sees it below 1e-8 of its own
+    # Ritz values of the projection keep the weak direction (2e-8 of the
+    # largest), but the Gaussian sketch sees it below 1e-8 of its own
     # largest singular value, so a frame cut by the rank rule would drop it;
     # the frame is the sketch's plain QR, one orthonormal column per sample
-    # column, and only the coordinates decide the rank.  H = I - S S* for
-    # the Hermitian S below, which stands in for Theta* in both projections
-    # that model_span makes.
+    # column, and only the Ritz values decide the rank.  H = I - S S* for
+    # the Hermitian S below, which stands in for Theta and Theta* wherever
+    # model_span applies them: twice on the sample, once on the frame.
     th = builtin("scalar_stable4")
     grid = TruncGrid(6, 6, 1)
     rng = np.random.default_rng(7)
@@ -609,17 +615,18 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     H = (U * weights) @ U.conj().T
     S = np.eye(grid.dim) - (U * (1 - np.sqrt(1 - weights))) @ U.conj().T
     ws, widths = ModelWorkspace(th, grid), []
-    ws.grid_images = lambda x: widths.append(x.shape[1]) or (S @ x, x - S @ (S @ x))
+    ws.mult = lambda x, box, adjoint=False: widths.append(x.shape[1]) or S @ x
     sig = np.linalg.svd(H, compute_uv=False)
     assert np.sum(sig > 1e-8 * sig[0]) == 12
-    frame, adj, proj, coords = ws.model_span(grid)
-    assert widths[-1] == frame.shape[1] == widths[-2] > 12
+    frame, adj, coords, ritz = ws.model_span(grid)
+    assert widths[-3:] == [frame.shape[1]] * 3 and frame.shape[1] > 12
     assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() < 1e-13
     span = frame @ coords
     assert span.shape[1] == 12
     assert _largest_angle_sine(span, U) < 1e-6
     assert np.abs(adj - S @ frame).max() < 1e-13
-    assert np.abs(proj - H @ frame).max() < 1e-13
+    assert np.abs(H @ span - span * ritz).max() < 1e-13
+    assert np.abs(np.sort(ritz) - np.sort(weights)).max() < 1e-13
 
 
 def test_workspace_holds_no_square_array():
@@ -710,10 +717,11 @@ def test_rank_level_and_floor_match_goldens(name, N, rank, dim, defect, sigmas):
 # -- one projection pass per level, operators only ---------------------------
 
 def _sketch_widths(monkeypatch):
-    """Record, per model_span call, (sample width, coordinate rank) of each
-    of its sketches: the frame has a column per sample column, and the
-    coordinates are the one rank decision inside model_span."""
-    calls, inside, orth, span = [], [], modelspace._orth_columns, ModelWorkspace.model_span
+    """Record, per model_span call, (sample width, rank) of each of its
+    sketches: the frame has a column per sample column, and the rank is the
+    one decision inside model_span, the Ritz count of a whole-grid probe
+    (``_ritz_pairs``) or the coordinate rank of a smaller one (``_orth_columns``)."""
+    calls, inside, span = [], [], ModelWorkspace.model_span
 
     def spy_span(self, probe):
         calls.append([])
@@ -723,14 +731,20 @@ def _sketch_widths(monkeypatch):
         finally:
             inside.pop()
 
-    def spy_orth(cols):
-        out = orth(cols)
-        if inside:
-            inside[-1].append((cols.shape[0], out.shape[1]))
-        return out
+    def spy(decide, width):
+        def wrapped(cols):
+            out = decide(cols)
+            if inside:
+                inside[-1].append((width(cols), out[0].shape[1] if isinstance(out, tuple)
+                                   else out.shape[1]))
+            return out
+        return wrapped
 
     monkeypatch.setattr(ModelWorkspace, "model_span", spy_span)
-    monkeypatch.setattr(modelspace, "_orth_columns", spy_orth)
+    monkeypatch.setattr(modelspace, "_orth_columns",
+                        spy(modelspace._orth_columns, lambda cols: cols.shape[0]))
+    monkeypatch.setattr(modelspace, "_ritz_pairs",
+                        spy(modelspace._ritz_pairs, lambda adj: adj.shape[1]))
     return calls
 
 
@@ -752,6 +766,80 @@ def test_first_sketch_is_never_full(monkeypatch):
         assert len(sketches) == 1
         width, rank = sketches[0]
         assert rank < width
+
+
+def _ritz_windows():
+    """Whole-grid windows of the rational builtins at 4/8/16/24 and of the
+    seed-42 rational diagonal items at 4/6/8, as (Theta, N)."""
+    out = [(builtin(name), N) for name in ("scalar_favorite", "scalar_stable4")
+           for N in (4, 8, 16, 24)]
+    items = [th for th in generate_family("diagonal", 25, seed=42) if not th.p.is_constant]
+    return out + [(th, N) for th in items for N in (4, 6, 8)]
+
+
+def _check_ritz_route(ws, frame, coords, ritz, key):
+    """The basis rank is the rank_count of the singular values of P F, and
+    the Ritz values are those singular values."""
+    sig = np.linalg.svd(ws.grid_images(frame)[1], compute_uv=False)
+    assert coords.shape[1] == ritz.size == rank_count(sig), key
+    assert np.abs(ritz - sig[: ritz.size]).max() <= 1e-12 * ritz[0], key
+
+
+def test_ritz_values_are_the_singular_values_of_the_projected_frame(monkeypatch):
+    for th, N in _ritz_windows():
+        ws = ModelWorkspace.window(th, N, N)
+        frame, _, coords, ritz = ws.model_span(ws.grid)
+        _check_ritz_route(ws, frame, coords, ritz, (th.label, N))
+    # a first sketch below the model dimension comes back full, so the
+    # widening loop runs on Ritz counts: 14 columns hold 14 directions, the
+    # next sketch takes twice as many and holds the 23 of the working grid
+    th = builtin("scalar_stable4")
+    ws = ModelWorkspace.window(th, 8, 8)
+    ref = ws.model_span(ws.grid)
+    calls = _sketch_widths(monkeypatch)
+    monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -10)
+    frame, adj, coords, ritz = ws.model_span(ws.grid)
+    assert calls == [[(14, 14), (28, 23)]] and ref[2].shape[1] == 23
+    _check_ritz_route(ws, frame, coords, ritz, "widened")
+    assert _largest_angle_sine(frame @ coords, ref[0] @ ref[2]) < 1e-12
+    assert np.abs(ritz - ref[3]).max() <= 1e-12 * ref[3][0]
+
+
+def test_rational_level_applies_theta_three_times(monkeypatch):
+    # one sketch pass of a rational level applies Theta* and Theta to the
+    # sample and Theta* to the frame; the shift applies nothing, and the
+    # chopped defect applies Theta on the nominal box.  compressed_shift
+    # applies Theta* once
+    applied, mult, defect = [], ModelWorkspace.mult, ModelWorkspace.chopped_defect
+    in_defect = []
+
+    def spy_mult(self, x, box, adjoint=False):
+        applied.append(("defect" if in_defect else (box.A, box.B), adjoint))
+        return mult(self, x, box, adjoint)
+
+    def spy_defect(self, probe):
+        in_defect.append(True)
+        try:
+            return defect(self, probe)
+        finally:
+            in_defect.pop()
+
+    monkeypatch.setattr(ModelWorkspace, "mult", spy_mult)
+    monkeypatch.setattr(ModelWorkspace, "chopped_defect", spy_defect)
+    for name in ("scalar_favorite", "scalar_stable4"):
+        th = builtin(name)
+        for N in (4, 16, 24):
+            ws = ModelWorkspace.window(th, N, N)
+            applied.clear()
+            rank_at_level(th, N, N)
+            grid = (ws.grid.A, ws.grid.B)
+            sketch = [(grid, True), (grid, False), (grid, True)]
+            assert [a for a in applied if a[0] != "defect"] == sketch, (name, N)
+            assert ("defect", False) in applied, (name, N)
+        basis = model_basis(th, TruncGrid(9, 7, th.d))
+        applied.clear()
+        compressed_shift(th, basis, 2)
+        assert applied == [((9, 7), True)], name
 
 
 def _spy_kernels(monkeypatch):
@@ -913,6 +1001,34 @@ def test_rank_level_matches_fresh_projections(name, N):
     assert np.abs(level.sigmas - sig).max() <= 1e-12 * sig[0]
 
 
+def _shift_cases():
+    """The Theta of the shift oracle test: four builtins, the seed-42
+    diagonal002 (rational, d = 1) and the seed-7 d = 3 diagonal000 (rational)."""
+    thetas = [builtin(name) for name in ("scalar_stable4", "scalar_favorite",
+                                         "hadamard_z1z2", "hadamard_deg21")]
+    thetas.append(generate_family("diagonal", 25, seed=42)[2])
+    thetas.append(generate_family("diagonal", 25, d=3, seed=7, m1_cap=2, m2_cap=3)[0])
+    return thetas
+
+
+@pytest.mark.parametrize("theta", _shift_cases(), ids=lambda th: th.label)
+def test_compressed_shift_matches_the_raised_box(theta):
+    # the shift continued from Theta* B, against Theta* applied to z_j B on
+    # the raised box, on the sketch bases and on a basis outside the model
+    # space, for both variables
+    rng = np.random.default_rng(3)
+    grid = TruncGrid(7, 9, theta.d)
+    G = rng.standard_normal((grid.dim, 10)) + 1j * rng.standard_normal((grid.dim, 10))
+    bases = [model_basis(theta, grid), probe_model_basis(theta, 6, 5),
+             Subspace(grid, np.linalg.qr(G)[0])]
+    for basis in bases:
+        ws = basis.workspace_for(theta)
+        adj = ws.mult(basis.basis, basis.grid, adjoint=True)
+        for j in (1, 2):
+            S, ref = compressed_shift(theta, basis, j), raised_box_shift(ws, basis, adj, j)
+            assert np.abs(S - ref).max() <= 1e-13 * np.linalg.norm(ref, 2), (basis.label, j)
+
+
 @pytest.mark.parametrize("name", list(BUILTINS) + ["scalar_z2n(3)"])
 def test_sweep_shares_one_table_bitwise(name):
     # every sweep level is bitwise the level rank_at_level computes afresh
@@ -950,7 +1066,9 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
     # the same dims, ranks and spectra as the sketch; every Wold column lies
     # in the sketch span and in the model space, and the two nominal
     # compressions span one space (the sketch may hold window-edge
-    # directions the Wold basis lacks; the compression drops them)
+    # directions the Wold basis lacks; the compression drops them).  The
+    # sketch's compression is read off the nominal rows of P B = B diag(ritz),
+    # as the sketch level builds it
     spans, span = [], ModelWorkspace.model_span
     monkeypatch.setattr(ModelWorkspace, "model_span",
                         lambda ws, probe: spans.append(span(ws, probe)) or spans[-1])
@@ -968,12 +1086,12 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
             key = (th.label, N)
             assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
             assert np.abs(level.sigmas - ref.sigmas).max() <= 1e-12 * ref.sigmas[0], key
-            frame, _, proj, coords = spans[0]
+            frame, _, coords, ritz = spans[0]
             sketch = frame @ coords
             wb = _wold_basis(wold, ws.grid)
             assert np.linalg.norm(sketch.conj().T @ wb, axis=0).min() >= 1 - 1e-12, key
             assert np.abs(ws.mult(wb, ws.grid, adjoint=True)).max() <= 1e-12, key
-            X = modelspace._orth_columns((proj[rows] @ coords).conj().T)
+            X = modelspace._orth_columns((sketch[rows] * ritz).conj().T)
             Xw = modelspace._orth_columns(wb[rows].conj().T)
             assert _largest_angle_sine(sketch @ X, wb @ Xw) <= 1e-12, key
 
@@ -1110,6 +1228,32 @@ def test_agler_levels_below_the_family_run_the_sketch():
             assert np.array_equal(getattr(spaces, name).basis, getattr(ref, name).basis)
     with pytest.raises(ValueError, match="invariance depth"):
         agler_spaces(th, 0, 4)
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_agler_family_level_runs_one_sketch(group, monkeypatch):
+    # at exactly the family's level the family read is the level: one
+    # sketch, no Wold assembly, and the Wold assembly's dims and residual
+    sketches, assembled = [], []
+    sketch, wold_spaces = agler._sketch_spaces, agler._wold_spaces
+    monkeypatch.setattr(agler, "_sketch_spaces",
+                        lambda *args: sketches.append(args[1:]) or sketch(*args))
+    monkeypatch.setattr(agler, "_wold_spaces",
+                        lambda *args: assembled.append(args[2:]) or wold_spaces(*args))
+    rng = np.random.default_rng(9)
+    pairs = [tuple(tuple(0.5 * rng.uniform(size=2) * np.exp(2j * np.pi * rng.uniform(size=2)))
+                   for _ in range(2)) for _ in range(4)]
+    for th in _wold_items(group):
+        level = tuple(max(m, 1) for m in th.deg)
+        sketches.clear()
+        spaces = agler_spaces(th, *level)
+        assert (sketches, assembled) == ([level], []), th.label
+        ref = one_blas_thread(wold_spaces)(th, modelspace._wold_family(th), *level)
+        for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
+            assert getattr(spaces, name).dim == getattr(ref, name).dim, (th.label, name)
+        residual = agler_kernel_residual(th, spaces, pairs)
+        assert residual <= 1e-12, th.label
+        assert abs(residual - agler_kernel_residual(th, ref, pairs)) <= 1e-12, th.label
 
 
 def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
