@@ -12,11 +12,9 @@ orthonormal bases reproduce the Agler kernels in the decomposition
 The spaces take one of two routes.  The sketch level (``_sketch_spaces``)
 reads them off the sketched model basis of the window: smax1 is the null
 space of an invariance block, smin2 its complement.  A polynomial Theta's
-spaces above the small level its Wold family is read at
-(``modelspace._wold_family``, itself that level's sketch) are assembled
-from that family instead (``_wold_spaces``): smax1 and smin2 are the shifts of
-the two wandering spaces the nominal box sees, placed on the working grid,
-and no operator is applied.  Rational Theta keep the sketch.
+spaces above its family level, where ``modelspace._wold_family`` reads its
+Wold family off the sketch, are assembled from that family instead
+(``_wold_spaces``), with no operator.  Rational Theta keep the sketch.
 
 The module also evaluates the closed-form commutator action on the
 reproducing kernels of the two summands next to the direct matrix
@@ -37,7 +35,9 @@ from .modelspace import (
     ModelWorkspace,
     Subspace,
     TruncGrid,
-    _edge_rows,
+    _family_level,
+    _nominal_view,
+    _shifted,
     _wold_family,
     backward_shift,
     commutator,
@@ -156,15 +156,6 @@ def _wandering(theta: RationalInnerMatrix, space: Subspace, j: int,
                     f"wandering{j}({theta.label})", space.workspace)
 
 
-def _spaces(theta: RationalInnerMatrix, smax1: Subspace, smin2: Subspace,
-            model: Subspace) -> AglerSpaces:
-    """The Agler spaces of a split model basis: the wandering quotients added."""
-    exact = theta.p.is_constant
-    hkmax1 = _wandering(theta, smax1, 1, exact)
-    hkmin2 = _wandering(theta, smin2, 2, exact)
-    return AglerSpaces(smax1, smin2, hkmax1, hkmin2, model)
-
-
 def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """The sketch level of ``agler_spaces``.
 
@@ -176,73 +167,49 @@ def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """
     basis = probe_model_basis(theta, A, B)
     smax1 = compute_smax1(theta, basis, A)
-    return _spaces(theta, smax1, compute_smin2(theta, basis, smax1), basis)
-
-
-def _shifted(box: np.ndarray, j: int, shifts: range, grid: TruncGrid) -> np.ndarray:
-    """The columns z_j^s f on `grid`, s in `shifts` then f in the degree box
-    (a, b, component, vector), every shifted box inside the grid."""
-    out = np.zeros((grid.A + 1, grid.B + 1, grid.d, len(shifts), box.shape[3]), dtype=complex)
-    a, b = box.shape[:2]
-    for i, s in enumerate(shifts):
-        if j == 1:
-            out[s: s + a, :b, :, i] = box
-        else:
-            out[:a, s: s + b, :, i] = box
-    return out.reshape(grid.dim, -1)
+    smin2 = compute_smin2(theta, basis, smax1)
+    exact = theta.p.is_constant
+    return AglerSpaces(smax1, smin2, _wandering(theta, smax1, 1, exact),
+                       _wandering(theta, smin2, 2, exact), basis)
 
 
 def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpaces:
     """The Agler spaces at (A, B) of a polynomial Theta from its Wold family.
 
     For phi in W1 and psi in W2 (``_wold_family``), smax1 is spanned by the
-    z1^k phi, k <= A, and smin2 by the z2^l psi, l <= B, the shifts the
-    nominal box sees, each cut to the directions it sees: the shifts whose
-    degree box lies inside the nominal box are kept as they are, and the
-    leading right singular vectors of the few edge shifts' nominal rows
-    (``_edge_rows``), one SVD per group, combine the others.  One
-    ``rank_count`` judges [1, ..., 1, sigma_edge] over both groups, as
-    ``_wold_coordinates`` does.  The spaces live on the working grid of the
-    (A, B) window and the model basis is [smax1 | smin2]; no operator is
-    applied.  Requires (A, B) at or above the family's level.
+    z1^k phi, k <= A, and smin2 by the z2^l psi, l <= B, each cut to what
+    the nominal box sees as the rank level's compression is
+    (``_nominal_view``), and placed on the working grid of the (A, B)
+    window; the model basis is [smax1 | smin2].  The wandering spaces are
+    phi and psi: the kernel of an edge cut's rows is invariant under the
+    up-shift, so a kept combination with no s = 0 part is z_j times one in
+    the space.  Requires (A, B) at or above the family level.
     """
-    ws = ModelWorkspace.window(theta, A, B)
-    phi, psi = wold
-    m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
-    inner, seen = (A - m1 + 1, B - m2 + 1), (A + 1, B + 1)
-    edges = [np.linalg.svd(_edge_rows(wold, ws.nominal, inner, count), full_matrices=False)[1:]
-             for count in ((seen[0], inner[1]), (inner[0], seen[1]))]
-    sig = np.concatenate([s for s, _ in edges])
-    interior = inner[0] * n2 + inner[1] * n1
-    keep = rank_count(np.sort(np.r_[np.ones(interior), sig])[::-1]) - interior
-    # each group keeps the prefix of its sigma that is among the keep largest
-    kept1 = int((np.argsort(-sig, kind="stable")[:keep] < edges[0][0].size).sum())
-    groups = []
-    for j, (box, (_, Vh), kept) in enumerate(zip(wold, edges, (kept1, keep - kept1))):
-        edge = _shifted(box, j + 1, range(inner[j], seen[j]), ws.grid) @ Vh[:kept].conj().T
-        groups.append(np.hstack([_shifted(box, j + 1, range(inner[j]), ws.grid), edge]))
-    label = theta.label
-    smax1 = Subspace(ws.grid, groups[0], f"smax1({label})", ws)
-    smin2 = Subspace(ws.grid, groups[1], f"smin2({label})", ws)
-    model = Subspace(ws.grid, np.hstack(groups), f"model({label})@({A},{B})", ws)
-    return _spaces(theta, smax1, smin2, model)
+    ws, label = ModelWorkspace.window(theta, A, B), theta.label
+    cols = [_nominal_view(_shifted(group[0], j, range(N + 1), ws.grid), group, j, N)
+            for j, (group, N) in enumerate(zip(wold, (A, B)), 1)]
+    phi, psi = (c[:, : box.shape[3]] for c, (box, _) in zip(cols, wold))  # the shifts s = 0
+    return AglerSpaces(Subspace(ws.grid, cols[0], f"smax1({label})", ws),
+                       Subspace(ws.grid, cols[1], f"smin2({label})", ws),
+                       Subspace(ws.grid, phi, f"wandering1({label})", ws),
+                       Subspace(ws.grid, psi, f"wandering2({label})", ws),
+                       Subspace(ws.grid, np.hstack(cols), f"model({label})@({A},{B})", ws))
 
 
 @one_blas_thread
 def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """Compute the invariant subspaces and wandering quotients at (A, B).
 
-    A polynomial Theta's spaces above the level its Wold family is read at,
-    (max(m1, 1), max(m2, 1)) for (m1, m2) = deg Theta, are assembled from
-    that family (``_wold_spaces``); each call reads the family afresh.  The
-    others, rational Theta, a family whose wandering dimensions do not match
-    det_deg Theta, boxes below the family's level and the family's level
-    itself, whose sketch is the family read, run the sketch level
-    (``_sketch_spaces``): the invariant subspaces are null spaces of an
-    invariance block on the sketched model basis.
+    A polynomial Theta's spaces above its family level (``_family_level``)
+    are assembled from its Wold family (``_wold_spaces``); each call reads
+    the family afresh.  The others, rational Theta, a family whose
+    wandering dimensions do not match det_deg Theta, boxes below the family
+    level and the family level itself, whose sketch is the family read, run
+    the sketch level (``_sketch_spaces``): the invariant subspaces are null
+    spaces of an invariance block on the sketched model basis.
     """
-    level = tuple(max(m, 1) for m in theta.deg)
-    if theta.p.is_constant and (A, B) != level and A >= level[0] and B >= level[1]:
+    f1, f2 = _family_level(theta)
+    if A >= f1 and B >= f2 and (A, B) != (f1, f2):
         wold = _wold_family(theta)
         if wold is not None:
             return _wold_spaces(theta, wold, A, B)

@@ -44,19 +44,18 @@ z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
 W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
 p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
 (m1, m2) = deg Theta, read once off the sketch level of one small
-``agler_spaces`` window (``_wold_family``).  Their shifts that fit the
-working grid are an exact orthonormal basis there, and the level never
-forms it: in these Wold coordinates the compressed shift is a block
-shift, a coupling block and a finite block Toeplitz section, each entry
-the inner product of two small degree boxes, and the nominal compression
-is the identity on the shifts inside the nominal box and a small SVD on
-the few at its edge (``_wold_coordinates``).  No sketch, no grid-sized
-array and no operator application.  ``agler_spaces`` above the family's
-level places the shifts the nominal box sees on its working grid, cut the
-same way; at that level it is the sketch the family is read from.  The
-family is exact only where p is constant, so rational Theta, and any
-polynomial Theta whose small-level wandering dimensions are not (n2, n1),
-keep the sketch.
+``agler_spaces`` window, the family level (``_wold_family``).  Their
+shifts that fit the working grid are an exact orthonormal basis there, and
+a level at or above the family level never forms it: in these Wold
+coordinates the compressed shift is a block shift, a coupling block and a
+finite block Toeplitz section, each entry the inner product of two small
+degree boxes, and the nominal compression is the identity on the shifts
+inside the nominal box and the family's edge cut on the next few
+(``_wold_coordinates``).  No sketch, no grid-sized array and no operator
+application.  ``agler_spaces`` above the family level places the same
+shifts on its working grid.  Boxes below the family level, rational
+Theta, and polynomial Theta whose small-level wandering dimensions are not
+(n2, n1) keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
@@ -522,6 +521,8 @@ def _shift_matrix(theta: RationalInnerMatrix, basis: Subspace, adj: np.ndarray,
     and no operator is applied; for j = 1 and constant p,
     D = sum_(c >= 1) (Q_c / p)* f[c - 1].
     """
+    if basis.dim == 0:
+        return np.zeros((0, 0), dtype=complex)
     axes = (0, 1) if j == 1 else (1, 0)  # the shifted variable first
     f = basis.grid.as_box(basis.basis).transpose(*axes, 2, 3)
     fa = basis.grid.as_box(adj).transpose(*axes, 2, 3)
@@ -629,27 +630,48 @@ def _validate_schedule(schedule) -> list[tuple[int, int]]:
     return sched
 
 
-def _wold_family(theta: RationalInnerMatrix):
-    """Wandering bases (W1, W2) of polynomial Theta as degree boxes, or None.
+def _family_level(theta: RationalInnerMatrix) -> tuple[int, int]:
+    """(max(m1, 1), max(m2, 1)), (m1, m2) = deg Theta: the box a polynomial
+    Theta's Wold family is read at, and at or above which its levels take it."""
+    m1, m2 = theta.deg
+    return max(m1, 1), max(m2, 1)
 
-    Both come from the sketch level of ``agler_spaces`` at (max(m1, 1),
-    max(m2, 1)), (m1, m2) = deg Theta (``agler._sketch_spaces``):
-    ``hkmax1`` cut to its degree box (m1, m2 - 1) and ``hkmin2`` to
-    (m1 - 1, m2), as (a, b, component, vector) arrays.  None for rational
-    Theta, and for a polynomial one whose wandering dimensions there are
-    not (n2, n1), (n1, n2) = det_deg Theta; those keep the sketch, in rank
-    levels and in ``agler_spaces``.  Each call reads the family afresh.
+
+def _wold_family(theta: RationalInnerMatrix):
+    """Wandering bases of polynomial Theta as degree boxes with their edge
+    cuts, ((phi, V1), (psi, V2)), or None.
+
+    phi and psi are ``hkmax1`` and ``hkmin2`` of the family level's sketch
+    (``agler._sketch_spaces``), cut to their degree boxes (m1, m2 - 1) and
+    (m1 - 1, m2), (m1, m2) = deg Theta, as (a, b, component, vector) arrays.
+    A nominal box at or above the family level sees the m1 shifts past those
+    inside it as z1^s phi, s < m1, cut to m1 z1-degrees, whatever its size:
+    V1 holds the right singular vectors of these rows that ``rank_count``
+    keeps, judged on [1, sigma]; V2 likewise for psi in z2.  None for
+    rational Theta, and for a polynomial one whose wandering dimensions
+    there are not (n2, n1), (n1, n2) = det_deg Theta.  Each call reads the
+    family afresh.
     """
     if not theta.p.is_constant:
         return None
     from .agler import _sketch_spaces  # agler builds on this module
 
     (m1, m2), (n1, n2) = theta.deg, theta.det_deg
-    spaces = _sketch_spaces(theta, max(m1, 1), max(m2, 1))
+    spaces = _sketch_spaces(theta, *_family_level(theta))
     w1, w2 = spaces.hkmax1, spaces.hkmin2
     if (w1.dim, w2.dim) != (n2, n1):
         return None
-    return w1.grid.as_box(w1.basis)[: m1 + 1, : m2], w2.grid.as_box(w2.basis)[: m1, : m2 + 1]
+    family = []
+    for j, box in enumerate((w1.grid.as_box(w1.basis)[: m1 + 1, : m2],
+                             w2.grid.as_box(w2.basis)[: m1, : m2 + 1])):
+        along = np.moveaxis(box, j, 0)  # the shifted variable first
+        m, cells, n = along.shape[0] - 1, along.shape[1] * along.shape[2], along.shape[3]
+        rows = np.zeros((m, cells, m, n), dtype=complex)
+        for s in range(m):
+            rows[s:, :, s] = along[: m - s].reshape(m - s, cells, n)
+        _, sig, Vh = np.linalg.svd(rows.reshape(m * cells, m * n), full_matrices=False)
+        family.append((box, Vh[: rank_count(np.r_[1.0, sig]) - 1].conj().T))
+    return tuple(family)
 
 
 def _overlap(size: int, moved: int, shift: int) -> tuple[int, int]:
@@ -670,6 +692,25 @@ def _box_inner(g: np.ndarray, f: np.ndarray, s1: int, s2: int) -> np.ndarray:
     return gs.conj().T @ f[a0 - s1: a1 - s1, b0 - s2: b1 - s2].reshape(-1, f.shape[3])
 
 
+def _shifted(box: np.ndarray, j: int, shifts: range, grid: TruncGrid) -> np.ndarray:
+    """The columns z_j^s f on `grid`, s in `shifts` then f in the degree box
+    (a, b, component, vector), every shifted box inside the grid."""
+    out = np.zeros((grid.A + 1, grid.B + 1, grid.d, len(shifts), box.shape[3]), dtype=complex)
+    view, along = np.moveaxis(out, j - 1, 0), np.moveaxis(box, j - 1, 0)
+    for i, s in enumerate(shifts):
+        view[s: s + along.shape[0], : along.shape[1], :, i] = along
+    return out.reshape(grid.dim, -1)
+
+
+def _nominal_view(cols: np.ndarray, group, j: int, N: int) -> np.ndarray:
+    """The columns of a Wold group (box, cut) (``_wold_family``) that a
+    nominal box of z_j-side N at or above the family level sees, from `cols`,
+    its shifts in order: those inside the box, then the next m_j by the cut."""
+    box, cut = group
+    inner = (N - box.shape[j - 1] + 2) * box.shape[3]
+    return np.hstack([cols[:, :inner], cols[:, inner: inner + cut.shape[0]] @ cut])
+
+
 def _toeplitz_section(blocks: dict, rows: int, cols: int) -> np.ndarray:
     """Finite section of a block Toeplitz matrix: block (i, j) is blocks[i - j],
     and zero where the offset i - j has no block, for i < rows and j < cols."""
@@ -679,30 +720,6 @@ def _toeplitz_section(blocks: dict, rows: int, cols: int) -> np.ndarray:
         j = np.arange(max(0, -t), min(cols, rows - t))
         out[j + t, :, j, :] = block
     return out.reshape(rows * n, cols * m)
-
-
-def _edge_rows(wold, nominal: TruncGrid, first, count) -> np.ndarray:
-    """Nominal-box rows of the edge columns z1^k phi, first[0] <= k < count[0],
-    then z2^l psi, first[1] <= l < count[1], on the cells they can reach:
-    z1-degrees from first[0] on, and below them z2-degrees from first[1] on."""
-    phi, psi = wold
-    columns = [(phi, k, 0) for k in range(first[0], count[0])]
-    columns += [(psi, 0, l) for l in range(first[1], count[1])]
-    width = sum(box.shape[3] for box, _, _ in columns)
-    out = []
-    for a0, a1, b0 in ((first[0], nominal.A + 1, 0), (0, first[0], first[1])):
-        cells = (a1 - a0, max(nominal.B + 1 - b0, 0), nominal.d)
-        canvas = np.zeros(cells + (width,), dtype=complex)
-        col = 0
-        for box, a, b in columns:
-            i0, i1 = _overlap(cells[0], box.shape[0], a - a0)
-            j0, j1 = _overlap(cells[1], box.shape[1], b - b0)
-            if i0 < i1 and j0 < j1:
-                canvas[i0:i1, j0:j1, :, col: col + box.shape[3]] = \
-                    box[i0 + a0 - a: i1 + a0 - a, j0 + b0 - b: j1 + b0 - b]
-            col += box.shape[3]
-        out.append(canvas.reshape(np.prod(cells), width))
-    return np.concatenate(out)
 
 
 def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]:
@@ -722,13 +739,14 @@ def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]
     ||B* B - I|| is summed from the same small Grams, each weighted by how
     often the grid repeats its pair, and checked as ``Subspace`` checks it.
 
-    X is the leading right singular vectors of B's nominal rows.  A column
-    whose degree box lies inside the nominal box, in z1 and in z2, keeps all
-    its mass there, so X is the identity on those and an SVD of the few
-    edge columns' nominal rows (``_edge_rows``) gives the rest;
-    ``rank_count`` judges [1, ..., 1, sigma_edge].
+    X is the leading right singular vectors of B's nominal rows: the
+    identity on the columns inside the nominal box and the family's edge
+    cut on the next m_j of each group (``_nominal_view``).  The groups'
+    nominal rows are orthogonal, since what the box cuts off lies above A
+    for the z1^k phi and above B for the z2^l psi, so the cuts keep what one
+    SVD of all of them would.
     """
-    phi, psi = wold
+    (phi, _), (psi, _) = wold
     m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
     K1, K2 = ws.grid.A - m1 + 1, ws.grid.B - m2 + 1
     lags = {s: _box_inner(phi, phi, s, 0) for s in range(-m1, m1 + 1)}
@@ -748,30 +766,22 @@ def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]
             S[at_k, at_l] = _box_inner(phi, psi, 1 - k, l)
             sq += 2 * np.linalg.norm(_box_inner(psi, phi, k, -l)) ** 2
     _check_orthonormal(np.sqrt(sq))
-    A, B = ws.nominal.A, ws.nominal.B
-    I1 = max(0, A - m1 + 1) if phi.shape[1] <= B + 1 else 0
-    I2 = max(0, B - m2 + 1) if psi.shape[0] <= A + 1 else 0
-    interior = np.r_[0: I1 * n2, n: n + I2 * n1]
-    edge = np.r_[I1 * n2: n, n + I2 * n1: S.shape[0]]
-    _, sig, Vh = np.linalg.svd(_edge_rows(wold, ws.nominal, (I1, I2), (K1, K2)),
-                               full_matrices=False)
-    keep = rank_count(np.sort(np.r_[np.ones(interior.size), sig])[::-1]) - interior.size
-    X = np.zeros((S.shape[0], interior.size + keep), dtype=complex)
-    X[interior, np.arange(interior.size)] = 1.0
-    X[edge, interior.size:] = Vh[:keep].conj().T
+    eye = np.eye(S.shape[0])
+    X = np.hstack([_nominal_view(eye[:, :n], wold[0], 1, ws.nominal.A),
+                   _nominal_view(eye[:, n:], wold[1], 2, ws.nominal.B)])
     return S, X
 
 
 def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     """``rank_at_level`` on the workspace of a nominal window.
 
-    With a Wold family (``_wold_family``) the shift S and the compression X
-    are assembled in Wold coordinates (``_wold_coordinates``), and the noise
-    floor is 0; no operator is applied and no array of the grid's size is
-    formed.  Without one, ``model_span`` gives B and Theta* B from the
-    sketch's frame and its one adjoint image, and X is built from the
-    nominal rows of P B = B diag(ritz); the shift applies no operator
-    (``_shift_matrix``).
+    With a Wold family (``_wold_family``), at or above the family level,
+    the shift S and the compression X are assembled in Wold coordinates
+    (``_wold_coordinates``), and the noise floor is 0; no operator is
+    applied and no array of the grid's size is formed.  Without one,
+    ``model_span`` gives B and Theta* B from the sketch's frame and its one
+    adjoint image, and X is built from the nominal rows of P B = B diag(ritz);
+    the shift applies no operator (``_shift_matrix``).
     """
     if wold is None:
         frame, adj, coords, ritz = ws.model_span(ws.grid)
@@ -786,6 +796,17 @@ def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     return RankLevel(ws.nominal.A, ws.nominal.B, X.shape[1], sig, rank)
 
 
+def _rank_levels(theta: RationalInnerMatrix, schedule) -> list[RankLevel]:
+    """Rank levels of (A, B) pairs: those at or above the family level in
+    the Wold coordinates of one family read, read only for them, the others
+    on the sketch."""
+    f1, f2 = _family_level(theta)
+    route = [A >= f1 and B >= f2 for A, B in schedule]
+    wold = _wold_family(theta) if any(route) else None
+    return [_rank_level(ModelWorkspace.window(theta, A, B), wold if on else None)
+            for (A, B), on in zip(schedule, route)]
+
+
 @one_blas_thread
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
@@ -798,15 +819,15 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     compression and the commutator, is counted by ``rank_count`` at
     ``RANK_REL_TOL``; for non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
-    A polynomial Theta's level runs in the Wold coordinates of the working
-    grid (``_wold_coordinates``), from a family read off one small Agler
-    level per call, and forms no array of the grid's size; otherwise the
-    basis and the compression come from the Ritz pairs of the projection
-    on the sketch's frame, and the level applies Theta three times: twice
-    to project the sample and once to the frame (``model_span``), plus the
-    chopped defect's.
+    A polynomial Theta's level at or above its family level runs in Wold
+    coordinates (``_wold_coordinates``), from a family read off one small
+    Agler level per call, and forms no array of the grid's size; otherwise
+    the basis and the compression come from the Ritz pairs of the
+    projection on the sketch's frame, and the level applies Theta three
+    times: twice to project the sample and once to the frame
+    (``model_span``), plus the chopped defect's.
     """
-    return _rank_level(ModelWorkspace.window(theta, A, B), _wold_family(theta))
+    return _rank_levels(theta, [(A, B)])[0]
 
 
 @one_blas_thread
@@ -818,15 +839,14 @@ def rank_sweep(theta: RationalInnerMatrix, schedule) -> RankReport:
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise; ``decay_class``
     probes Theta's coefficients once for it.  A polynomial Theta's Wold
-    family (``_wold_family``) is read once and every level runs in its
-    coordinates; the others sketch each level.  The levels run
+    family is read once for the levels at or above its family level; the
+    others sketch each level (``_rank_levels``).  The levels run
     one after another on the calling thread: on two threads they contend
     for the GIL, and the time a sweep takes then follows the load on the
     host rather than the work.
     """
     sched = _validate_schedule(schedule)
-    wold = _wold_family(theta)
-    levels = [_rank_level(ModelWorkspace.window(theta, A, B), wold) for A, B in sched]
+    levels = _rank_levels(theta, sched)
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

@@ -19,6 +19,7 @@ from bidisklab.inner import (
     unitary_conjugate,
 )
 from bidisklab.modelspace import (
+    _family_level,
     ModelWorkspace,
     TruncGrid,
     commutator,
@@ -1029,6 +1030,24 @@ def test_compressed_shift_matches_the_raised_box(theta):
             assert np.abs(S - ref).max() <= 1e-13 * np.linalg.norm(ref, 2), (basis.label, j)
 
 
+def test_compressed_shift_of_an_empty_basis():
+    # a constant unitary Theta has the zero model space: its compressed
+    # shifts, its Agler spaces' shift and the kernel formula are empty or
+    # zero, and its (0, 0) rank level, which takes the sketch, is empty
+    th = scalar_z2n(0)
+    basis = model_basis(th, TruncGrid(4, 4, 1))
+    assert basis.dim == 0
+    for j in (1, 2):
+        assert compressed_shift(th, basis, j).shape == (0, 0), j
+    spaces = agler_spaces(th, 8, 8)
+    assert spaces.model.dim == 0 and spaces.shift.shape == (0, 0)
+    cmp = agler.commutator_kernel_formula(th, spaces, (0.3, 0.2 + 0.1j), [1.0])
+    for vec in dataclasses.astuple(cmp):
+        assert vec.shape == (spaces.model.grid.dim,) and np.abs(vec).max() <= 1e-15
+    level = rank_at_level(th, 0, 0)
+    assert (level.dim_model, level.rank, level.sigmas.size) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("name", list(BUILTINS) + ["scalar_z2n(3)"])
 def test_sweep_shares_one_table_bitwise(name):
     # every sweep level is bitwise the level rank_at_level computes afresh
@@ -1103,17 +1122,35 @@ SMALL_BOXES = [(0, 0), (1, 1), (2, 2), (3, 3), (1, 4), (4, 1), (2, 7), (7, 2), (
 
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
-def test_wold_level_matches_the_sketch_on_small_boxes(group):
-    # the interior columns are judged in z1 and in z2: a nominal box thinner
-    # than a family's box leaves every column of that family on the edge
+def test_wold_level_matches_the_sketch_on_small_boxes(group, monkeypatch):
+    # rank_at_level routes each box by the family level: a box below it, in
+    # z1 or in z2, is the sketch level, bitwise; a box at or above it runs in
+    # Wold coordinates, with the sketch's dims, ranks and spectrum, and runs
+    # no SVD there, since the edge cuts come with the family
+    routed, svds = [], []
+    coordinates, svd = modelspace._wold_coordinates, np.linalg.svd
+
+    def counting_coordinates(ws, wold):
+        before = len(svds)
+        out = coordinates(ws, wold)
+        routed.append((ws.nominal.A, ws.nominal.B, len(svds) - before))
+        return out
+
+    monkeypatch.setattr(modelspace, "_wold_coordinates", counting_coordinates)
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(args) or svd(*args, **kw))
+    sketch_level = one_blas_thread(modelspace._rank_level)  # as rank_at_level runs it
     for th in _wold_items(group):
-        wold = modelspace._wold_family(th)
+        f1, f2 = _family_level(th)
         for A, B in SMALL_BOXES:
-            ws = ModelWorkspace.window(th, A, B)
-            ref = modelspace._rank_level(ws, None)
-            level = modelspace._rank_level(ws, wold)
+            routed.clear()
+            level = rank_at_level(th, A, B)
+            ref = sketch_level(ModelWorkspace.window(th, A, B), None)
             key = (th.label, A, B)
             assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
+            if A < f1 or B < f2:
+                assert routed == [] and np.array_equal(level.sigmas, ref.sigmas), key
+                continue
+            assert routed == [(A, B, 0)], key
             scale = ref.sigmas.max(initial=0.0)
             assert np.abs(level.sigmas - ref.sigmas).max(initial=0.0) <= 1e-12 * scale, key
 
@@ -1138,17 +1175,17 @@ def test_wold_level_forms_no_working_grid_array():
 
 def test_wold_level_rejects_a_family_that_is_not_orthonormal():
     th = builtin("hadamard_z1z2")
-    phi, psi = modelspace._wold_family(th)
-    modelspace._rank_level(ModelWorkspace.window(th, 8, 8), (phi, psi))
+    (phi, cut1), group2 = modelspace._wold_family(th)
+    modelspace._rank_level(ModelWorkspace.window(th, 8, 8), ((phi, cut1), group2))
     with pytest.raises(ValueError, match="basis columns not orthonormal"):
-        modelspace._rank_level(ModelWorkspace.window(th, 8, 8), (1.01 * phi, psi))
+        modelspace._rank_level(ModelWorkspace.window(th, 8, 8), ((1.01 * phi, cut1), group2))
 
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
 def test_wandering_vectors_stay_in_their_degree_boxes(group):
     for th in _wold_items(group):
         (m1, m2), (n1, n2) = th.deg, th.det_deg
-        spaces = agler_spaces(th, max(m1, 1), max(m2, 1))
+        spaces = agler_spaces(th, *_family_level(th))
         assert (spaces.hkmax1.dim, spaces.hkmin2.dim) == (n2, n1), th.label
         for space, (a, b) in ((spaces.hkmax1, (m1, m2 - 1)), (spaces.hkmin2, (m1 - 1, m2))):
             box = space.grid.as_box(space.basis).copy()
@@ -1163,7 +1200,7 @@ def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
     sched = [(4, 4), (6, 6), (8, 8)]
     wold_report = rank_sweep(th, sched)
     real = agler._sketch_spaces
-    level = tuple(max(m, 1) for m in th.deg)
+    level = _family_level(th)
 
     def one_short(theta, A, B):
         spaces = real(theta, A, B)
@@ -1190,9 +1227,35 @@ def _agler_level_boxes(th, deepest):
     """Square and asymmetric boxes at and above the level (max(m1, 1),
     max(m2, 1)) that a polynomial Theta's Wold family is read at, up to
     (deepest, deepest)."""
-    f1, f2 = (max(m, 1) for m in th.deg)
+    f1, f2 = _family_level(th)
     boxes = [(f1, f2), (f1, f2 + 3), (f1 + 4, f2 + 1), (12, 12), (deepest, deepest)]
     return sorted({(max(A, f1), max(B, f2)) for A, B in boxes})
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wold_edge_cuts_span_what_the_level_svds_keep(group):
+    # the family's edge cuts give what the per-level work they replace gave:
+    # the Wold Agler level's wandering spaces are those the shift Grams of
+    # its smax1 and smin2 give (agler._wandering), and the rank level's
+    # compression X spans the directions of one SVD of all the nominal rows
+    # of the Wold basis
+    wold_spaces = one_blas_thread(agler._wold_spaces)
+    for th in _wold_items(group):
+        wold = modelspace._wold_family(th)
+        for A, B in _agler_level_boxes(th, 16 if group == "builtins" else 12):
+            key = (th.label, A, B)
+            spaces = wold_spaces(th, wold, A, B)
+            for j, space, whole in ((1, spaces.hkmax1, spaces.smax1),
+                                    (2, spaces.hkmin2, spaces.smin2)):
+                ref = agler._wandering(th, whole, j, True).basis
+                assert space.basis.shape == ref.shape, key + (j,)
+                assert _largest_angle_sine(space.basis, ref) <= 1e-12, key + (j,)
+            ws = ModelWorkspace.window(th, A, B)
+            X = modelspace._wold_coordinates(ws, wold)[1]
+            wb = _wold_basis(wold, ws.grid)
+            Xw = modelspace._orth_columns(wb[ws.nominal.indices_in(ws.grid)].conj().T)
+            assert X.shape == Xw.shape, key
+            assert _largest_angle_sine(X, Xw) <= 1e-12, key
 
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
@@ -1244,7 +1307,7 @@ def test_agler_family_level_runs_one_sketch(group, monkeypatch):
     pairs = [tuple(tuple(0.5 * rng.uniform(size=2) * np.exp(2j * np.pi * rng.uniform(size=2)))
                    for _ in range(2)) for _ in range(4)]
     for th in _wold_items(group):
-        level = tuple(max(m, 1) for m in th.deg)
+        level = _family_level(th)
         sketches.clear()
         spaces = agler_spaces(th, *level)
         assert (sketches, assembled) == ([level], []), th.label
