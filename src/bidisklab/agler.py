@@ -347,9 +347,11 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
         weights2 = eval_columns(data.tphi, grid, (w1, w2)).conj().T @ e
         g2 = np.einsum("abdn,n->abd", fbox[1:][: padded.A + 1, :nB], weights2)
         vecs[: g2.shape[0], :, :, 2] = np.matmul(inv0, g2)
+    # Theta is causal, so P x cut to the grid is x there minus Theta applied
+    # on the grid to Theta* x cut to the grid
     x = vecs.reshape(padded.dim, 3)
-    kw, formula1, formula2 = padded.restrict(
-        x - ws.mult(ws.mult(x, padded, adjoint=True), padded), grid).T
+    adj = padded.restrict(ws.mult(x, padded, adjoint=True), grid)
+    kw, formula1, formula2 = (padded.restrict(x, grid) - ws.mult(adj, grid)).T
 
     # matrix route: coordinates of the kernel at w, split by summand
     y = model.coords(kw)

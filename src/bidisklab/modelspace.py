@@ -242,8 +242,9 @@ def _headroom(grid: TruncGrid, theta: RationalInnerMatrix) -> TruncGrid:
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
 
-# Complex entries of the probe-box column block one defect batch may hold (16 MB).
-_DEFECT_BATCH_ENTRIES = 1 << 20
+# Outside points one chopped-defect block takes: few enough that a block's
+# gathered columns and mult's temporaries on a (24,24) probe box stay in cache.
+_DEFECT_BLOCK_POINTS = 32
 
 
 class ModelWorkspace:
@@ -259,7 +260,7 @@ class ModelWorkspace:
     on first use.  Bases and shifts run on the working grid or a box inside
     it, where the anti-causal identity (module docstring) makes them agree
     with the padded projection; only ``agler.commutator_kernel_formula``
-    applies Theta on the padded grid, to the kernel vectors it builds there.
+    applies Theta* on the padded grid, to the kernel vectors it builds there.
     ``chopped_defect`` sets the ``noise_floor`` of rational rank levels and
     Agler spaces from the same kernel.
     """
@@ -401,26 +402,32 @@ class ModelWorkspace:
         points O outside the working grid (M M*)_{O,Q} = M_{O,Q} M_{Q,Q}*,
         and the mass of probe column m is the m-th row norm of
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
-        conj(Theta_{p-q}[k, j]) at (q, j), gathered from Theta's coefficients
-        on the padded grid, which the window's R_0 and R_c give
-        (``taylor._coefficients``); M_{Q,Q} is ``mult`` on the probe box.
-        Outside points are taken in batches of bounded memory.
+        conj(Theta_{p-q}[k, j]) at (q, j), zero unless q <= p, gathered from
+        Theta's coefficients on the padded grid, which the window's R_0 and
+        R_c give (``taylor._coefficients``); M_{Q,Q} is ``mult`` on the probe
+        box.  The columns do not depend on one another, so the outside points
+        are taken in blocks of ``_DEFECT_BLOCK_POINTS``; one block of them all
+        would be the level's largest allocation and its memory peak.
         """
         outside = np.ones((self.padded.A + 1, self.padded.B + 1), dtype=bool)
         outside[: self.grid.A + 1, : self.grid.B + 1] = False
         pa, pb = np.nonzero(outside)
         if pa.size == 0 or probe.dim == 0:
             return 0.0
+        # conj(Theta_c[k, j]) at [c + (probe.A, probe.B), j, k], zero at
+        # non-causal offsets, so that a block's columns are one gather
         coeffs = _coefficients(self.theta, self.padded.A, *self._kernel[1:])
-        batch = max(1, _DEFECT_BATCH_ENTRIES // (probe.dim * probe.d))
+        table = np.zeros((self.padded.A + probe.A + 1, self.padded.B + probe.B + 1)
+                         + coeffs.shape[2:], dtype=complex)
+        table[probe.A:, probe.B:] = coeffs.conj().transpose(0, 1, 3, 2)
+        qa = np.arange(probe.A, -1, -1)[:, None, None, None]
+        qb = np.arange(probe.B, -1, -1)[None, :, None, None]
+        j = np.arange(probe.d)[None, None, :, None]
         mass = np.zeros(probe.dim)
-        for start in range(0, pa.size, batch):
-            da = pa[None, start: start + batch] - np.arange(probe.A + 1)[:, None]
-            db = pb[None, start: start + batch] - np.arange(probe.B + 1)[:, None]
-            causal = (da >= 0)[:, None, :] & (db >= 0)[None, :, :]
-            blocks = coeffs[np.maximum(da, 0)[:, None, :], np.maximum(db, 0)[None, :, :]]
-            blocks = np.where(causal[..., None, None], blocks.conj(), 0.0)
-            cols = blocks.transpose(0, 1, 4, 2, 3).reshape(probe.dim, -1)
+        for start in range(0, pa.size, _DEFECT_BLOCK_POINTS):
+            block = slice(start, start + _DEFECT_BLOCK_POINTS)
+            # [q, j, (p, k)]: p - q + (A, B) indexes the table
+            cols = table[pa[block] + qa, pb[block] + qb, j].reshape(probe.dim, -1)
             mass += (np.abs(self.mult(cols, probe)) ** 2).sum(axis=1)
         return float(np.sqrt(mass.max()))
 

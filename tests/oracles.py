@@ -9,6 +9,9 @@ on a grid, the basis that a Wold rank level never forms.
 ``raised_box_shift`` is the compressed shift computed on the basis grid
 raised one degree in z_j, where the window applies Theta* to z_j times the
 basis; ``modelspace._shift_matrix`` applies no operator.
+``padded_projection`` is P = I - Theta Theta* applied on a whole padded grid
+and cut to a smaller grid, where ``agler.commutator_kernel_formula`` applies
+Theta only on the smaller grid.
 """
 
 import numpy as np
@@ -103,3 +106,10 @@ def raised_box_shift(ws, basis, adj, j):
     Z = shift_mult(g.embed(basis.basis, big), big, j)
     rows = g.indices_in(big)
     return basis.basis.conj().T @ Z[rows] - adj.conj().T @ ws.mult(Z, big, adjoint=True)[rows]
+
+
+def padded_projection(ws, x, grid):
+    """P x = x - Theta Theta* x for columns x on the window's padded grid,
+    both products applied there, cut to `grid`."""
+    P = ws.padded
+    return P.restrict(x - ws.mult(ws.mult(x, P, adjoint=True), P), grid)

@@ -15,14 +15,16 @@ from bidisklab.agler import (
 from bidisklab.inner import (
     RationalInnerMatrix,
     builtin,
+    builtin_names,
     diagonal,
     from_scalar,
     scalar_z2n,
     swap_variables,
 )
-from bidisklab.modelspace import Subspace, TruncGrid, probe_model_basis
+from bidisklab.modelspace import ModelWorkspace, Subspace, TruncGrid, probe_model_basis
 from bidisklab.polynomials import BiPoly, MatPoly
 from bidisklab.tolerances import RANK_REL_TOL
+from oracles import padded_projection
 
 
 def span_defect(space, target):
@@ -267,6 +269,38 @@ def test_formula_origin_is_exact():
         e = np.zeros(th.d)
         e[0] = 1.0
         assert formula_gap(th, sp, (0.0, 0.0), e) < 1e-12
+
+
+FORMULA_THETAS = [name for name in builtin_names()
+                  if "(" not in name and builtin(name).deg[0] <= 1] + ["scalar_z2n(3)"]
+
+
+@pytest.mark.parametrize("name", FORMULA_THETAS)
+@pytest.mark.parametrize("N", [4, 24])
+def test_formula_projection_matches_the_padded_grid(name, N, monkeypatch):
+    # Theta is causal, so the kernel vectors' projection, Theta applied only
+    # on the working grid, is P on the padded grid cut to the working grid
+    th = builtin(name)
+    spaces = agler_spaces(th, N, N)
+    padded, seen = spaces.model.workspace.padded, {}
+    mult, coords = ModelWorkspace.mult, Subspace.coords
+
+    def spy_mult(self, x, box, adjoint=False):
+        if adjoint and box == padded:
+            seen["x"] = x
+        return mult(self, x, box, adjoint)
+
+    def spy_coords(self, vec):
+        seen["kw"] = vec
+        return coords(self, vec)
+
+    monkeypatch.setattr(ModelWorkspace, "mult", spy_mult)
+    monkeypatch.setattr(Subspace, "coords", spy_coords)
+    cmp = commutator_kernel_formula(th, spaces, (0.3, 0.2 + 0.1j), np.ones(th.d) / np.sqrt(th.d))
+    monkeypatch.undo()
+    ref = padded_projection(spaces.model.workspace, seen["x"], spaces.model.grid)
+    got = np.column_stack([seen["kw"], cmp.formula_invariant, cmp.formula_complement])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_formula_rejects_high_degree():

@@ -504,11 +504,38 @@ def test_chopped_defect_matches_dense_columns(name, monkeypatch):
         cols = (np.eye(ws.padded.dim) - M @ M.conj().T)[:, probe.indices_in(ws.padded)]
         ref = float(np.linalg.norm(cols[_outside_points(ws)], axis=0).max())
         assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
-        # one outside point per batch
-        with monkeypatch.context() as m:
-            m.setattr(modelspace, "_DEFECT_BATCH_ENTRIES", 1)
-            assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
+        # one outside point per block, and blocks of three, the last one partial
+        for points in (1, 3):
+            with monkeypatch.context() as m:
+                m.setattr(modelspace, "_DEFECT_BLOCK_POINTS", points)
+                assert abs(ws.chopped_defect(probe) - ref) <= 1e-14 + 1e-12 * ref
     assert more == [True, False, True, False]
+
+
+def _defect_windows():
+    return [(builtin("scalar_stable4"), 24, 2e6),
+            (generate_family("diagonal", 25, seed=42)[2], 32, 16e6)]
+
+
+@pytest.mark.parametrize("theta,N,limit", _defect_windows(),
+                         ids=["scalar_stable4-24", "diagonal002-32"])
+def test_chopped_defect_blocks_bound_memory(theta, N, limit, monkeypatch):
+    # the defect takes its outside points in small blocks: its traced peak
+    # stays far below one block of every outside point, and the value is
+    # that of one such block to round-off
+    ws = ModelWorkspace.window(theta, N, N)
+    ws.inv_p0  # the kernel belongs to the window, not to the defect
+    tracemalloc.start()
+    try:
+        defect = ws.chopped_defect(ws.nominal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+    outside = (ws.padded.A + 1) * (ws.padded.B + 1) - (ws.grid.A + 1) * (ws.grid.B + 1)
+    assert outside > 4 * modelspace._DEFECT_BLOCK_POINTS
+    monkeypatch.setattr(modelspace, "_DEFECT_BLOCK_POINTS", outside)
+    assert abs(ws.chopped_defect(ws.nominal) - defect) <= 1e-15 * defect
 
 
 def test_convolution_operators_vector_and_block_agree():
