@@ -14,11 +14,15 @@ reads them off the sketched model basis of the window: smax1 is the null
 space of an invariance block, smin2 its complement.  A polynomial Theta's
 spaces above its family level, where ``modelspace._wold_family`` reads its
 Wold family off the sketch, are assembled from that family instead
-(``_wold_spaces``), with no operator.  Rational Theta keep the sketch.
+(``_wold_spaces``), with no operator and one orthonormality check from
+small Grams.  Rational Theta keep the sketch.  Either way the spaces keep
+Theta* of the model basis, the sketch's image or zero on the Wold route.
 
 The module also evaluates the closed-form commutator action on the
 reproducing kernels of the two summands next to the direct matrix
-computation, so the two routes can be compared numerically.
+computation, so the two routes can be compared numerically.  The shift and
+what the formula reads are built once per spaces from Theta* of the basis;
+a formula call and the batched kernel residual apply no operator.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from .modelspace import (
     _family_level,
     _nominal_view,
     _shifted,
+    _shift_matrix,
     _wold_family,
+    _wold_grams,
     backward_shift,
     commutator,
-    compressed_shift,
-    probe_model_basis,
     shift_mult,
 )
 from .polynomials import _convolve2d
@@ -58,27 +62,43 @@ class AglerSpaces:
     hkmax1: Subspace
     hkmin2: Subspace
     model: Subspace
+    adj: np.ndarray | None  # Theta* of the model basis; None where it is zero
 
     @cached_property
     def shift(self) -> np.ndarray:
-        """Compressed z1-shift on the model basis, computed on first use."""
-        return compressed_shift(self.model.workspace.theta, self.model, 1)
+        """Compressed z1-shift on the model basis from ``adj``, on first use; no operator."""
+        return _shift_matrix(self.model.workspace.theta, self.model, self.adj, 1)
 
     @cached_property
     def _formula_data(self) -> SimpleNamespace:
         """What ``commutator_kernel_formula`` reads of these spaces, computed once.
 
-        [S*, S] on the model basis, the model coordinates of smax1 and smin2,
-        and for the z1-wandering basis phi its cleared numerators
-        f = p phi (``_den_polys``) and its backward z1-shift.
+        [S*, S] on the model basis B, the model coordinates of smax1 and
+        smin2, Theta E adj on the padded grid (Theta* E B = E adj, as Theta*
+        is anti-causal), and for the z1-wandering phi_i, f_i = p phi_i,
+        Tbar1 phi_i and the formula's two terms projected to the working grid.
         """
         model, phi = self.model, self.hkmax1
+        grid, ws, padded = model.grid, model.workspace, model.workspace.padded
         data = SimpleNamespace(comm=-commutator(self.shift),
                                Xmax=model.coords(self.smax1.basis),
                                Xmin=model.coords(self.smin2.basis))
+        if self.adj is not None:
+            data.tadj = ws.mult(grid.embed(self.adj, padded), padded)
         if phi.dim:
-            data.fbox, data.fgrid = _den_polys(model.workspace.theta, phi.basis, phi.grid)
-            data.tphi = backward_shift(phi.basis, phi.grid, 1)
+            fbox = _convolve2d(grid.as_box(phi.basis), ws.theta.p.coeffs)  # f_i = p phi_i
+            data.fgrid = TruncGrid(fbox.shape[0] - 1, fbox.shape[1] - 1, grid.d)
+            data.f, data.tphi = fbox.reshape(-1, phi.dim), backward_shift(phi.basis, grid, 1)
+            # rows of f_i / p(0, z2) by R_0: row 0 the first term, the rest the second
+            nB = min(padded.B + 1, fbox.shape[1])
+            g = np.einsum("cb,abdn->acdn", ws.inv_p0[:, :nB], fbox[: padded.A + 2, :nB])
+            num = np.zeros((padded.A + 1, padded.B + 1, grid.d, 2, phi.dim), dtype=complex)
+            num[0, :, :, 0], num[: len(g) - 1, :, :, 1] = g[0], g[1:]
+            # Theta is causal: P x cut to the grid is x - Theta (Theta* x cut to it)
+            x = num.reshape(padded.dim, -1)
+            x_adj = padded.restrict(ws.mult(x, padded, adjoint=True), grid)
+            proj = padded.restrict(x, grid) - ws.mult(x_adj, grid)
+            data.P1, data.P2 = proj.reshape(grid.dim, 2, phi.dim).transpose(1, 0, 2)
         return data
 
 
@@ -165,12 +185,16 @@ def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     deeper z1-powers leave the degree window, so further constraints are
     vacuous at this truncation.
     """
-    basis = probe_model_basis(theta, A, B)
+    ws = ModelWorkspace.window(theta, A, B)
+    frame, adj, coords, _ = ws.model_span(ws.nominal)
+    adj = adj @ coords
+    basis = Subspace(ws.grid, frame @ coords, f"model({theta.label})@({A},{B})", ws)
+    frame = None  # only B and Theta* B outlive the frame
     smax1 = compute_smax1(theta, basis, A)
     smin2 = compute_smin2(theta, basis, smax1)
     exact = theta.p.is_constant
     return AglerSpaces(smax1, smin2, _wandering(theta, smax1, 1, exact),
-                       _wandering(theta, smin2, 2, exact), basis)
+                       _wandering(theta, smin2, 2, exact), basis, adj)
 
 
 def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpaces:
@@ -183,17 +207,23 @@ def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpace
     window; the model basis is [smax1 | smin2].  The wandering spaces are
     phi and psi: the kernel of an edge cut's rows is invariant under the
     up-shift, so a kept combination with no s = 0 part is z_j times one in
-    the space.  Requires (A, B) at or above the family level.
+    the space.  Theta* of these model-space columns is zero.  Each space
+    is a sub-block or an orthonormal compression of the first A + 1 and
+    B + 1 shifts, so one check of those (``_wold_grams``) bounds all five.
+    Requires (A, B) at or above the family level.
     """
     ws, label = ModelWorkspace.window(theta, A, B), theta.label
+    _wold_grams(wold, A + 1, B + 1)
     cols = [_nominal_view(_shifted(group[0], j, range(N + 1), ws.grid), group, j, N)
             for j, (group, N) in enumerate(zip(wold, (A, B)), 1)]
+    model = np.hstack(cols)  # smax1, smin2, phi and psi are views of it
+    cols = model[:, : cols[0].shape[1]], model[:, cols[0].shape[1]:]
     phi, psi = (c[:, : box.shape[3]] for c, (box, _) in zip(cols, wold))  # the shifts s = 0
-    return AglerSpaces(Subspace(ws.grid, cols[0], f"smax1({label})", ws),
-                       Subspace(ws.grid, cols[1], f"smin2({label})", ws),
-                       Subspace(ws.grid, phi, f"wandering1({label})", ws),
-                       Subspace(ws.grid, psi, f"wandering2({label})", ws),
-                       Subspace(ws.grid, np.hstack(cols), f"model({label})@({A},{B})", ws))
+    spaces = [Subspace._checked(ws.grid, basis, name, ws) for basis, name in (
+        (cols[0], f"smax1({label})"), (cols[1], f"smin2({label})"),
+        (phi, f"wandering1({label})"), (psi, f"wandering2({label})"),
+        (model, f"model({label})@({A},{B})"))]
+    return AglerSpaces(*spaces, None)
 
 
 @one_blas_thread
@@ -208,6 +238,8 @@ def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     the sketch level (``_sketch_spaces``): the invariant subspaces are null
     spaces of an invariance block on the sketched model basis.
     """
+    if A < 1 or B < 0:
+        raise ValueError(f"Agler truncation ({A}, {B}) needs A >= 1 (invariance depth), B >= 0")
     f1, f2 = _family_level(theta)
     if A >= f1 and B >= f2 and (A, B) != (f1, f2):
         wold = _wold_family(theta)
@@ -231,19 +263,27 @@ def kernel_space_dims(theta: RationalInnerMatrix,
 # ----------------------------------------------------------------------
 
 def eval_columns(cols: np.ndarray, grid: TruncGrid, z) -> np.ndarray:
-    """Evaluate flat coefficient columns as C^d-valued polynomials at z."""
-    z1, z2 = z
-    box = cols.reshape(grid.A + 1, grid.B + 1, grid.d, -1)
-    pw1 = np.asarray(z1, dtype=complex) ** np.arange(grid.A + 1)
-    pw2 = np.asarray(z2, dtype=complex) ** np.arange(grid.B + 1)
-    return np.einsum("a,b,abdn->dn", pw1, pw2, box)
+    """Evaluate flat coefficient columns as C^d-valued polynomials at z = (z1, z2):
+    (d, columns) at one point, (points, d, columns) at arrays of points."""
+    z1, z2 = (np.asarray(v, dtype=complex) for v in z)
+    pw = (z1[..., None, None] ** np.arange(grid.A + 1)[:, None]
+          * z2[..., None, None] ** np.arange(grid.B + 1))
+    n = (grid.A + 1) * (grid.B + 1)
+    vals = pw.reshape(z1.shape + (n,)) @ cols.reshape(n, -1)
+    return vals.reshape(z1.shape + (grid.d, cols.shape[1]))
 
 
 def _kernel_matrix(space: Subspace, z, w) -> np.ndarray:
-    """sum_i phi_i(z) phi_i(w)* over the columns of the space."""
-    Ez = eval_columns(space.basis, space.grid, z)
-    Ew = eval_columns(space.basis, space.grid, w)
-    return Ez @ Ew.conj().T
+    """sum_i phi_i(z) phi_i(w)* over the space's columns, at one pair or arrays of them."""
+    Ez, Ew = (eval_columns(space.basis, space.grid, point) for point in (z, w))
+    return Ez @ Ew.conj().swapaxes(-1, -2)
+
+
+def _require_bidisk(points: np.ndarray) -> None:
+    """Raise ValueError naming the first (z1, z2) row outside the open bidisk."""
+    outside = points[~(np.abs(points) < 1).all(axis=1)]
+    if outside.size:
+        raise ValueError(f"point {tuple(outside[0].tolist())} lies outside the open bidisk")
 
 
 @one_blas_thread
@@ -254,37 +294,26 @@ def agler_kernel_residual(theta: RationalInnerMatrix, spaces: AglerSpaces,
     Reconstructs K1 from the z1-wandering basis and K2 from the
     z2-wandering basis and measures
 
-        || I - Theta(z) Theta(w)* - (1 - z1 conj(w1)) K2 - (1 - z2 conj(w2)) K1 ||_F.
+        || I - Theta(z) Theta(w)* - (1 - z1 conj(w1)) K2 - (1 - z2 conj(w2)) K1 ||_F,
 
-    Sample coordinates should stay well inside the bidisk (modulus at most
-    0.7); truncated bases lose accuracy toward the boundary.
+    Theta and both bases evaluated at every pair in one batch.  A point
+    outside the open bidisk raises ValueError; points should stay well inside
+    it (modulus at most 0.7), as truncated bases lose accuracy toward the boundary.
     """
-    d = theta.d
-    eye = np.eye(d)
-    worst = 0.0
-    for z, w in sample_pairs:
-        K1 = _kernel_matrix(spaces.hkmax1, z, w)
-        K2 = _kernel_matrix(spaces.hkmin2, z, w)
-        lhs = eye - theta(*z) @ theta(*w).conj().T
-        rhs = (1 - z[0] * np.conj(w[0])) * K2 + (1 - z[1] * np.conj(w[1])) * K1
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, "fro")))
-    return worst
+    pts = np.asarray(sample_pairs, dtype=complex).reshape(-1, 2, 2)
+    _require_bidisk(pts.reshape(-1, 2))
+    z, w = pts[:, 0].T, pts[:, 1].T  # (z1, z2) rows of the points
+    K1, K2 = (_kernel_matrix(space, z, w) for space in (spaces.hkmax1, spaces.hkmin2))
+    Tz, Tw = (np.moveaxis(theta(*pt), -1, 0) for pt in (z, w))
+    lhs = np.eye(theta.d) - Tz @ Tw.conj().swapaxes(1, 2)
+    rhs = ((1 - z[0] * w[0].conj())[:, None, None] * K2
+           + (1 - z[1] * w[1].conj())[:, None, None] * K1)
+    return float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max(initial=0.0))
 
 
 # ----------------------------------------------------------------------
 # commutator action on the summand reproducing kernels
 # ----------------------------------------------------------------------
-
-def _den_polys(theta: RationalInnerMatrix, cols: np.ndarray, grid: TruncGrid):
-    """Clear the denominator of numerical columns: f_i = p * phi_i.
-
-    Returns the boxes of the f_i on a grid enlarged by the degree of p.
-    """
-    dp1, dp2 = theta.p.deg1, theta.p.deg2
-    big = TruncGrid(grid.A + dp1, grid.B + dp2, grid.d)
-    box = cols.reshape(grid.A + 1, grid.B + 1, grid.d, cols.shape[1])
-    return _convolve2d(box, theta.p.coeffs), big
-
 
 @dataclass(frozen=True)
 class KernelCommutatorComparison:
@@ -313,52 +342,29 @@ def commutator_kernel_formula(theta: RationalInnerMatrix, spaces: AglerSpaces,
 
     with Tbar1 the backward shift in z1.  The matrix route projects the
     model reproducing kernel at w onto each summand and applies the
-    commutator matrix of the compressed shift.  Requires deg1 Theta <= 1,
-    the hypothesis of the closed forms.
+    commutator matrix of the compressed shift.  A call applies no operator:
+    the formula sums the projected terms of each phi_i, which the spaces
+    fix (``AglerSpaces._formula_data``), weighted at w, and the kernel's
+    model coordinates are B* P(k_w e) = (P E B)(w)* e by the reproducing
+    property, P E B = E B - Theta E (Theta* B) on the padded grid.
+    Requires deg1 Theta <= 1, the hypothesis of the closed forms, and w in
+    the open bidisk.
     """
     if theta.deg[0] > 1:
         raise ValueError("closed-form commutator action requires deg1 Theta <= 1")
-    model = spaces.model
-    grid, ws = model.grid, model.workspace
-    data = spaces._formula_data
+    _require_bidisk(np.asarray([w], dtype=complex))
+    model, data = spaces.model, spaces._formula_data
     e = np.asarray(e, dtype=complex).reshape(theta.d)
-    w1, w2 = w
-    padded = ws.padded
-    # the padded-grid vectors to project: the Szego kernel at w times e, then
-    # the formula route's two numerators (zero without a wandering space)
-    vecs = np.zeros((padded.A + 1, padded.B + 1, theta.d, 3), dtype=complex)
-    pw1 = np.conj(w1) ** np.arange(padded.A + 1)
-    pw2 = np.conj(w2) ** np.arange(padded.B + 1)
-    vecs[..., 0] = pw1[:, None, None] * pw2[None, :, None] * e[None, None, :]
-
-    phi = spaces.hkmax1
-    if phi.dim:
-        fbox = data.fbox
-        pw = complex(theta.p(w1, w2))
-        fvals = eval_columns(fbox.reshape(-1, phi.dim), data.fgrid, (w1, w2))
-        weights1 = (fvals / pw).conj().T @ e  # (f_i(w)/p(w))^* e
-        # division by p(0, z2) on the padded z2-range is a product by R_0
-        nB = min(padded.B + 1, fbox.shape[1])
-        inv0 = ws.inv_p0[:, :nB]
-        # sum_i w1_i f_i(0, z2), then divide by p(0, z2)
-        g1 = np.einsum("bdn,n->bd", fbox[0, :nB], weights1)
-        vecs[0, :, :, 1] = inv0 @ g1
-        # backward z1-shift of the phi columns, evaluated at w, and of the f_i
-        weights2 = eval_columns(data.tphi, grid, (w1, w2)).conj().T @ e
-        g2 = np.einsum("abdn,n->abd", fbox[1:][: padded.A + 1, :nB], weights2)
-        vecs[: g2.shape[0], :, :, 2] = np.matmul(inv0, g2)
-    # Theta is causal, so P x cut to the grid is x there minus Theta applied
-    # on the grid to Theta* x cut to the grid
-    x = vecs.reshape(padded.dim, 3)
-    adj = padded.restrict(ws.mult(x, padded, adjoint=True), grid)
-    kw, formula1, formula2 = (padded.restrict(x, grid) - ws.mult(adj, grid)).T
-
-    # matrix route: coordinates of the kernel at w, split by summand
-    y = model.coords(kw)
-    y1 = data.Xmax @ (data.Xmax.conj().T @ y)
-    y2 = data.Xmin @ (data.Xmin.conj().T @ y)
-    matrix1 = model.basis @ (data.comm @ y1)
-    matrix2 = model.basis @ (data.comm @ y2)
+    y = eval_columns(model.basis, model.grid, w).conj().T @ e
+    if spaces.adj is not None:
+        y -= eval_columns(data.tadj, model.workspace.padded, w).conj().T @ e
+    matrix1 = model.basis @ (data.comm @ (data.Xmax @ (data.Xmax.conj().T @ y)))
+    matrix2 = model.basis @ (data.comm @ (data.Xmin @ (data.Xmin.conj().T @ y)))
+    formula1 = formula2 = np.zeros(model.grid.dim, dtype=complex)
+    if spaces.hkmax1.dim:
+        fvals = eval_columns(data.f, data.fgrid, w) / complex(theta.p(*w))
+        formula1 = data.P1 @ (fvals.conj().T @ e)
+        formula2 = data.P2 @ (eval_columns(data.tphi, model.grid, w).conj().T @ e)
     return KernelCommutatorComparison(formula1, matrix1, formula2, matrix2)
 
 

@@ -68,7 +68,7 @@ reflections away from the reported singular values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 
@@ -193,6 +193,13 @@ class Subspace:
             gram = self.basis.conj().T @ self.basis
             _check_orthonormal(np.linalg.norm(gram - np.eye(self.basis.shape[1]), "fro"))
 
+    @classmethod
+    def _checked(cls, *values) -> "Subspace":
+        """A Subspace whose columns the caller checked from small Grams (``_wold_grams``)."""
+        out = object.__new__(cls)
+        out.__dict__.update(zip((f.name for f in fields(cls)), values))
+        return out
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -259,8 +266,8 @@ class ModelWorkspace:
     that applies Theta (``mult``), from one kernel built on the padded grid
     on first use.  Bases and shifts run on the working grid or a box inside
     it, where the anti-causal identity (module docstring) makes them agree
-    with the padded projection; only ``agler.commutator_kernel_formula``
-    applies Theta* on the padded grid, to the kernel vectors it builds there.
+    with the padded projection; only the Agler formula data
+    (``agler.AglerSpaces``) applies Theta on the padded grid.
     ``chopped_defect`` sets the ``noise_floor`` of rational rank levels and
     Agler spaces from the same kernel.
     """
@@ -512,9 +519,9 @@ def _entering_slice(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_matrix(theta: RationalInnerMatrix, basis: Subspace, adj: np.ndarray,
+def _shift_matrix(theta: RationalInnerMatrix, basis: Subspace, adj: np.ndarray | None,
                   j: int) -> np.ndarray:
-    """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis.
+    """Matrix of the compressed shift on `basis`, given `adj` = Theta* basis, or None for 0.
 
     Entries are <P(z_j phi_beta), phi_alpha> = <z_j phi_beta, phi_alpha>
     - <Theta*(z_j phi_beta), Theta* phi_alpha> on the basis grid.  Theta*
@@ -532,15 +539,17 @@ def _shift_matrix(theta: RationalInnerMatrix, basis: Subspace, adj: np.ndarray,
         return np.zeros((0, 0), dtype=complex)
     axes = (0, 1) if j == 1 else (1, 0)  # the shifted variable first
     f = basis.grid.as_box(basis.basis).transpose(*axes, 2, 3)
+    n, k = f.shape[1], basis.dim
+    S = f[1:].reshape(-1, k).conj().T @ f[:-1].reshape(-1, k)
+    if adj is None:
+        return S
     fa = basis.grid.as_box(adj).transpose(*axes, 2, 3)
     p = theta.p.coeffs.transpose(axes)
     rhs = _entering_slice(theta.Q.coeffs.transpose(*(a + 2 for a in axes), 0, 1), f)
     rhs -= _entering_slice(p[:, :, None, None] * np.eye(basis.grid.d), fa)
-    n, k = f.shape[1], basis.dim
     p0 = np.zeros(n, dtype=complex)
     p0[: p.shape[1]] = p[0, :n]
     D = np.linalg.solve(_lower_toeplitz(p0).conj().T, rhs.reshape(n, -1))
-    S = f[1:].reshape(-1, k).conj().T @ f[:-1].reshape(-1, k)
     S -= fa[1:].reshape(-1, k).conj().T @ fa[:-1].reshape(-1, k)
     return S - fa[0].reshape(-1, k).conj().T @ D.reshape(-1, k)
 
@@ -729,6 +738,24 @@ def _toeplitz_section(blocks: dict, rows: int, cols: int) -> np.ndarray:
     return out.reshape(rows * n, cols * m)
 
 
+def _wold_grams(wold, K1: int, K2: int) -> tuple[dict, dict]:
+    """Check the shifts z1^k phi, k < K1, and z2^l psi, l < K2, of a Wold family
+    orthonormal as ``Subspace`` would, ||B* B - I|| summed from small Grams
+    weighted by how often B repeats them; return <phi, z1^s phi>, <psi, z2^t psi>."""
+    (phi, _), (psi, _) = wold
+    m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
+    lags = {s: _box_inner(phi, phi, s, 0) for s in range(-m1, m1 + 1)}
+    grams = {t: _box_inner(psi, psi, 0, t) for t in range(-m2, m2 + 1)}
+    sq = sum((K1 - abs(s)) * np.linalg.norm(g - (s == 0) * np.eye(n2)) ** 2
+             for s, g in lags.items() if abs(s) < K1)
+    sq += sum((K2 - abs(t)) * np.linalg.norm(g - (t == 0) * np.eye(n1)) ** 2
+              for t, g in grams.items() if abs(t) < K2)
+    sq += 2 * sum(np.linalg.norm(_box_inner(psi, phi, k, -l)) ** 2
+                  for k in range(min(K1, m1 + 1)) for l in range(min(K2, m2 + 1)))
+    _check_orthonormal(np.sqrt(sq))
+    return lags, grams
+
+
 def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]:
     """Compressed shift S and nominal compression X of a polynomial Theta's
     rank level, in Wold coordinates.
@@ -743,8 +770,7 @@ def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]
     z1^k phi -> z1^(k+1) phi, whose top block leaves the grid, the
     couplings <z1 z2^l psi, z1^k phi>, and the finite section of the block
     Toeplitz T_(l'l) = F_(l' - l), F_t = <z1 psi, z2^t psi>.  The defect
-    ||B* B - I|| is summed from the same small Grams, each weighted by how
-    often the grid repeats its pair, and checked as ``Subspace`` checks it.
+    ||B* B - I|| is checked from small Grams too (``_wold_grams``).
 
     X is the leading right singular vectors of B's nominal rows: the
     identity on the columns inside the nominal box and the family's edge
@@ -756,23 +782,16 @@ def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]
     (phi, _), (psi, _) = wold
     m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
     K1, K2 = ws.grid.A - m1 + 1, ws.grid.B - m2 + 1
-    lags = {s: _box_inner(phi, phi, s, 0) for s in range(-m1, m1 + 1)}
-    grams = {t: _box_inner(psi, psi, 0, t) for t in range(-m2, m2 + 1)}
+    lags, grams = _wold_grams(wold, K1, K2)
     n = K1 * n2  # the z1^k phi come first
     S = np.zeros((n + K2 * n1,) * 2, dtype=complex)
     S[:n, :n] = _toeplitz_section({1 - s: g for s, g in lags.items()}, K1, K1)
     S[n:, n:] = _toeplitz_section({t: _box_inner(psi, psi, 1, -t) for t in grams}, K2, K2)
-    sq = sum((K1 - abs(s)) * np.linalg.norm(g - (s == 0) * np.eye(n2)) ** 2
-             for s, g in lags.items() if abs(s) < K1)
-    sq += sum((K2 - abs(t)) * np.linalg.norm(g - (t == 0) * np.eye(n1)) ** 2
-              for t, g in grams.items() if abs(t) < K2)
     for k in range(min(K1, m1 + 1)):
         for l in range(min(K2, m2 + 1)):
             at_k, at_l = slice(k * n2, (k + 1) * n2), slice(n + l * n1, n + (l + 1) * n1)
             S[at_l, at_k] = _box_inner(psi, phi, k + 1, -l)
             S[at_k, at_l] = _box_inner(phi, psi, 1 - k, l)
-            sq += 2 * np.linalg.norm(_box_inner(psi, phi, k, -l)) ** 2
-    _check_orthonormal(np.sqrt(sq))
     eye = np.eye(S.shape[0])
     X = np.hstack([_nominal_view(eye[:, :n], wold[0], 1, ws.nominal.A),
                    _nominal_view(eye[:, n:], wold[1], 2, ws.nominal.B)])

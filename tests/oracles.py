@@ -10,8 +10,13 @@ on a grid, the basis that a Wold rank level never forms.
 raised one degree in z_j, where the window applies Theta* to z_j times the
 basis; ``modelspace._shift_matrix`` applies no operator.
 ``padded_projection`` is P = I - Theta Theta* applied on a whole padded grid
-and cut to a smaller grid, where ``agler.commutator_kernel_formula`` applies
-Theta only on the smaller grid.
+and cut to a smaller grid, and ``formula_padded_vectors`` builds the
+padded-grid vectors of the closed-form commutator action at one point
+(the Szego kernel and the two numerators), whose projections
+``agler.commutator_kernel_formula`` assembles from data it computes once
+per spaces.  ``pairwise_kernel_residual`` is the two-kernel residual one
+point pair at a time, where ``agler.agler_kernel_residual`` evaluates every
+pair in one batch.
 """
 
 import numpy as np
@@ -113,3 +118,60 @@ def padded_projection(ws, x, grid):
     both products applied there, cut to `grid`."""
     P = ws.padded
     return P.restrict(x - ws.mult(ws.mult(x, P, adjoint=True), P), grid)
+
+
+def _eval_box(cols, grid, z):
+    """Flat coefficient columns on the grid evaluated at one point z: (d, columns)."""
+    box = cols.reshape(grid.A + 1, grid.B + 1, grid.d, -1)
+    pw1 = complex(z[0]) ** np.arange(grid.A + 1)
+    pw2 = complex(z[1]) ** np.arange(grid.B + 1)
+    return np.einsum("a,b,abdn->dn", pw1, pw2, box)
+
+
+def pairwise_kernel_residual(theta, spaces, sample_pairs):
+    """max || I - Theta(z) Theta(w)* - (1 - z1 conj(w1)) K2 - (1 - z2 conj(w2)) K1 ||_F
+    over the pairs, one pair at a time, K1 and K2 summed over the wandering
+    bases evaluated at z and w."""
+    worst = 0.0
+    for z, w in sample_pairs:
+        K1, K2 = (_eval_box(s.basis, s.grid, z) @ _eval_box(s.basis, s.grid, w).conj().T
+                  for s in (spaces.hkmax1, spaces.hkmin2))
+        lhs = np.eye(theta.d) - theta(*z) @ theta(*w).conj().T
+        rhs = (1 - z[0] * np.conj(w[0])) * K2 + (1 - z[1] * np.conj(w[1])) * K1
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, "fro")))
+    return worst
+
+
+def formula_padded_vectors(theta, spaces, w, e):
+    """The three padded-grid columns whose projections the closed-form
+    commutator action at w reads: the Szego kernel k_w e, then
+    sum_i f_i(0, z2) / p(0, z2) (f_i(w) / p(w))^* e and
+    sum_i Tbar1 f_i / p(0, z2) (Tbar1 phi_i(w))^* e for the z1-wandering
+    basis phi_i, f_i = p phi_i, Tbar1 the backward z1-shift, each series
+    cut to the padded grid; f_i and the series of 1 / p(0, z2) are formed
+    here by direct convolution and recursion."""
+    grid, padded = spaces.model.grid, spaces.model.workspace.padded
+    d, PA, PB = theta.d, padded.A + 1, padded.B + 1
+    x = np.zeros((PA, PB, d, 3), dtype=complex)
+    x[..., 0] = np.multiply.outer(np.outer(np.conj(w[0]) ** np.arange(PA),
+                                           np.conj(w[1]) ** np.arange(PB)), e)
+    phi = spaces.hkmax1
+    if phi.dim == 0:
+        return x.reshape(padded.dim, 3)
+    p = theta.p.coeffs
+    box = phi.basis.reshape(grid.A + 1, grid.B + 1, d, phi.dim)
+    f = np.zeros((grid.A + p.shape[0], grid.B + p.shape[1], d, phi.dim), dtype=complex)
+    for c, k in np.ndindex(p.shape):
+        f[c: c + grid.A + 1, k: k + grid.B + 1] += p[c, k] * box
+    r = np.zeros(PB, dtype=complex)  # 1 / p(0, z2) to degree padded.B
+    for b in range(PB):
+        acc = (b == 0) - sum(p[0, k] * r[b - k] for k in range(1, min(b, p.shape[1] - 1) + 1))
+        r[b] = acc / p[0, 0]
+    w1 = (_eval_box(f.reshape(-1, phi.dim), TruncGrid(f.shape[0] - 1, f.shape[1] - 1, d), w)
+          / complex(theta.p(*w))).conj().T @ e
+    w2 = _eval_box(box[1:].reshape(-1, phi.dim), TruncGrid(grid.A - 1, grid.B, d), w).conj().T @ e
+    for col, rows, weights in ((1, f[:1], w1), (2, f[1:PA + 1], w2)):
+        g = np.einsum("abdn,n->abd", rows, weights)
+        for b in range(PB):
+            x[: g.shape[0], b, :, col] = sum(r[b - k] * g[:, k] for k in range(min(b + 1, g.shape[1])))
+    return x.reshape(padded.dim, 3)

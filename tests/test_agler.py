@@ -12,6 +12,7 @@ from bidisklab.agler import (
     injectivity_margin,
     kernel_space_dims,
 )
+from bidisklab.experiments import generate_family
 from bidisklab.inner import (
     RationalInnerMatrix,
     builtin,
@@ -21,10 +22,16 @@ from bidisklab.inner import (
     scalar_z2n,
     swap_variables,
 )
-from bidisklab.modelspace import ModelWorkspace, Subspace, TruncGrid, probe_model_basis
+from bidisklab.modelspace import (
+    ModelWorkspace,
+    Subspace,
+    TruncGrid,
+    commutator,
+    probe_model_basis,
+)
 from bidisklab.polynomials import BiPoly, MatPoly
 from bidisklab.tolerances import RANK_REL_TOL
-from oracles import padded_projection
+from oracles import formula_padded_vectors, padded_projection, pairwise_kernel_residual
 
 
 def span_defect(space, target):
@@ -229,6 +236,64 @@ def test_kernel_residual_identity_function():
     assert agler_kernel_residual(th, sp, sample_pairs(5)) == 0.0
 
 
+RESIDUAL_CASES = ([(name, 6) for name in builtin_names() if "(" not in name]
+                  + [("scalar_z2n(3)", 6), ("diagonal002", 16)])
+
+
+@pytest.mark.parametrize("name, N", RESIDUAL_CASES)
+def test_batched_kernel_residual_matches_the_pairwise_loop(name, N):
+    # one batched evaluation of every pair gives the residual that the
+    # pair-at-a-time loop of the oracle gives
+    th = (generate_family("diagonal", 25, seed=42)[2] if name == "diagonal002"
+          else builtin(name))
+    assert th.label == name
+    spaces = agler_spaces(th, N, N)
+    pairs = sample_pairs(25, seed=4, rmax=0.7)
+    got, ref = agler_kernel_residual(th, spaces, pairs), pairwise_kernel_residual(th, spaces, pairs)
+    assert abs(got - ref) <= 1e-14 * max(1.0, ref), (got, ref)
+
+
+def test_points_outside_the_open_bidisk_are_refused():
+    # a residual or a formula at a point on or outside the unit torus would
+    # be a finite number that means nothing; the point is named instead
+    th = builtin("scalar_stable4")
+    sp = agler_spaces(th, 8, 8)
+    inside = ((0.1, 0.2), (0.3j, -0.2))
+    for z in ((1.5, 0.1), (0.1, 1.0), (0.2, np.nan)):
+        with pytest.raises(ValueError, match="outside the open bidisk"):
+            agler_kernel_residual(th, sp, [inside, (z, inside[1])])
+        with pytest.raises(ValueError, match="outside the open bidisk"):
+            agler_kernel_residual(th, sp, [inside, (inside[0], z)])
+    with pytest.raises(ValueError, match=r"point \(\(1\.2\+0j\), \(0\.1\+0j\)\)"):
+        commutator_kernel_formula(th, sp, (1.2, 0.1), [1.0])
+    assert agler_kernel_residual(th, sp, [inside]) < 1e-6
+    assert agler_kernel_residual(th, sp, []) == 0.0
+
+
+@pytest.mark.parametrize("A, B", [(0, 0), (0, 4), (-1, 2), (3, -1)])
+def test_agler_truncation_is_validated_at_entry(A, B, monkeypatch):
+    # the CLI's rule, A >= 1 (the invariance depth) and B >= 0, named with
+    # the truncation before any window is built
+    import bidisklab.agler as ag
+
+    monkeypatch.setattr(ag, "_family_level", lambda *args: pytest.fail("reached the routes"))
+    with pytest.raises(ValueError, match=rf"truncation \({A}, {B}\).*invariance depth"):
+        agler_spaces(builtin("hadamard_deg21"), A, B)
+
+
+def test_wold_spaces_check_the_family_orthonormal():
+    # the Wold route forms no Gram of its spaces; its one check from the
+    # family's small Grams still refuses a family whose phi is scaled by 1.01
+    import bidisklab.agler as ag
+    from bidisklab import modelspace
+
+    th = builtin("hadamard_deg21")
+    (phi, cut1), psi = modelspace._wold_family(th)
+    ag._wold_spaces(th, ((phi, cut1), psi), 12, 12)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        ag._wold_spaces(th, ((1.01 * phi, cut1), psi), 12, 12)
+
+
 def test_hadamard_kernels_are_the_displayed_ones():
     th = builtin("hadamard_z1z2")
     sp = agler_spaces(th, 8, 8)
@@ -277,30 +342,27 @@ FORMULA_THETAS = [name for name in builtin_names()
 
 @pytest.mark.parametrize("name", FORMULA_THETAS)
 @pytest.mark.parametrize("N", [4, 24])
-def test_formula_projection_matches_the_padded_grid(name, N, monkeypatch):
-    # Theta is causal, so the kernel vectors' projection, Theta applied only
-    # on the working grid, is P on the padded grid cut to the working grid
+def test_formula_projection_matches_the_padded_grid(name, N):
+    # the formula vectors sum projections computed once per spaces, and the
+    # matrix route reads the kernel's model coordinates off the adjoint image
+    # of the basis; both are what P on the padded grid, cut to the working
+    # grid, gives of the kernel vectors built at the point (oracles), to
+    # 1e-14 of the largest projection
     th = builtin(name)
     spaces = agler_spaces(th, N, N)
-    padded, seen = spaces.model.workspace.padded, {}
-    mult, coords = ModelWorkspace.mult, Subspace.coords
-
-    def spy_mult(self, x, box, adjoint=False):
-        if adjoint and box == padded:
-            seen["x"] = x
-        return mult(self, x, box, adjoint)
-
-    def spy_coords(self, vec):
-        seen["kw"] = vec
-        return coords(self, vec)
-
-    monkeypatch.setattr(ModelWorkspace, "mult", spy_mult)
-    monkeypatch.setattr(Subspace, "coords", spy_coords)
-    cmp = commutator_kernel_formula(th, spaces, (0.3, 0.2 + 0.1j), np.ones(th.d) / np.sqrt(th.d))
-    monkeypatch.undo()
-    ref = padded_projection(spaces.model.workspace, seen["x"], spaces.model.grid)
-    got = np.column_stack([seen["kw"], cmp.formula_invariant, cmp.formula_complement])
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    model, w, e = spaces.model, (0.3, 0.2 + 0.1j), np.ones(th.d) / np.sqrt(th.d)
+    cmp = commutator_kernel_formula(th, spaces, w, e)
+    proj = padded_projection(model.workspace, formula_padded_vectors(th, spaces, w, e),
+                             model.grid)
+    kw, formula1, formula2 = proj.T
+    comm, y = -commutator(spaces.shift), model.coords(kw)
+    matrix1, matrix2 = (model.basis @ (comm @ (X @ (X.conj().T @ y)))
+                        for X in (model.coords(spaces.smax1.basis),
+                                  model.coords(spaces.smin2.basis)))
+    ref = np.column_stack([formula1, formula2, matrix1, matrix2])
+    got = np.column_stack([cmp.formula_invariant, cmp.formula_complement,
+                           cmp.matrix_invariant, cmp.matrix_complement])
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(proj).max()
 
 
 def test_formula_rejects_high_degree():
@@ -331,22 +393,32 @@ def test_injectivity_hadamard():
 
 
 def test_compressed_shift_is_computed_once_per_spaces(monkeypatch):
+    # the shift is built once from the spaces' Theta* image of the model
+    # basis, and building it applies no operator, on the Wold route of a
+    # polynomial Theta and the sketch route of a rational one
     import bidisklab.agler as ag
 
-    calls = []
-    real = ag.compressed_shift
+    calls, mults = [], []
+    real, mult = ag._shift_matrix, ModelWorkspace.mult
 
-    def counting(theta, basis, j):
+    def counting(theta, basis, adj, j):
         calls.append(j)
-        return real(theta, basis, j)
+        return real(theta, basis, adj, j)
 
-    monkeypatch.setattr(ag, "compressed_shift", counting)
-    th = builtin("hadamard_z1z2")
-    sp = agler_spaces(th, 8, 8)
-    margin = injectivity_margin(th, sp)
-    commutator_kernel_formula(th, sp, (0.2, 0.1), [1.0, 0.0])
-    assert injectivity_margin(th, sp) == margin
-    assert calls == [1]
+    monkeypatch.setattr(ag, "_shift_matrix", counting)
+    for name, e in (("hadamard_z1z2", [1.0, 0.0]), ("scalar_stable4", [1.0])):
+        calls.clear()
+        th = builtin(name)
+        sp = agler_spaces(th, 8, 8)
+        monkeypatch.setattr(ModelWorkspace, "mult",
+                            lambda *args, **kw: mults.append(args) or mult(*args, **kw))
+        sp.shift
+        assert mults == [], name
+        monkeypatch.setattr(ModelWorkspace, "mult", mult)
+        margin = injectivity_margin(th, sp)
+        commutator_kernel_formula(th, sp, (0.2, 0.1), e)
+        assert injectivity_margin(th, sp) == margin, name
+        assert calls == [1], name
 
 
 def test_injectivity_trivial_space_is_inf():
