@@ -74,16 +74,18 @@ class AglerSpaces:
         """What ``commutator_kernel_formula`` reads of these spaces, computed once.
 
         [S*, S] on the model basis B, the model coordinates of smax1 and
-        smin2, Theta E adj on the padded grid (Theta* E B = E adj, as Theta*
+        smin2 (the identity's column blocks on the Wold route, where B is
+        [smax1 | smin2]), Theta E adj on the padded grid (Theta* E B = E adj, as Theta*
         is anti-causal), and for the z1-wandering phi_i, f_i = p phi_i,
         Tbar1 phi_i and the formula's two terms projected to the working grid.
         """
         model, phi = self.model, self.hkmax1
         grid, ws, padded = model.grid, model.workspace, model.workspace.padded
-        data = SimpleNamespace(comm=-commutator(self.shift),
-                               Xmax=model.coords(self.smax1.basis),
-                               Xmin=model.coords(self.smin2.basis))
-        if self.adj is not None:
+        data = SimpleNamespace(comm=-commutator(self.shift))
+        if self.adj is None:
+            data.Xmax, data.Xmin = np.split(np.eye(model.dim), [self.smax1.dim], axis=1)
+        else:
+            data.Xmax, data.Xmin = model.coords(self.smax1.basis), model.coords(self.smin2.basis)
             data.tadj = ws.mult(grid.embed(self.adj, padded), padded)
         if phi.dim:
             fbox = _convolve2d(grid.as_box(phi.basis), ws.theta.p.coeffs)  # f_i = p phi_i

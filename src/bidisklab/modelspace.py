@@ -10,9 +10,10 @@ numerical rank estimates swept over a truncation schedule.
 
 No operator is stored as an n x n matrix.  Multiplication by Theta = Q / p
 is causal, so on a lower box it is T_Q T_p^-1, and a truncation window
-(``ModelWorkspace.mult``) applies it by one block-Toeplitz product per
-z1-shift and a recursion over z1-rows; the model projection is
-x - M (M* x), and memory grows with the grid, not with its square.
+(``ModelWorkspace.mult``) applies it by one shifted-slice product per
+nonzero block of Q and a recursion over z1-rows, one product with 1 / p(0,
+z2) per row; the model projection is x - M (M* x), and memory grows with
+the grid, not with its square.
 
 Multiplication is causal and its adjoint anti-causal: Theta* only lowers
 degrees.  So on any lower box W inside a larger box, the projection's
@@ -218,20 +219,39 @@ class Subspace:
 # ----------------------------------------------------------------------
 
 def _rational_kernel(theta: RationalInnerMatrix, grid: TruncGrid):
-    """T_c of Q per z1-shift c, R_0 and the (c, R_c, R_c^H) of p on the box.
-
-    For constant p, 1 / p is folded into the T_c and ``mult`` skips p.
-    """
-    A, B, d = grid.A, grid.B, grid.d
-    R0, rows = _denominator_kernel(theta.p, A, B)
-    q = theta.Q.coeffs[:, :, : A + 1, : B + 1]
+    """R_0 and the band of p on the box (``taylor._denominator_kernel``), and
+    Q's nonzero coefficient blocks (c, e, Q_ce) there, by z2-shift e; for
+    constant p, 1 / p is folded into the blocks and ``mult`` skips p."""
+    q = theta.Q.coeffs[:, :, : grid.A + 1, : grid.B + 1]
     if theta.p.is_constant:
         q = q / theta.p.coeffs[0, 0]
-    series = np.zeros(q.shape[:3] + (B + 1,), dtype=complex)
-    series[..., : q.shape[3]] = q
-    # T_c[(b, i), (b', j)] = Q_{c, b - b'}[i, j]: [i, j, c, b, b'] -> [c, (b, i), (b', j)]
-    T = _lower_toeplitz(series).transpose(2, 3, 0, 4, 1).reshape(-1, (B + 1) * d, (B + 1) * d)
-    return T, R0, rows
+    blocks = zip(*np.nonzero(q.any(axis=(0, 1)).T))
+    return (*_denominator_kernel(theta.p, grid.A, grid.B),
+            [(int(c), int(e), q[:, :, c, e].copy()) for e, c in blocks])
+
+
+def _block_product(blocks, x: np.ndarray, out: np.ndarray, k: int, adjoint: bool) -> np.ndarray:
+    """out = T_Q x (T_Q* x if `adjoint`) for z1-rows (A + 1, d, n k) of components
+    by (z2-degree, column), one shifted-slice product per block Q_ce: a z2-shift
+    by e moves a row by e k entries.  Chunks of z1-rows go from the top down; a
+    chunk reads only rows at or below it, so the forward product may be in place."""
+    A, d, L = out.shape[0] - 1, out.shape[1], out.shape[2]
+    product = np.matmul if d > 1 else np.multiply  # d = 1: a scalar block
+    terms = [(c, e * k, Q.conj().T if adjoint else Q) for c, e, Q in blocks
+             if c <= A and e * k < L]
+    step = max(1, _MULT_CHUNK_BYTES // out[0].nbytes)
+    for hi in range(A + 1, 0, -step):
+        lo = max(0, hi - step)
+        acc = np.zeros((hi - lo, d, L), dtype=complex)
+        for c, s, M in terms:
+            if adjoint and lo + c <= A:
+                top = min(hi, A + 1 - c)
+                acc[: top - lo, :, : L - s] += product(M, x[lo + c: top + c, :, s:])
+            elif not adjoint and hi > c:
+                low = max(lo, c)
+                acc[low - lo:, :, s:] += product(M, x[low - c: hi - c, :, : L - s])
+        out[lo:hi] = acc
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +268,13 @@ def _headroom(grid: TruncGrid, theta: RationalInnerMatrix) -> TruncGrid:
 # draws them from a fixed seed so every basis is reproducible.
 _SKETCH_OVERSAMPLE = 10
 _SKETCH_SEED = 0
+
+# A block of Q costs about as much as this many rows of a dense T_c, which a
+# box narrower in z2 than _DENSE_SIDE blocks per z1-shift of Q takes instead;
+# ``_block_product`` takes z1-rows in chunks of this many bytes, small enough
+# to stay in cache and off the allocator's mapped pages.
+_DENSE_SIDE = 10
+_MULT_CHUNK_BYTES = 1 << 17
 
 # Outside points one chopped-defect block takes: few enough that a block's
 # gathered columns and mult's temporaries on a (24,24) probe box stay in cache.
@@ -291,31 +318,36 @@ class ModelWorkspace:
     def _kernel(self):
         return _rational_kernel(self.theta, self.padded)
 
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        """Dense lower block-Toeplitz T_c of Q per z1-shift c on the padded grid,
+        T_c[(b, i), (b', j)] = Q_{c, b - b'}[i, j]: [i, j, c, b, b'] -> [c, (b, i), (b', j)]."""
+        n, d, blocks = self.padded.B + 1, self.padded.d, self._kernel[2]
+        series = np.zeros((d, d, 1 + max(c for c, _, _ in blocks), n), dtype=complex)
+        for c, e, Q in blocks:
+            series[:, :, c, e] = Q
+        return _lower_toeplitz(series).transpose(2, 3, 0, 4, 1).reshape(-1, n * d, n * d)
+
     @property
     def inv_p0(self) -> np.ndarray:
         """R_0 on the padded grid: division by p(0, z2) of z2-series up to padded.B."""
-        return self._kernel[1]
+        return self._kernel[0]
 
     def mult(self, x: np.ndarray, box: TruncGrid, adjoint: bool = False) -> np.ndarray:
         """Theta x, or Theta* x if `adjoint`, for a flat vector or column block x
         on a lower box; degrees beyond the box are dropped.
 
         Theta is causal and the box a lower box, so compressions multiply:
-        Theta = T_Q T_p^-1 and Theta* = T_p^-* T_Q*.  With Q = sum_c Q_c(z2)
-        z1^c, T_Q maps the z1-rows x[a] to sum_c T_c x[a - c], T_c the lower
-        block-Toeplitz matrix of Q_c; T_Q* sums T_c^H x[a + c].  T_p^-1 solves
-        p y = x one z1-row at a time: with p = sum_c p_c(z2) z1^c,
-
-            y[a] = R_0 x[a] + sum_{c = 1..m1} R_c y[a - c],
-
-        R_0 (``inv_p0``) and R_c the lower-triangular Toeplitz matrices of the
-        series 1 / p_0 and -p_c / p_0.  The adjoint runs it from the top row
-        down with R_c^H; lower-triangular Toeplitz matrices commute.  This is a
-        quarter-plane recursive filter (Dudgeon & Mersereau, *Multidimensional
-        Digital Signal Processing*, 1984; ``taylor._solve_denominator``).  The
-        box cuts the leading blocks of the padded kernel, so it may be no
-        taller in z2 than the padded grid, but any z1-extent works: the kernel
-        holds every z1-shift of Q and p.
+        Theta = T_Q T_p^-1 and Theta* = T_p^-* T_Q*.  T_p^-1 is a quarter-plane
+        recursive filter (Dudgeon & Mersereau, *Multidimensional Digital
+        Signal Processing*, 1984; ``taylor._solve_denominator``): one product
+        per z1-row with R_0 (``inv_p0``), the Toeplitz matrix of 1 / p(0, z2),
+        after p's band has taken the rows below off.  T_Q is one shifted-slice
+        product per nonzero block Q_ce (``_block_product``), or, on a box
+        narrower in z2 than ``_DENSE_SIDE`` blocks per z1-shift, one product
+        per z1-shift with the dense block-Toeplitz T_c.  The box cuts the
+        padded kernel, so it may be no taller in z2 than the padded grid; any
+        z1-extent works.
         """
         x = np.asarray(x)
         if box.d != self.theta.d:
@@ -326,23 +358,30 @@ class ModelWorkspace:
             raise ValueError("box is taller in z2 than the padded grid")
         if x.size == 0:
             return np.zeros(x.shape, dtype=complex)
-        T, R0, rows = self._kernel
-        A, n, rational = box.A, box.B + 1, not self.theta.p.is_constant
-        T, R0 = T[: A + 1, : n * box.d, : n * box.d], R0[:n, :n]
-        rows = [(c, Rc[:n, :n], RcH[:n, :n]) for c, Rc, RcH in rows]
-        y = x.reshape(A + 1, n, -1)
-        if rational and not adjoint:
-            y = _solve_denominator(R0, rows, y)
-        y = y.reshape(A + 1, n * box.d, -1)
-        out = np.zeros(y.shape, dtype=complex)
-        for c, Tc in enumerate(T):
-            if adjoint:
-                out[: A + 1 - c] += Tc.conj().T @ y[c:]
-            else:
-                out[c:] += Tc @ y[: A + 1 - c]
+        R0, band, blocks = self._kernel
+        A, n, d = box.A, box.B + 1, box.d
+        shape, x = x.shape, x.reshape(A + 1, n, d, -1)
+        k = x.shape[3]
+        # z1-rows of components by (z2-degree, column) for Q's blocks, of (z2-degree,
+        # component) by column for the T_c, blocks of z2-shift 0; p acts on the z2-degree
+        if n * len({c for c, _, _ in blocks}) < _DENSE_SIDE * len(blocks):
+            rows, layout = (A + 1, 1, n, d * k), (A + 1, n * d, k)
+            blocks = [(c, 0, T) for c, T in enumerate(self._toeplitz[: A + 1, : n * d, : n * d])]
+            x = x.reshape(rows)
+        else:
+            rows, layout = (A + 1, d, n, k), (A + 1, d, n * k)
+            x = x.swapaxes(1, 2)
+        rational = not self.theta.p.is_constant
+        if not adjoint:
+            x = np.array(x, dtype=complex, order="C")
+            if rational:
+                _solve_denominator(R0, band, x)
+        x = x.reshape(layout)
+        out = _block_product(blocks, x, np.empty(layout, dtype=complex) if adjoint else x,
+                             k, adjoint)
         if rational and adjoint:
-            out = _solve_denominator(R0, rows, out.reshape(A + 1, n, -1), adjoint=True)
-        return out.reshape(x.shape)
+            _solve_denominator(R0, band, out.reshape(rows), adjoint=True)
+        return out.reshape(rows).swapaxes(1, 2).reshape(shape)
 
     def grid_images(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Theta* vec and P vec = vec - Theta Theta* vec for working-grid vectors (or columns)."""
@@ -411,7 +450,7 @@ class ModelWorkspace:
         M_{Q,Q} (M_{O,Q})*.  Column (p, k) of (M_{O,Q})* holds
         conj(Theta_{p-q}[k, j]) at (q, j), zero unless q <= p, gathered from
         Theta's coefficients on the padded grid, which the window's R_0 and
-        R_c give (``taylor._coefficients``); M_{Q,Q} is ``mult`` on the probe
+        band of p give (``taylor._coefficients``); M_{Q,Q} is ``mult`` on the probe
         box.  The columns do not depend on one another, so the outside points
         are taken in blocks of ``_DEFECT_BLOCK_POINTS``; one block of them all
         would be the level's largest allocation and its memory peak.
@@ -423,7 +462,7 @@ class ModelWorkspace:
             return 0.0
         # conj(Theta_c[k, j]) at [c + (probe.A, probe.B), j, k], zero at
         # non-causal offsets, so that a block's columns are one gather
-        coeffs = _coefficients(self.theta, self.padded.A, *self._kernel[1:])
+        coeffs = _coefficients(self.theta, self.padded.A, *self._kernel[:2])
         table = np.zeros((self.padded.A + probe.A + 1, self.padded.B + probe.B + 1)
                          + coeffs.shape[2:], dtype=complex)
         table[probe.A:, probe.B:] = coeffs.conj().transpose(0, 1, 3, 2)

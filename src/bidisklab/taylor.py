@@ -1,14 +1,14 @@
 """Power-series expansion of Theta = Q / p into matrix Taylor coefficients.
 
 ``expand`` is the one engine of Theta's coefficients on a degree box.  The
-series s of 1 / p is T_p^-1 of the unit at the origin, by the z1-row
+series s of 1 / p is T_p^-1 of the unit at the origin, by the quarter-plane
 recursion (``_solve_denominator``) with which ``modelspace.ModelWorkspace.mult``
 also divides by p, and Theta = Q s is one shifted copy of s per nonzero
 coefficient block of Q (``_coefficients``); both steps are exact (to
 round-off) whenever p(0,0) != 0.  It feeds ``bidisklab inner expand`` and
 the decay probe of rank sweeps (``modelspace.decay_class``); a window's
-chopped defect runs ``_coefficients`` on the window's own R_0 and R_c.  The
-outer frame of a table carries a recorded tail norm; decay diagnostics
+chopped defect runs ``_coefficients`` on the window's own R_0 and band.
+The outer frame of a table carries a recorded tail norm; decay diagnostics
 downstream decide how much a truncation may be trusted.
 """
 
@@ -69,49 +69,45 @@ def _lower_toeplitz(series: np.ndarray) -> np.ndarray:
 
 
 def _denominator_kernel(p: BiPoly, A: int, B: int):
-    """R_0 and the (c, R_c, R_c^H) of p = sum_c p_c(z2) z1^c on the (A, B) box: the
-    Toeplitz matrices of the series 1 / p_0 and -p_c / p_0 (``_solve_denominator``)."""
-    coeffs = np.zeros((min(A, p.deg1) + 1, B + 1), dtype=complex)
-    for a, b, v in p.terms():
-        if a <= A and b <= B:
-            coeffs[a, b] = v
-    # R_0 is the Toeplitz matrix of the series s = 1 / p_0, which solves
-    # P_0 s = e_0, and R_c = -R_0 P_c that of -p_c / p_0
-    P = _lower_toeplitz(coeffs)
-    R0 = _lower_toeplitz(np.linalg.solve(P[0], np.eye(B + 1)[:, 0]))
-    rows = []
-    for c in range(1, len(P)):
-        if coeffs[c].any():
-            Rc = -R0 @ P[c]
-            rows.append((c, Rc, Rc.conj().T))
-    return R0, rows
+    """R_0, the Toeplitz matrix of the series 1 / p(0, z2), and the band of p:
+    its coefficients (c, e, p_ce), 1 <= c <= A, on the (A, B) box."""
+    c = p.coeffs[: A + 1, : B + 1]
+    p0 = np.zeros(B + 1, dtype=complex)
+    p0[: c.shape[1]] = c[0]
+    if not p0.imag.any():
+        p0 = p0.real  # a real R_0 multiplies complex rows by one real product
+    # 1 / p(0, z2) solves P_0 s = e_0
+    return (_lower_toeplitz(np.linalg.solve(_lower_toeplitz(p0), np.eye(B + 1)[:, 0])),
+            [(a, e, c[a, e]) for a, e in zip(*np.nonzero(c)) if a])
 
 
-def _solve_denominator(R0, rows, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """T_p^-1 x (T_p^-* x if `adjoint`) for a stack x of z1-rows (A + 1, B + 1, k),
-    by the z1-row recursion of ``modelspace.ModelWorkspace.mult``."""
-    return _row_recursion(rows, np.matmul(R0.conj().T if adjoint else R0, x), adjoint)
-
-
-def _row_recursion(rows, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The z1-row recursion of T_p^-1 on y = R_0 x, in place: y[a] += sum_c
-    R_c y[a - c] from the bottom row up; if `adjoint`, that of T_p^-* on
-    y = R_0^H x, y[a] += sum_c R_c^H y[a + c] from the top row down."""
-    A, step = len(y) - 1, 1 if adjoint else -1
-    for a in (range(A - 1, -1, -1) if adjoint else range(1, A + 1)):
-        for c, Rc, RcH in rows:
-            if 0 <= a + step * c <= A:
-                y[a] += (RcH if adjoint else Rc) @ y[a + step * c]
+def _solve_denominator(R0, band, y: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """T_p^-1 y (T_p^-* y if `adjoint`) in place on z1-rows y (A + 1, m, n, k),
+    n the z2-degree: from the bottom row up y[a] = R_0 (y[a] - sum p_ce z2^e
+    y[a - c]); the adjoint from the top row down with R_0^H and conj p_ce."""
+    A, n, real = len(y) - 1, y.shape[2], R0.dtype.kind == "f"
+    R = R0[:n, :n].conj().T if adjoint else R0[:n, :n]
+    band = [(c, e, np.conj(v) if adjoint else v) for c, e, v in band if e < n]
+    # without a band the rows are independent: one product for all of them
+    for a in (range(A, -1, -1) if adjoint else range(A + 1)) if band else [Ellipsis]:
+        row = y[a]
+        for c, e, v in band:
+            if adjoint and a + c <= A:
+                row[:, : n - e] -= v * y[a + c, :, e:]
+            elif not adjoint and a >= c:
+                row[:, e:] -= v * y[a - c, :, : n - e]
+        # a real R_0 takes the row's real and imaginary parts as one real block
+        y[a] = (R @ row.view(np.float64)).view(complex) if real else R @ row
     return y
 
 
-def _coefficients(theta: RationalInnerMatrix, A: int, R0, rows) -> np.ndarray:
-    """Theta's coefficients on the (A, len(R0) - 1) box, from p's R_0 and R_c
+def _coefficients(theta: RationalInnerMatrix, A: int, R0, band) -> np.ndarray:
+    """Theta's coefficients on the (A, len(R0) - 1) box, from p's R_0 and band
     there: Q times the series of 1 / p, T_p^-1 of the unit at the origin."""
     B = len(R0) - 1
-    s = np.zeros((A + 1, B + 1, 1), dtype=complex)
-    s[0, :, 0] = R0[:, 0]  # R_0 times the unit; the unit's other rows are zero
-    s = _row_recursion(rows, s)
+    s = np.zeros((A + 1 if band else 1, 1, B + 1, 1), dtype=complex)  # no band: row 0 alone
+    s[0, 0, 0] = 1.0
+    s = _solve_denominator(R0, band, s)[:, 0]
     a, b = np.nonzero(s[..., 0])
     s = s[: a.max() + 1, : b.max() + 1]  # its support: the origin alone for constant p
     Q = theta.Q.coeffs[:, :, : A + 1, : B + 1]

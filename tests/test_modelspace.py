@@ -12,9 +12,11 @@ from bidisklab._blas import one_blas_thread
 from bidisklab.agler import agler_kernel_residual, agler_spaces
 from bidisklab.experiments import generate_family
 from bidisklab.inner import (
+    RationalInnerMatrix,
     builtin,
     diagonal,
     from_scalar,
+    require_inner,
     scalar_z2n,
     unitary_conjugate,
 )
@@ -381,6 +383,13 @@ BUILTINS = ("diag_z1z2_1", "hadamard_deg21", "hadamard_z1z2", "scalar_favorite",
 
 
 def _defect_theta(name):
+    if name == "diagonal006":  # deg1 p = 2, deg2 p = deg2 Q = 3
+        return generate_family("diagonal", 25, seed=42)[6]
+    if name == "seed7_d3_diagonal000":  # d = 3, p a polynomial in z2 alone
+        return generate_family("diagonal", 25, d=3, seed=7, m1_cap=2, m2_cap=3)[0]
+    if name == "hadamard_deg21/3":  # a constant p with p(0, 0) = 3
+        th = builtin("hadamard_deg21")
+        return require_inner(RationalInnerMatrix(th.d, th.Q.scale(3), th.p.scale(3), name))
     if name != "conjugated_stable4_favorite":
         return builtin(name)
     # a non-diagonal d = 2 rational Theta
@@ -391,6 +400,9 @@ def _defect_theta(name):
 
 
 ALL_THETAS = list(BUILTINS) + ["scalar_z2n(3)", "conjugated_stable4_favorite"]
+# ... and Theta whose boxes may be shorter than deg1 p or narrower than deg2 p
+# and deg2 Q, with d = 3, or with a constant p other than 1
+KERNEL_THETAS = ALL_THETAS + ["diagonal006", "seed7_d3_diagonal000", "hadamard_deg21/3"]
 
 
 def _fft_mult(coeffs, grid, x, adjoint=False):
@@ -412,34 +424,37 @@ def _fft_mult(coeffs, grid, x, adjoint=False):
 # The reference is the dense matrix ("direct") or an FFT convolution of the
 # oracle's Taylor coefficients ("fft").  Inputs are real unit vectors and
 # complex columns: a complex-coefficient Theta fed a real input must keep
-# its imaginary part.
+# its imaginary part.  Q is applied both by its blocks and by the dense T_c,
+# whichever of the two the box would take.
 @pytest.mark.parametrize("reference", ["direct", "fft"])
-@pytest.mark.parametrize("name", ALL_THETAS)
-@pytest.mark.parametrize("A,B", [(3, 3), (4, 2), (2, 5)])
-def test_convolution_operators_match_dense(name, A, B, reference):
+@pytest.mark.parametrize("name", KERNEL_THETAS)
+@pytest.mark.parametrize("A,B", [(3, 3), (4, 2), (2, 5), (0, 4), (4, 1)])
+def test_convolution_operators_match_dense(name, A, B, reference, monkeypatch):
     th = _defect_theta(name)
     ws = ModelWorkspace(th, TruncGrid(A, B, th.d))
     n = ws.padded.dim
     coeffs = _expand_pointwise(th, ws.padded.A, ws.padded.B)
     M = analytic_mult(coeffs, ws.padded)
     P = ws.padded
-    rng = np.random.default_rng(A + 10 * B)
-    for x in (np.eye(n), rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
-        if reference == "direct":
-            ref, ref_h = M @ x, M.conj().T @ x
-        else:
-            ref = _fft_mult(coeffs, ws.padded, x)
-            ref_h = _fft_mult(coeffs, ws.padded, x, adjoint=True)
-        assert np.abs(ws.mult(x, P) - ref).max() < 1e-13
-        assert np.abs(ws.mult(x, P, adjoint=True) - ref_h).max() < 1e-13
     eye = np.eye(n)
     proj = eye - M @ M.conj().T
-    assert np.abs(eye - ws.mult(ws.mult(eye, P, adjoint=True), P) - proj).max() < 1e-13
-    # anti-causal identity: the padded projection cut to the working grid
-    # is the projection built on the working grid alone
     work = ws.grid.indices_in(ws.padded)
-    assert np.abs(ws.grid_images(np.eye(ws.grid.dim))[1]
-                  - proj[np.ix_(work, work)]).max() < 1e-13
+    for dense_side in (0, np.inf):  # Q's blocks, then the dense T_c
+        monkeypatch.setattr(modelspace, "_DENSE_SIDE", dense_side)
+        rng = np.random.default_rng(A + 10 * B)
+        for x in (eye, rng.standard_normal((n, 7)) + 1j * rng.standard_normal((n, 7))):
+            if reference == "direct":
+                ref, ref_h = M @ x, M.conj().T @ x
+            else:
+                ref = _fft_mult(coeffs, ws.padded, x)
+                ref_h = _fft_mult(coeffs, ws.padded, x, adjoint=True)
+            assert np.abs(ws.mult(x, P) - ref).max() < 1e-13
+            assert np.abs(ws.mult(x, P, adjoint=True) - ref_h).max() < 1e-13
+        assert np.abs(eye - ws.mult(ws.mult(eye, P, adjoint=True), P) - proj).max() < 1e-13
+        # anti-causal identity: the padded projection cut to the working grid
+        # is the projection built on the working grid alone
+        assert np.abs(ws.grid_images(np.eye(ws.grid.dim))[1]
+                      - proj[np.ix_(work, work)]).max() < 1e-13
 
 
 @pytest.mark.parametrize("name", ["scalar_favorite", "scalar_stable4",
@@ -461,7 +476,7 @@ def test_recursion_forward_error_at_64(name):
         assert err.max() < 1e-12
 
 
-@pytest.mark.parametrize("name", ALL_THETAS)
+@pytest.mark.parametrize("name", KERNEL_THETAS)
 def test_sliced_operator_matches_fresh_operator(name):
     # every box of a window cuts the leading blocks of the kernel built on
     # its padded grid; they must act as a fresh window on the box does, also
@@ -477,6 +492,29 @@ def test_sliced_operator_matches_fresh_operator(name):
         for adjoint in (False, True):
             assert np.abs(ws.mult(x, box, adjoint) - fresh.mult(x, box, adjoint)).max() \
                 <= 1e-15 * np.abs(x).max(), (A, B)
+
+
+def _arrays(kernel):
+    if isinstance(kernel, np.ndarray):
+        return [kernel]
+    if isinstance(kernel, (tuple, list)):
+        return [a for part in kernel for a in _arrays(part)]
+    return []
+
+
+@pytest.mark.parametrize("name", ["scalar_stable4", "seed7_d3_diagonal000"])
+def test_window_kernel_holds_nothing_larger_than_r0(name):
+    # at (64,64) the window applies Q by its nonzero blocks and p by R_0 and
+    # p's band on each of its boxes: it keeps no dense Toeplitz matrix of Q
+    # or p beside R_0
+    th = _defect_theta(name)
+    ws = ModelWorkspace.window(th, 64, 64)
+    for box in (ws.nominal, ws.grid, ws.padded):
+        for adjoint in (False, True):
+            ws.mult(np.ones((box.dim, 2)), box, adjoint)
+    sizes = [a.size for a in _arrays(list(vars(ws).values()))]
+    assert max(sizes) == ws.inv_p0.size == (ws.padded.B + 1) ** 2
+    assert sizes.count(ws.inv_p0.size) == 1
 
 
 def _outside_points(ws):
