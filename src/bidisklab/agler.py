@@ -13,10 +13,11 @@ The spaces take one of two routes.  The sketch level (``_sketch_spaces``)
 reads them off the sketched model basis of the window: smax1 is the null
 space of an invariance block, smin2 its complement.  A polynomial Theta's
 spaces above its family level, where ``modelspace._wold_family`` reads its
-Wold family off the sketch, are assembled from that family instead
-(``_wold_spaces``), with no operator and one orthonormality check from
-small Grams.  Rational Theta keep the sketch.  Either way the spaces keep
-Theta* of the model basis, the sketch's image or zero on the Wold route.
+Wold family record off the sketch, are assembled from that family instead
+(``_wold_spaces``), with no operator and one orthonormality check of the
+family's Gram (``modelspace._wold_gram``).  Rational Theta keep the
+sketch.  Either way the spaces keep Theta* of the model basis, the
+sketch's image or zero on the Wold route.
 
 The module also evaluates the closed-form commutator action on the
 reproducing kernels of the two summands next to the direct matrix
@@ -39,12 +40,14 @@ from .modelspace import (
     ModelWorkspace,
     Subspace,
     TruncGrid,
+    WoldFamily,
+    _check_orthonormal,
     _family_level,
     _nominal_view,
     _shifted,
     _shift_matrix,
     _wold_family,
-    _wold_grams,
+    _wold_gram,
     backward_shift,
     commutator,
     shift_mult,
@@ -188,10 +191,8 @@ def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     vacuous at this truncation.
     """
     ws = ModelWorkspace.window(theta, A, B)
-    frame, adj, coords, _ = ws.model_span(ws.nominal)
-    adj = adj @ coords
-    basis = Subspace(ws.grid, frame @ coords, f"model({theta.label})@({A},{B})", ws)
-    frame = None  # only B and Theta* B outlive the frame
+    span, adj, _ = ws.model_span(ws.nominal)
+    basis = Subspace(ws.grid, span, f"model({theta.label})@({A},{B})", ws)
     smax1 = compute_smax1(theta, basis, A)
     smin2 = compute_smin2(theta, basis, smax1)
     exact = theta.p.is_constant
@@ -199,7 +200,7 @@ def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
                        _wandering(theta, smin2, 2, exact), basis, adj)
 
 
-def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpaces:
+def _wold_spaces(theta: RationalInnerMatrix, wold: WoldFamily, A: int, B: int) -> AglerSpaces:
     """The Agler spaces at (A, B) of a polynomial Theta from its Wold family.
 
     For phi in W1 and psi in W2 (``_wold_family``), smax1 is spanned by the
@@ -211,16 +212,16 @@ def _wold_spaces(theta: RationalInnerMatrix, wold, A: int, B: int) -> AglerSpace
     up-shift, so a kept combination with no s = 0 part is z_j times one in
     the space.  Theta* of these model-space columns is zero.  Each space
     is a sub-block or an orthonormal compression of the first A + 1 and
-    B + 1 shifts, so one check of those (``_wold_grams``) bounds all five.
-    Requires (A, B) at or above the family level.
+    B + 1 shifts, so one check of their Gram (``_wold_gram``) bounds all
+    five.  Requires (A, B) at or above the family level.
     """
-    ws, label = ModelWorkspace.window(theta, A, B), theta.label
-    _wold_grams(wold, A + 1, B + 1)
-    cols = [_nominal_view(_shifted(group[0], j, range(N + 1), ws.grid), group, j, N)
-            for j, (group, N) in enumerate(zip(wold, (A, B)), 1)]
+    ws, label, boxes = ModelWorkspace.window(theta, A, B), theta.label, (wold.phi, wold.psi)
+    _check_orthonormal(_wold_gram(wold, A + 1, B + 1, 0))
+    cols = [_nominal_view(_shifted(box, j, range(N + 1), ws.grid), wold, j, N)
+            for j, (box, N) in enumerate(zip(boxes, (A, B)), 1)]
     model = np.hstack(cols)  # smax1, smin2, phi and psi are views of it
     cols = model[:, : cols[0].shape[1]], model[:, cols[0].shape[1]:]
-    phi, psi = (c[:, : box.shape[3]] for c, (box, _) in zip(cols, wold))  # the shifts s = 0
+    phi, psi = (c[:, : box.shape[3]] for c, box in zip(cols, boxes))  # the shifts s = 0
     spaces = [Subspace._checked(ws.grid, basis, name, ws) for basis, name in (
         (cols[0], f"smax1({label})"), (cols[1], f"smin2({label})"),
         (phi, f"wandering1({label})"), (psi, f"wandering2({label})"),

@@ -45,18 +45,18 @@ z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
 W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
 p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
 (m1, m2) = deg Theta, read once off the sketch level of one small
-``agler_spaces`` window, the family level (``_wold_family``).  Their
-shifts that fit the working grid are an exact orthonormal basis there, and
-a level at or above the family level never forms it: in these Wold
-coordinates the compressed shift is a block shift, a coupling block and a
-finite block Toeplitz section, each entry the inner product of two small
-degree boxes, and the nominal compression is the identity on the shifts
-inside the nominal box and the family's edge cut on the next few
-(``_wold_coordinates``).  No sketch, no grid-sized array and no operator
-application.  ``agler_spaces`` above the family level places the same
-shifts on its working grid.  Boxes below the family level, rational
-Theta, and polynomial Theta whose small-level wandering dimensions are not
-(n2, n1) keep the sketch.
+``agler_spaces`` window, the family level, into one record
+(``_wold_family``: phi, psi and their edge cuts).  Their shifts that fit
+the working grid are an exact orthonormal basis B there, which a level at
+or above the family level never forms: ``_wold_gram`` gives B* (z1^s B)
+from inner products of small degree boxes, the Gram at s = 0, checked as
+a ``Subspace`` is, and the compressed shift at s = 1, and the nominal
+compression is the identity on the shifts inside the nominal box and the
+family's edge cut on the next few (``_wold_coordinates``).  No sketch, no
+grid-sized array and no operator application.  ``agler_spaces`` above
+the family level places the same shifts on its working grid.  Boxes
+below the family level, rational Theta, and polynomial Theta whose
+small-level wandering dimensions are not (n2, n1) keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
 is one window: the nominal (A, B) box that estimates are read on, the
@@ -69,9 +69,11 @@ reflections away from the reported singular values.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,8 +174,9 @@ def backward_shift(vec: np.ndarray, grid: TruncGrid, j: int) -> np.ndarray:
     return out.reshape(vec.shape)
 
 
-def _check_orthonormal(defect: float) -> None:
-    """Reject a basis whose Frobenius defect ||B* B - I|| exceeds ``BASIS_ORTHO_TOL``."""
+def _check_orthonormal(gram: np.ndarray) -> None:
+    """Reject a basis whose Gram G = B* B has a defect ||G - I||_F over ``BASIS_ORTHO_TOL``."""
+    defect = np.linalg.norm(gram - np.eye(gram.shape[0]), "fro")
     if defect > BASIS_ORTHO_TOL:
         raise ValueError(f"basis columns not orthonormal (defect {defect:.2e})")
 
@@ -191,12 +194,11 @@ class Subspace:
         if self.basis.shape[0] != self.grid.dim:
             raise ValueError("basis rows disagree with the grid dimension")
         if self.basis.shape[1]:
-            gram = self.basis.conj().T @ self.basis
-            _check_orthonormal(np.linalg.norm(gram - np.eye(self.basis.shape[1]), "fro"))
+            _check_orthonormal(self.basis.conj().T @ self.basis)
 
     @classmethod
     def _checked(cls, *values) -> "Subspace":
-        """A Subspace whose columns the caller checked from small Grams (``_wold_grams``)."""
+        """A Subspace whose columns the caller checked by a Wold family's Gram (``_wold_gram``)."""
         out = object.__new__(cls)
         out.__dict__.update(zip((f.name for f in fields(cls)), values))
         return out
@@ -389,11 +391,11 @@ class ModelWorkspace:
         return adj, vec - self.mult(adj, self.grid)
 
     def model_span(self, probe: TruncGrid) -> tuple[np.ndarray, ...]:
-        """Frame F, Theta* F, coordinates V and Ritz values of the projected
-        probe monomials.
+        """Orthonormal basis B, on the working grid, of the projected probe
+        monomials' span, Theta* B and the Ritz values.
 
-        B = F V is an orthonormal basis, on the working grid, of their span,
-        and Theta* B = (Theta* F) V.  F is the uncut reduced QR of a seeded
+        B = F V and Theta* B = (Theta* F) V for a frame F and coordinates V,
+        which do not outlive the call.  F is the uncut reduced QR of a seeded
         complex Gaussian sketch's projection (``grid_images``); it spans all
         the sample holds, and its columns past the sample's rank add only
         round-off.  On a whole-grid probe the span is the range of P, so V
@@ -435,7 +437,7 @@ class ModelWorkspace:
                 coords, ritz = _orth_columns(
                     (frame[idx] - self.mult(adj[idx], probe)).conj().T), None
             if width >= idx.size or coords.shape[1] < width:
-                return frame, adj, coords, ritz
+                return frame @ coords, adj @ coords, ritz
             width = max(2 * width, bound)
 
     def chopped_defect(self, probe: TruncGrid) -> float:
@@ -526,8 +528,7 @@ def model_basis(theta: RationalInnerMatrix, grid: TruncGrid) -> Subspace:
     grid, with the rank decided on the Ritz values of P.
     """
     ws = ModelWorkspace(theta, grid)
-    frame, _, coords, _ = ws.model_span(grid)
-    return Subspace(grid, frame @ coords, f"model({theta.label})", ws)
+    return Subspace(grid, ws.model_span(grid)[0], f"model({theta.label})", ws)
 
 
 @one_blas_thread
@@ -542,8 +543,7 @@ def probe_model_basis(theta: RationalInnerMatrix, A: int, B: int) -> Subspace:
     truncation.
     """
     ws = ModelWorkspace.window(theta, A, B)
-    frame, _, coords, _ = ws.model_span(ws.nominal)
-    return Subspace(ws.grid, frame @ coords, f"model({theta.label})@({A},{B})", ws)
+    return Subspace(ws.grid, ws.model_span(ws.nominal)[0], f"model({theta.label})@({A},{B})", ws)
 
 
 def _entering_slice(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -674,8 +674,13 @@ def decay_class(theta: RationalInnerMatrix, schedule=None) -> DecayClass:
 
 
 def _validate_schedule(schedule) -> list[tuple[int, int]]:
-    """Levels as int pairs: at least three, increasing strictly from a box."""
-    sched = [(int(a), int(b)) for a, b in schedule]
+    """Levels as int pairs (``operator.index``): at least three, increasing strictly from a box."""
+    sched = []
+    for a, b in schedule:
+        try:
+            sched.append((operator.index(a), operator.index(b)))
+        except TypeError:
+            raise ValueError(f"schedule level ({a}, {b}) is not a pair of integers") from None
     if len(sched) < 3:
         raise ValueError("schedule needs at least three levels")
     for (a0, b0), (a1, b1) in zip(sched, sched[1:]):
@@ -692,20 +697,26 @@ def _family_level(theta: RationalInnerMatrix) -> tuple[int, int]:
     return max(m1, 1), max(m2, 1)
 
 
-def _wold_family(theta: RationalInnerMatrix):
-    """Wandering bases of polynomial Theta as degree boxes with their edge
-    cuts, ((phi, V1), (psi, V2)), or None.
+class WoldFamily(NamedTuple):
+    """A polynomial Theta's Wold family (``_wold_family``): phi, psi and their edge cuts."""
 
-    phi and psi are ``hkmax1`` and ``hkmin2`` of the family level's sketch
-    (``agler._sketch_spaces``), cut to their degree boxes (m1, m2 - 1) and
-    (m1 - 1, m2), (m1, m2) = deg Theta, as (a, b, component, vector) arrays.
-    A nominal box at or above the family level sees the m1 shifts past those
-    inside it as z1^s phi, s < m1, cut to m1 z1-degrees, whatever its size:
-    V1 holds the right singular vectors of these rows that ``rank_count``
-    keeps, judged on [1, sigma]; V2 likewise for psi in z2.  None for
-    rational Theta, and for a polynomial one whose wandering dimensions
-    there are not (n2, n1), (n1, n2) = det_deg Theta.  Each call reads the
-    family afresh.
+    phi: np.ndarray
+    psi: np.ndarray
+    cut1: np.ndarray
+    cut2: np.ndarray
+
+
+def _wold_family(theta: RationalInnerMatrix) -> WoldFamily | None:
+    """The Wold family of polynomial Theta, or None: phi and psi are ``hkmax1``
+    and ``hkmin2`` of the family level's sketch (``agler._sketch_spaces``) as
+    (a, b, component, vector) arrays, cut to their degree boxes (m1, m2 - 1)
+    and (m1 - 1, m2), (m1, m2) = deg Theta.  A nominal box at or above the
+    family level sees the m1 shifts past those inside it as z1^s phi, s < m1,
+    cut to m1 z1-degrees, whatever its size: cut1 holds the right singular
+    vectors of these rows that ``rank_count`` keeps, judged on [1, sigma]; cut2
+    likewise for psi in z2.  None for rational Theta, and for a polynomial one
+    whose wandering dimensions there are not (n2, n1), (n1, n2) = det_deg
+    Theta.  Each call reads the family afresh.
     """
     if not theta.p.is_constant:
         return None
@@ -716,17 +727,17 @@ def _wold_family(theta: RationalInnerMatrix):
     w1, w2 = spaces.hkmax1, spaces.hkmin2
     if (w1.dim, w2.dim) != (n2, n1):
         return None
-    family = []
-    for j, box in enumerate((w1.grid.as_box(w1.basis)[: m1 + 1, : m2],
-                             w2.grid.as_box(w2.basis)[: m1, : m2 + 1])):
+    boxes = w1.grid.as_box(w1.basis)[: m1 + 1, : m2], w2.grid.as_box(w2.basis)[: m1, : m2 + 1]
+    cuts = []
+    for j, box in enumerate(boxes):
         along = np.moveaxis(box, j, 0)  # the shifted variable first
         m, cells, n = along.shape[0] - 1, along.shape[1] * along.shape[2], along.shape[3]
         rows = np.zeros((m, cells, m, n), dtype=complex)
         for s in range(m):
             rows[s:, :, s] = along[: m - s].reshape(m - s, cells, n)
         _, sig, Vh = np.linalg.svd(rows.reshape(m * cells, m * n), full_matrices=False)
-        family.append((box, Vh[: rank_count(np.r_[1.0, sig]) - 1].conj().T))
-    return tuple(family)
+        cuts.append(Vh[: rank_count(np.r_[1.0, sig]) - 1].conj().T)
+    return WoldFamily(*boxes, *cuts)
 
 
 def _overlap(size: int, moved: int, shift: int) -> tuple[int, int]:
@@ -757,59 +768,58 @@ def _shifted(box: np.ndarray, j: int, shifts: range, grid: TruncGrid) -> np.ndar
     return out.reshape(grid.dim, -1)
 
 
-def _nominal_view(cols: np.ndarray, group, j: int, N: int) -> np.ndarray:
-    """The columns of a Wold group (box, cut) (``_wold_family``) that a
-    nominal box of z_j-side N at or above the family level sees, from `cols`,
-    its shifts in order: those inside the box, then the next m_j by the cut."""
-    box, cut = group
+def _nominal_view(cols: np.ndarray, wold: WoldFamily, j: int, N: int) -> np.ndarray:
+    """The columns that a nominal box of z_j-side N at or above the family
+    level sees of a Wold family's shifts in z_j, from `cols`, those shifts in
+    order: the shifts inside the box, then the next m_j by the family's cut."""
+    box, cut = (wold.phi, wold.cut1) if j == 1 else (wold.psi, wold.cut2)
     inner = (N - box.shape[j - 1] + 2) * box.shape[3]
     return np.hstack([cols[:, :inner], cols[:, inner: inner + cut.shape[0]] @ cut])
 
 
-def _toeplitz_section(blocks: dict, rows: int, cols: int) -> np.ndarray:
+def _toeplitz_section(blocks: dict, size: int) -> np.ndarray:
     """Finite section of a block Toeplitz matrix: block (i, j) is blocks[i - j],
-    and zero where the offset i - j has no block, for i < rows and j < cols."""
+    and zero where the offset i - j has no block, for i, j < size."""
     n, m = next(iter(blocks.values())).shape
-    out = np.zeros((rows, n, cols, m), dtype=complex)
+    out = np.zeros((size, n, size, m), dtype=complex)
     for t, block in blocks.items():
-        j = np.arange(max(0, -t), min(cols, rows - t))
+        j = np.arange(max(0, -t), min(size, size - t))
         out[j + t, :, j, :] = block
-    return out.reshape(rows * n, cols * m)
+    return out.reshape(size * n, size * m)
 
 
-def _wold_grams(wold, K1: int, K2: int) -> tuple[dict, dict]:
-    """Check the shifts z1^k phi, k < K1, and z2^l psi, l < K2, of a Wold family
-    orthonormal as ``Subspace`` would, ||B* B - I|| summed from small Grams
-    weighted by how often B repeats them; return <phi, z1^s phi>, <psi, z2^t psi>."""
-    (phi, _), (psi, _) = wold
+def _wold_gram(wold: WoldFamily, K1: int, K2: int, s: int) -> np.ndarray:
+    """B* (z1^s B), s = 0 (the Gram) or 1, for the Wold family's shifts
+    B = [z1^k phi, k < K1 | z2^l psi, l < K2], K1 > m1, K2 > m2, never formed:
+    every block is the inner product of two small degree boxes (``_box_inner``),
+    and the couplings vanish past k = m1 and l = m2, (m1, m2) = deg Theta."""
+    phi, psi = wold.phi, wold.psi
     m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
-    lags = {s: _box_inner(phi, phi, s, 0) for s in range(-m1, m1 + 1)}
-    grams = {t: _box_inner(psi, psi, 0, t) for t in range(-m2, m2 + 1)}
-    sq = sum((K1 - abs(s)) * np.linalg.norm(g - (s == 0) * np.eye(n2)) ** 2
-             for s, g in lags.items() if abs(s) < K1)
-    sq += sum((K2 - abs(t)) * np.linalg.norm(g - (t == 0) * np.eye(n1)) ** 2
-              for t, g in grams.items() if abs(t) < K2)
-    sq += 2 * sum(np.linalg.norm(_box_inner(psi, phi, k, -l)) ** 2
-                  for k in range(min(K1, m1 + 1)) for l in range(min(K2, m2 + 1)))
-    _check_orthonormal(np.sqrt(sq))
-    return lags, grams
+    n = K1 * n2  # the z1^k phi come first
+    G = np.zeros((n + K2 * n1,) * 2, dtype=complex)
+    G[:n, :n] = _toeplitz_section(
+        {s - u: _box_inner(phi, phi, u, 0) for u in range(-m1, m1 + 1)}, K1)
+    G[n:, n:] = _toeplitz_section({t: _box_inner(psi, psi, s, -t) for t in range(-m2, m2 + 1)}, K2)
+    for k in range(m1 + 1):
+        for l in range(m2 + 1):
+            at_k, at_l = slice(k * n2, (k + 1) * n2), slice(n + l * n1, n + (l + 1) * n1)
+            G[at_l, at_k] = _box_inner(psi, phi, k + s, -l)
+            G[at_k, at_l] = _box_inner(phi, psi, s - k, l)
+    return G
 
 
-def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]:
+def _wold_coordinates(ws: ModelWorkspace, wold: WoldFamily) -> tuple[np.ndarray, np.ndarray]:
     """Compressed shift S and nominal compression X of a polynomial Theta's
     rank level, in Wold coordinates.
 
     The coordinates are the columns z1^k phi, k < K1 = A_w - m1 + 1, then
-    z2^l psi, l < K2 = B_w - m2 + 1, for phi in W1 and psi in W2
-    (``_wold_family``): every shift whose degree box fits the working grid
-    (A_w, B_w).  Theta* vanishes on these orthonormal model-space vectors,
-    so S = B* (z1 B) for B the columns on the grid, and B is never formed:
-    every entry of S is an inner product of two small boxes
-    (``_box_inner``), structural zeros included.  S holds the block shift
-    z1^k phi -> z1^(k+1) phi, whose top block leaves the grid, the
-    couplings <z1 z2^l psi, z1^k phi>, and the finite section of the block
-    Toeplitz T_(l'l) = F_(l' - l), F_t = <z1 psi, z2^t psi>.  The defect
-    ||B* B - I|| is checked from small Grams too (``_wold_grams``).
+    z2^l psi, l < K2 = B_w - m2 + 1, of the Wold family (``_wold_family``):
+    every shift whose degree box fits the working grid (A_w, B_w).  Theta*
+    vanishes on these orthonormal model-space vectors, so S = B* (z1 B),
+    B the columns on the grid (``_wold_gram``): the block shift, whose top
+    block leaves the grid, the couplings E_l = <z1 z2^l psi, phi> and the
+    block Toeplitz section T_(l'l) = F_(l' - l), F_t = <z1 psi, z2^t psi>.
+    Their Gram B* B is checked as ``Subspace`` checks a basis.
 
     X is the leading right singular vectors of B's nominal rows: the
     identity on the columns inside the nominal box and the family's edge
@@ -818,26 +828,17 @@ def _wold_coordinates(ws: ModelWorkspace, wold) -> tuple[np.ndarray, np.ndarray]
     for the z1^k phi and above B for the z2^l psi, so the cuts keep what one
     SVD of all of them would.
     """
-    (phi, _), (psi, _) = wold
-    m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
+    (m1, m2), n2 = ws.theta.deg, wold.phi.shape[3]
     K1, K2 = ws.grid.A - m1 + 1, ws.grid.B - m2 + 1
-    lags, grams = _wold_grams(wold, K1, K2)
-    n = K1 * n2  # the z1^k phi come first
-    S = np.zeros((n + K2 * n1,) * 2, dtype=complex)
-    S[:n, :n] = _toeplitz_section({1 - s: g for s, g in lags.items()}, K1, K1)
-    S[n:, n:] = _toeplitz_section({t: _box_inner(psi, psi, 1, -t) for t in grams}, K2, K2)
-    for k in range(min(K1, m1 + 1)):
-        for l in range(min(K2, m2 + 1)):
-            at_k, at_l = slice(k * n2, (k + 1) * n2), slice(n + l * n1, n + (l + 1) * n1)
-            S[at_l, at_k] = _box_inner(psi, phi, k + 1, -l)
-            S[at_k, at_l] = _box_inner(phi, psi, 1 - k, l)
+    _check_orthonormal(_wold_gram(wold, K1, K2, 0))
+    S = _wold_gram(wold, K1, K2, 1)
     eye = np.eye(S.shape[0])
-    X = np.hstack([_nominal_view(eye[:, :n], wold[0], 1, ws.nominal.A),
-                   _nominal_view(eye[:, n:], wold[1], 2, ws.nominal.B)])
+    X = np.hstack([_nominal_view(eye[:, : K1 * n2], wold, 1, ws.nominal.A),
+                   _nominal_view(eye[:, K1 * n2:], wold, 2, ws.nominal.B)])
     return S, X
 
 
-def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
+def _rank_level(ws: ModelWorkspace, wold: WoldFamily | None = None) -> RankLevel:
     """``rank_at_level`` on the workspace of a nominal window.
 
     With a Wold family (``_wold_family``), at or above the family level,
@@ -849,11 +850,9 @@ def _rank_level(ws: ModelWorkspace, wold=None) -> RankLevel:
     the shift applies no operator (``_shift_matrix``).
     """
     if wold is None:
-        frame, adj, coords, ritz = ws.model_span(ws.grid)
-        basis = Subspace(ws.grid, frame @ coords, f"model({ws.theta.label})", ws)
-        adj = adj @ coords
-        del frame  # only B and Theta* B outlive the frame
-        X = _orth_columns((basis.basis[ws.nominal.indices_in(ws.grid)] * ritz).conj().T)
+        B, adj, ritz = ws.model_span(ws.grid)
+        basis = Subspace(ws.grid, B, f"model({ws.theta.label})", ws)
+        X = _orth_columns((B[ws.nominal.indices_in(ws.grid)] * ritz).conj().T)
         S = _shift_matrix(ws.theta, basis, adj, 1)
     else:
         S, X = _wold_coordinates(ws, wold)

@@ -85,7 +85,7 @@ def _wold_basis(wold, grid):
     the grid, for phi in W1 and psi in W2 (``modelspace._wold_family``,
     whose edge cuts it ignores): every shift whose degree box fits.  The
     columns are orthonormal and lie in the model space exactly."""
-    (phi, _), (psi, _) = wold
+    phi, psi = wold.phi, wold.psi
     m1, m2, n2, n1 = phi.shape[0] - 1, psi.shape[1] - 1, phi.shape[3], psi.shape[3]
     k1, k2 = grid.A - m1 + 1, grid.B - m2 + 1
     box = np.zeros((grid.A + 1, grid.B + 1, grid.d, k1 * n2 + k2 * n1), dtype=complex)

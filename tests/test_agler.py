@@ -282,16 +282,16 @@ def test_agler_truncation_is_validated_at_entry(A, B, monkeypatch):
 
 
 def test_wold_spaces_check_the_family_orthonormal():
-    # the Wold route forms no Gram of its spaces; its one check from the
-    # family's small Grams still refuses a family whose phi is scaled by 1.01
+    # the Wold route forms no Gram of its spaces; its one check of the
+    # family's Gram still refuses a family whose phi is scaled by 1.01
     import bidisklab.agler as ag
     from bidisklab import modelspace
 
     th = builtin("hadamard_deg21")
-    (phi, cut1), psi = modelspace._wold_family(th)
-    ag._wold_spaces(th, ((phi, cut1), psi), 12, 12)
+    wold = modelspace._wold_family(th)
+    ag._wold_spaces(th, wold, 12, 12)
     with pytest.raises(ValueError, match="not orthonormal"):
-        ag._wold_spaces(th, ((1.01 * phi, cut1), psi), 12, 12)
+        ag._wold_spaces(th, wold._replace(phi=1.01 * wold.phi), 12, 12)
 
 
 def test_hadamard_kernels_are_the_displayed_ones():

@@ -297,6 +297,19 @@ def test_rank_sweep_schedule_validation():
         rank_sweep(th, [(-2, -2), (-1, -1), (0, 0)])
 
 
+def test_rank_sweep_refuses_fractional_levels():
+    # a level that operator.index refuses names itself, before any level
+    # runs; numpy integers are integral
+    th = builtin("scalar_z1z2")
+    for sched, bad in (([(4.9, 4.9), (6, 6), (8, 8)], r"\(4\.9, 4\.9\)"),
+                       ([(4, 4), (6, 6.0), (8, 8)], r"\(6, 6\.0\)")):
+        with pytest.raises(ValueError, match=bad + " is not a pair of integers"):
+            rank_sweep(th, sched)
+    report = rank_sweep(th, [(np.int64(4), np.int32(4)), (6, 6), (8, 8)])
+    assert [(lv.A, lv.B) for lv in report.levels] == [(4, 4), (6, 6), (8, 8)]
+    assert all(type(lv.A) is int for lv in report.levels)
+
+
 def test_negative_boxes_are_rejected():
     th = builtin("hadamard_z1z2")
     for make in (lambda: TruncGrid(-1, 0, 2), lambda: ModelWorkspace.window(th, 0, -1),
@@ -684,13 +697,12 @@ def test_sketch_keeps_a_direction_just_above_the_rank_rule():
     ws.mult = lambda x, box, adjoint=False: widths.append(x.shape[1]) or S @ x
     sig = np.linalg.svd(H, compute_uv=False)
     assert np.sum(sig > 1e-8 * sig[0]) == 12
-    frame, adj, coords, ritz = ws.model_span(grid)
-    assert widths[-3:] == [frame.shape[1]] * 3 and frame.shape[1] > 12
-    assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() < 1e-13
-    span = frame @ coords
+    span, adj, ritz = ws.model_span(grid)
+    assert widths[-3:] == [widths[-1]] * 3 and widths[-1] > 12
+    assert np.abs(span.conj().T @ span - np.eye(span.shape[1])).max() < 1e-13
     assert span.shape[1] == 12
     assert _largest_angle_sine(span, U) < 1e-6
-    assert np.abs(adj - S @ frame).max() < 1e-13
+    assert np.abs(adj - S @ span).max() < 1e-13
     assert np.abs(H @ span - span * ritz).max() < 1e-13
     assert np.abs(np.sort(ritz) - np.sort(weights)).max() < 1e-13
 
@@ -843,19 +855,31 @@ def _ritz_windows():
     return out + [(th, N) for th in items for N in (4, 6, 8)]
 
 
-def _check_ritz_route(ws, frame, coords, ritz, key):
-    """The basis rank is the rank_count of the singular values of P F, and
-    the Ritz values are those singular values."""
+def _span_and_frame(ws):
+    """``model_span`` of the working grid with the frame F it took, the last
+    block it applied Theta* to."""
+    blocks, mult = [], ws.mult
+    ws.mult = lambda x, box, adjoint=False: (adjoint and blocks.append(x)) or mult(x, box, adjoint)
+    try:
+        return ws.model_span(ws.grid), blocks[-1]
+    finally:
+        del ws.mult
+
+
+def _check_ritz_route(ws, frame, span, ritz, key):
+    """The basis rank is the rank_count of the singular values of P F, the
+    Ritz values are those singular values, and the basis lies in the frame."""
     sig = np.linalg.svd(ws.grid_images(frame)[1], compute_uv=False)
-    assert coords.shape[1] == ritz.size == rank_count(sig), key
+    assert span.shape[1] == ritz.size == rank_count(sig), key
     assert np.abs(ritz - sig[: ritz.size]).max() <= 1e-12 * ritz[0], key
+    assert np.abs(frame @ (frame.conj().T @ span) - span).max() <= 1e-12, key
 
 
 def test_ritz_values_are_the_singular_values_of_the_projected_frame(monkeypatch):
     for th, N in _ritz_windows():
         ws = ModelWorkspace.window(th, N, N)
-        frame, _, coords, ritz = ws.model_span(ws.grid)
-        _check_ritz_route(ws, frame, coords, ritz, (th.label, N))
+        (span, _, ritz), frame = _span_and_frame(ws)
+        _check_ritz_route(ws, frame, span, ritz, (th.label, N))
     # a first sketch below the model dimension comes back full, so the
     # widening loop runs on Ritz counts: 14 columns hold 14 directions, the
     # next sketch takes twice as many and holds the 23 of the working grid
@@ -864,11 +888,11 @@ def test_ritz_values_are_the_singular_values_of_the_projected_frame(monkeypatch)
     ref = ws.model_span(ws.grid)
     calls = _sketch_widths(monkeypatch)
     monkeypatch.setattr(modelspace, "_SKETCH_OVERSAMPLE", -10)
-    frame, adj, coords, ritz = ws.model_span(ws.grid)
-    assert calls == [[(14, 14), (28, 23)]] and ref[2].shape[1] == 23
-    _check_ritz_route(ws, frame, coords, ritz, "widened")
-    assert _largest_angle_sine(frame @ coords, ref[0] @ ref[2]) < 1e-12
-    assert np.abs(ritz - ref[3]).max() <= 1e-12 * ref[3][0]
+    (span, adj, ritz), frame = _span_and_frame(ws)
+    assert calls == [[(14, 14), (28, 23)]] and ref[0].shape[1] == 23
+    _check_ritz_route(ws, frame, span, ritz, "widened")
+    assert _largest_angle_sine(span, ref[0]) < 1e-12
+    assert np.abs(ritz - ref[2]).max() <= 1e-12 * ref[2][0]
 
 
 def test_rational_level_applies_theta_three_times(monkeypatch):
@@ -1170,8 +1194,7 @@ def test_wold_level_matches_the_sketch_level(group, monkeypatch):
             key = (th.label, N)
             assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), key
             assert np.abs(level.sigmas - ref.sigmas).max() <= 1e-12 * ref.sigmas[0], key
-            frame, _, coords, ritz = spans[0]
-            sketch = frame @ coords
+            sketch, _, ritz = spans[0]
             wb = _wold_basis(wold, ws.grid)
             assert np.linalg.norm(sketch.conj().T @ wb, axis=0).min() >= 1 - 1e-12, key
             assert np.abs(ws.mult(wb, ws.grid, adjoint=True)).max() <= 1e-12, key
@@ -1240,10 +1263,29 @@ def test_wold_level_forms_no_working_grid_array():
 
 def test_wold_level_rejects_a_family_that_is_not_orthonormal():
     th = builtin("hadamard_z1z2")
-    (phi, cut1), group2 = modelspace._wold_family(th)
-    modelspace._rank_level(ModelWorkspace.window(th, 8, 8), ((phi, cut1), group2))
+    wold = modelspace._wold_family(th)
+    modelspace._rank_level(ModelWorkspace.window(th, 8, 8), wold)
     with pytest.raises(ValueError, match="basis columns not orthonormal"):
-        modelspace._rank_level(ModelWorkspace.window(th, 8, 8), ((1.01 * phi, cut1), group2))
+        modelspace._rank_level(ModelWorkspace.window(th, 8, 8),
+                               wold._replace(phi=1.01 * wold.phi))
+
+
+@pytest.mark.parametrize("group", WOLD_GROUPS)
+def test_wold_coordinates_match_the_dense_basis_entrywise(group):
+    # S and the Gram assembled from small degree boxes against B* (z1 B) and
+    # B* B of the basis the oracle places on the working grid, entry by entry
+    for th in _wold_items(group):
+        wold = modelspace._wold_family(th)
+        m1, m2 = th.deg
+        for A, B in ((4, 4), (8, 8), (12, 9)):
+            ws = ModelWorkspace.window(th, A, B)
+            wb = _wold_basis(wold, ws.grid)
+            K1, K2 = ws.grid.A - m1 + 1, ws.grid.B - m2 + 1
+            key = (th.label, A, B)
+            S = modelspace._wold_coordinates(ws, wold)[0]
+            assert np.abs(S - wb.conj().T @ shift_mult(wb, ws.grid, 1)).max() <= 1e-13, key
+            gram = modelspace._wold_gram(wold, K1, K2, 0)
+            assert np.linalg.norm(gram - wb.conj().T @ wb) <= 1e-13, key
 
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
