@@ -12,12 +12,12 @@ orthonormal bases reproduce the Agler kernels in the decomposition
 The spaces take one of two routes.  The sketch level (``_sketch_spaces``)
 reads them off the sketched model basis of the window: smax1 is the null
 space of an invariance block, smin2 its complement.  A polynomial Theta's
-spaces above its family level, where ``modelspace._wold_family`` reads its
-Wold family record off the sketch, are assembled from that family instead
-(``_wold_spaces``), with no operator and one orthonormality check of the
-family's Gram (``modelspace._wold_gram``).  Rational Theta keep the
-sketch.  Either way the spaces keep Theta* of the model basis, the
-sketch's image or zero on the Wold route.
+spaces at or above its family level (``modelspace._wold_route``) are
+assembled from its Wold family record ``theta.wold``, read once per Theta
+off the family level's sketch (``_wold_spaces``), with no operator and one
+orthonormality check of the family's Gram (``modelspace._wold_gram``).
+Rational Theta keep the sketch.  Either way the spaces keep Theta* of the
+model basis, the sketch's image or zero on the Wold route.
 
 The module also evaluates the closed-form commutator action on the
 reproducing kernels of the two summands next to the direct matrix
@@ -42,12 +42,11 @@ from .modelspace import (
     TruncGrid,
     WoldFamily,
     _check_orthonormal,
-    _family_level,
     _nominal_view,
     _shifted,
     _shift_matrix,
-    _wold_family,
     _wold_gram,
+    _wold_route,
     backward_shift,
     commutator,
     shift_mult,
@@ -203,7 +202,7 @@ def _sketch_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
 def _wold_spaces(theta: RationalInnerMatrix, wold: WoldFamily, A: int, B: int) -> AglerSpaces:
     """The Agler spaces at (A, B) of a polynomial Theta from its Wold family.
 
-    For phi in W1 and psi in W2 (``_wold_family``), smax1 is spanned by the
+    For phi in W1 and psi in W2 (``theta.wold``), smax1 is spanned by the
     z1^k phi, k <= A, and smin2 by the z2^l psi, l <= B, each cut to what
     the nominal box sees as the rank level's compression is
     (``_nominal_view``), and placed on the working grid of the (A, B)
@@ -233,22 +232,18 @@ def _wold_spaces(theta: RationalInnerMatrix, wold: WoldFamily, A: int, B: int) -
 def agler_spaces(theta: RationalInnerMatrix, A: int, B: int) -> AglerSpaces:
     """Compute the invariant subspaces and wandering quotients at (A, B).
 
-    A polynomial Theta's spaces above its family level (``_family_level``)
-    are assembled from its Wold family (``_wold_spaces``); each call reads
-    the family afresh.  The others, rational Theta, a family whose
-    wandering dimensions do not match det_deg Theta, boxes below the family
-    level and the family level itself, whose sketch is the family read, run
-    the sketch level (``_sketch_spaces``): the invariant subspaces are null
-    spaces of an invariance block on the sketched model basis.
+    A polynomial Theta's spaces at or above its family level (``_wold_route``)
+    are assembled from its Wold family ``theta.wold`` (``_wold_spaces``),
+    read by the first such call.  The others, rational Theta, a family
+    whose wandering dimensions do not match det_deg Theta and boxes below
+    the family level, run the sketch level (``_sketch_spaces``): the
+    invariant subspaces are null spaces of an invariance block on the
+    sketched model basis.
     """
     if A < 1 or B < 0:
         raise ValueError(f"Agler truncation ({A}, {B}) needs A >= 1 (invariance depth), B >= 0")
-    f1, f2 = _family_level(theta)
-    if A >= f1 and B >= f2 and (A, B) != (f1, f2):
-        wold = _wold_family(theta)
-        if wold is not None:
-            return _wold_spaces(theta, wold, A, B)
-    return _sketch_spaces(theta, A, B)
+    wold = _wold_route(theta, A, B)
+    return _sketch_spaces(theta, A, B) if wold is None else _wold_spaces(theta, wold, A, B)
 
 
 def kernel_space_dims(theta: RationalInnerMatrix,

@@ -90,6 +90,12 @@ class RationalInnerMatrix:
         """``verify_inner_exact`` of Theta, decided once for ``require_inner``."""
         return verify_inner_exact(self)
 
+    @cached_property
+    def wold(self):
+        """``modelspace._wold_family`` of Theta, read when a level first needs it."""
+        from .modelspace import _wold_family  # modelspace builds on this module
+        return _wold_family(self)
+
     def __call__(self, z1, z2) -> np.ndarray:
         return self.Q(z1, z2) / self.p(z1, z2)
 

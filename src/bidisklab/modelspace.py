@@ -44,18 +44,19 @@ decomposition of the canonical pair S_max1 + S_min2 (Bickel & Knese, JFA
 z2^l W2 of the two wandering spaces, W1 = ``hkmax1`` of dimension n2 and
 W2 = ``hkmin2`` of dimension n1, (n1, n2) = det_deg Theta.  For constant
 p these are polynomials of degree at most (m1, m2 - 1) and (m1 - 1, m2),
-(m1, m2) = deg Theta, read once off the sketch level of one small
+(m1, m2) = deg Theta, read off the sketch level of one small
 ``agler_spaces`` window, the family level, into one record
-(``_wold_family``: phi, psi and their edge cuts).  Their shifts that fit
-the working grid are an exact orthonormal basis B there, which a level at
-or above the family level never forms: ``_wold_gram`` gives B* (z1^s B)
-from inner products of small degree boxes, the Gram at s = 0, checked as
-a ``Subspace`` is, and the compressed shift at s = 1, and the nominal
-compression is the identity on the shifts inside the nominal box and the
-family's edge cut on the next few (``_wold_coordinates``).  No sketch, no
-grid-sized array and no operator application.  ``agler_spaces`` above
-the family level places the same shifts on its working grid.  Boxes
-below the family level, rational Theta, and polynomial Theta whose
+(``_wold_family``: phi, psi and their edge cuts), once per Theta as
+``theta.wold``.  Levels at or above the family level take it
+(``_wold_route``).  Their shifts that fit the working grid are an exact
+orthonormal basis B there, which a rank level never forms: ``_wold_gram``
+gives B* (z1^s B) from inner products of small degree boxes, the Gram at
+s = 0, checked as a ``Subspace`` is, and the compressed shift at s = 1,
+and the nominal compression is the identity on the shifts inside the
+nominal box and the family's edge cut on the next few
+(``_wold_coordinates``).  No sketch, no grid-sized array and no operator
+application; ``agler_spaces`` places the same shifts on its working grid.
+Boxes below the family level, rational Theta, and polynomial Theta whose
 small-level wandering dimensions are not (n2, n1) keep the sketch.
 
 Truncation is the artifact here, not an afterthought.  A ``ModelWorkspace``
@@ -106,8 +107,11 @@ class TruncGrid:
     d: int
 
     def __post_init__(self):
-        if self.A < 0 or self.B < 0:
-            raise ValueError(f"degree box ({self.A}, {self.B}) has a negative side")
+        try:
+            if operator.index(self.A) < 0 or operator.index(self.B) < 0:
+                raise ValueError(f"degree box ({self.A}, {self.B}) has a negative side")
+        except TypeError:
+            raise ValueError(f"degree box ({self.A}, {self.B}) is not a pair of integers") from None
 
     @property
     def dim(self) -> int:
@@ -716,7 +720,7 @@ def _wold_family(theta: RationalInnerMatrix) -> WoldFamily | None:
     vectors of these rows that ``rank_count`` keeps, judged on [1, sigma]; cut2
     likewise for psi in z2.  None for rational Theta, and for a polynomial one
     whose wandering dimensions there are not (n2, n1), (n1, n2) = det_deg
-    Theta.  Each call reads the family afresh.
+    Theta.  Uncached: ``theta.wold`` calls it once per Theta.
     """
     if not theta.p.is_constant:
         return None
@@ -738,6 +742,13 @@ def _wold_family(theta: RationalInnerMatrix) -> WoldFamily | None:
         _, sig, Vh = np.linalg.svd(rows.reshape(m * cells, m * n), full_matrices=False)
         cuts.append(Vh[: rank_count(np.r_[1.0, sig]) - 1].conj().T)
     return WoldFamily(*boxes, *cuts)
+
+
+def _wold_route(theta: RationalInnerMatrix, A: int, B: int) -> WoldFamily | None:
+    """``theta.wold`` for a rank or Agler level (A, B) at or above the family
+    level, else None without reading it: the one rule that routes a level."""
+    f1, f2 = _family_level(theta)
+    return theta.wold if A >= f1 and B >= f2 else None
 
 
 def _overlap(size: int, moved: int, shift: int) -> tuple[int, int]:
@@ -841,7 +852,7 @@ def _wold_coordinates(ws: ModelWorkspace, wold: WoldFamily) -> tuple[np.ndarray,
 def _rank_level(ws: ModelWorkspace, wold: WoldFamily | None = None) -> RankLevel:
     """``rank_at_level`` on the workspace of a nominal window.
 
-    With a Wold family (``_wold_family``), at or above the family level,
+    With a Wold family (``_wold_route``: at or above the family level),
     the shift S and the compression X are assembled in Wold coordinates
     (``_wold_coordinates``), and the noise floor is 0; no operator is
     applied and no array of the grid's size is formed.  Without one,
@@ -860,17 +871,6 @@ def _rank_level(ws: ModelWorkspace, wold: WoldFamily | None = None) -> RankLevel
     return RankLevel(ws.nominal.A, ws.nominal.B, X.shape[1], sig, rank)
 
 
-def _rank_levels(theta: RationalInnerMatrix, schedule) -> list[RankLevel]:
-    """Rank levels of (A, B) pairs: those at or above the family level in
-    the Wold coordinates of one family read, read only for them, the others
-    on the sketch."""
-    f1, f2 = _family_level(theta)
-    route = [A >= f1 and B >= f2 for A, B in schedule]
-    wold = _wold_family(theta) if any(route) else None
-    return [_rank_level(ModelWorkspace.window(theta, A, B), wold if on else None)
-            for (A, B), on in zip(schedule, route)]
-
-
 @one_blas_thread
 def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     """Commutator rank estimate at one nominal truncation level.
@@ -883,15 +883,15 @@ def rank_at_level(theta: RationalInnerMatrix, A: int, B: int) -> RankLevel:
     compression and the commutator, is counted by ``rank_count`` at
     ``RANK_REL_TOL``; for non-polynomial Theta an additional absolute floor
     proportional to the chopped-mass defect discounts truncation noise.
-    A polynomial Theta's level at or above its family level runs in Wold
-    coordinates (``_wold_coordinates``), from a family read off one small
-    Agler level per call, and forms no array of the grid's size; otherwise
-    the basis and the compression come from the Ritz pairs of the
+    A polynomial Theta's level at or above its family level (``_wold_route``)
+    runs in Wold coordinates (``_wold_coordinates``) from ``theta.wold``, read
+    once per Theta, and forms no array of the grid's size; otherwise the
+    basis and the compression come from the Ritz pairs of the
     projection on the sketch's frame, and the level applies Theta three
     times: twice to project the sample and once to the frame
     (``model_span``), plus the chopped defect's.
     """
-    return _rank_levels(theta, [(A, B)])[0]
+    return _rank_level(ModelWorkspace.window(theta, A, B), _wold_route(theta, A, B))
 
 
 @one_blas_thread
@@ -902,15 +902,13 @@ def rank_sweep(theta: RationalInnerMatrix, schedule) -> RankReport:
     increasing across every level mean DIVERGENT; anything else is
     INCONCLUSIVE.  A SLOW Taylor decay is surfaced as a warning since the
     estimates then carry substantial truncation noise; ``decay_class``
-    probes Theta's coefficients once for it.  A polynomial Theta's Wold
-    family is read once for the levels at or above its family level; the
-    others sketch each level (``_rank_levels``).  The levels run
-    one after another on the calling thread: on two threads they contend
-    for the GIL, and the time a sweep takes then follows the load on the
-    host rather than the work.
+    probes Theta's coefficients once for it.  Each level is one
+    ``rank_at_level``.  The levels run one after another on the calling
+    thread: on two threads they contend for the GIL, and the time a sweep
+    takes then follows the load on the host rather than the work.
     """
     sched = _validate_schedule(schedule)
-    levels = _rank_levels(theta, sched)
+    levels = [rank_at_level(theta, A, B) for A, B in sched]
     ranks = [lv.rank for lv in levels]
     if ranks[-1] == ranks[-2] == ranks[-3]:
         verdict, stabilized = SweepVerdict.STABLE, ranks[-1]

@@ -276,7 +276,7 @@ def test_agler_truncation_is_validated_at_entry(A, B, monkeypatch):
     # the truncation before any window is built
     import bidisklab.agler as ag
 
-    monkeypatch.setattr(ag, "_family_level", lambda *args: pytest.fail("reached the routes"))
+    monkeypatch.setattr(ag, "_wold_route", lambda *args: pytest.fail("reached the routes"))
     with pytest.raises(ValueError, match=rf"truncation \({A}, {B}\).*invariance depth"):
         agler_spaces(builtin("hadamard_deg21"), A, B)
 

@@ -310,15 +310,17 @@ def test_run_batch_workers_run_their_levels_inline(monkeypatch, tmp_path):
 
 def test_batch_items_share_no_state_under_thread_stress():
     # more workers than cores and a short switch interval, on items that share
-    # one theta: state shared between sweeps (theta's cached degrees) would
-    # show as an item that differs from the sequential sweep
-    theta = builtin("scalar_stable4")
+    # one rational and one polynomial theta: state shared between sweeps
+    # (theta's cached degrees and Wold family) would show as an item that
+    # differs from the sequential sweep
+    names = ("scalar_stable4", "hadamard_deg21")
+    thetas = [builtin(name) for name in names]
     schedule = [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8)]
-    expected = _sweep_fingerprint(rank_sweep(builtin("scalar_stable4"), schedule))
+    expected = [_sweep_fingerprint(rank_sweep(builtin(name), schedule)) for name in names]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        items = run_batch([theta] * 8, schedule, max_workers=8).items
+        items = run_batch(thetas * 8, schedule, max_workers=8).items
     finally:
         sys.setswitchinterval(interval)
-    assert [_sweep_fingerprint(it.record.report) for it in items] == [expected] * 8
+    assert [_sweep_fingerprint(it.record.report) for it in items] == expected * 8

@@ -18,6 +18,7 @@ from bidisklab.inner import (
     from_scalar,
     require_inner,
     scalar_z2n,
+    swap_variables,
     unitary_conjugate,
 )
 from bidisklab.modelspace import (
@@ -308,6 +309,17 @@ def test_rank_sweep_refuses_fractional_levels():
     report = rank_sweep(th, [(np.int64(4), np.int32(4)), (6, 6), (8, 8)])
     assert [(lv.A, lv.B) for lv in report.levels] == [(4, 4), (6, 6), (8, 8)]
     assert all(type(lv.A) is int for lv in report.levels)
+
+
+def test_single_levels_refuse_fractional_boxes():
+    # a box that operator.index refuses names itself at the one grid every
+    # rank and Agler level builds its window from, not deep inside numpy
+    for make, bad in ((lambda: rank_at_level(builtin("hadamard_z1z2"), 4.9, 4.9), r"\(4\.9, 4\.9\)"),
+                      (lambda: agler_spaces(builtin("scalar_stable4"), 4.5, 4), r"\(4\.5, 4\)"),
+                      (lambda: TruncGrid(2, "3", 1), r"\(2, 3\)")):
+        with pytest.raises(ValueError, match="degree box " + bad + " is not a pair of integers"):
+            make()
+    assert TruncGrid(np.int64(2), np.int32(3), 1).dim == 12
 
 
 def test_negative_boxes_are_rejected():
@@ -827,19 +839,20 @@ def _sketch_widths(monkeypatch):
 
 
 def test_first_sketch_is_never_full(monkeypatch):
-    calls = _sketch_widths(monkeypatch)
+    calls, expected = _sketch_widths(monkeypatch), 0
     for name in BUILTINS:
         th = builtin(name)
         for N in (4, 8, 16, 24):
             rank_at_level(th, N, N)
             probe_model_basis(th, N, N)
-    sweeps = 0
+        # a polynomial Theta's rank levels sketch only its one small Agler
+        # level, the family read, once per Theta
+        expected += 4 + (1 if th.p.is_constant else 4)
     for kind in ("product", "diagonal"):
         for th in generate_family(kind, 25, seed=42):
             rank_sweep(th, [(4, 4), (6, 6), (8, 8)])
-            # a polynomial sweep sketches only its one small Agler level
-            sweeps += 1 if th.p.is_constant else 3
-    assert len(calls) == 2 * 4 * len(BUILTINS) + sweeps
+            expected += 1 if th.p.is_constant else 3
+    assert len(calls) == expected == 124
     for sketches in calls:
         assert len(sketches) == 1
         width, rank = sketches[0]
@@ -1317,7 +1330,8 @@ def test_mismatched_wandering_dims_fall_back_to_the_sketch(monkeypatch):
         return dataclasses.replace(spaces, hkmax1=Subspace(w1.grid, w1.basis[:, 1:]))
 
     monkeypatch.setattr(agler, "_sketch_spaces", one_short)
-    assert modelspace._wold_family(th) is None
+    th = generate_family("conjugated", 1, seed=42)[0]  # the sweep cached the good family
+    assert modelspace._wold_family(th) is None and th.wold is None
     spaces, ref = agler_spaces(th, 8, 8), one_blas_thread(real)(th, 8, 8)
     for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
         assert np.array_equal(getattr(spaces, name).basis, getattr(ref, name).basis), name
@@ -1402,8 +1416,9 @@ def test_agler_levels_below_the_family_run_the_sketch():
 
 @pytest.mark.parametrize("group", WOLD_GROUPS)
 def test_agler_family_level_runs_one_sketch(group, monkeypatch):
-    # at exactly the family's level the family read is the level: one
-    # sketch, no Wold assembly, and the Wold assembly's dims and residual
+    # at exactly the family's level the first call reads the family, one
+    # sketch, and assembles from it; a second call only assembles.  Both
+    # have the sketch level's dims and residual
     sketches, assembled = [], []
     sketch, wold_spaces = agler._sketch_spaces, agler._wold_spaces
     monkeypatch.setattr(agler, "_sketch_spaces",
@@ -1416,14 +1431,60 @@ def test_agler_family_level_runs_one_sketch(group, monkeypatch):
     for th in _wold_items(group):
         level = _family_level(th)
         sketches.clear()
+        assembled.clear()
         spaces = agler_spaces(th, *level)
-        assert (sketches, assembled) == ([level], []), th.label
-        ref = one_blas_thread(wold_spaces)(th, modelspace._wold_family(th), *level)
+        assert (sketches, assembled) == ([level], [level]), th.label
+        again = agler_spaces(th, *level)
+        assert (sketches, assembled) == ([level], [level, level]), th.label
+        ref = one_blas_thread(sketch)(th, *level)
         for name in ("model", "smax1", "smin2", "hkmax1", "hkmin2"):
             assert getattr(spaces, name).dim == getattr(ref, name).dim, (th.label, name)
+            assert np.array_equal(getattr(again, name).basis, getattr(spaces, name).basis)
         residual = agler_kernel_residual(th, spaces, pairs)
         assert residual <= 1e-12, th.label
         assert abs(residual - agler_kernel_residual(th, ref, pairs)) <= 1e-12, th.label
+
+
+def _family_reads(monkeypatch):
+    """The boxes of every sketch Agler level run from now on, the family read among them."""
+    boxes, sketch = [], agler._sketch_spaces
+    monkeypatch.setattr(agler, "_sketch_spaces", lambda *args: boxes.append(args[1:]) or sketch(*args))
+    return boxes
+
+
+def test_wold_family_is_read_once_per_theta(monkeypatch):
+    # rank and Agler levels at or above the family level (2, 1) share one
+    # read, on first use; a level below it never reads the family
+    boxes = _family_reads(monkeypatch)
+    th = builtin("hadamard_deg21")
+    assert "wold" not in vars(th)
+    for A, B in ((6, 6), (8, 5)):
+        rank_at_level(th, A, B)
+        agler_spaces(th, A, B)
+    assert boxes == [_family_level(th)] == [(2, 1)]
+    boxes.clear()
+    fresh = builtin("hadamard_deg21")
+    rank_at_level(fresh, 1, 1)
+    assert boxes == [] and "wold" not in vars(fresh)
+
+
+def test_derived_theta_reads_its_own_family():
+    # swap_variables and unitary_conjugate build new Theta: a family cached
+    # on the source is not carried over, so their levels are those of the
+    # same functions of a Theta that never read its family, bitwise
+    rng = np.random.default_rng(5)
+    U, V = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    cached = builtin("hadamard_deg21")
+    assert cached.wold is not None
+    for derive in (swap_variables, lambda th: unitary_conjugate(th, U, V)):
+        got, want = derive(cached), derive(builtin("hadamard_deg21"))
+        assert "wold" not in vars(got)
+        for A, B in ((1, 1), (2, 2), (6, 4), (8, 8)):
+            level, ref = rank_at_level(got, A, B), rank_at_level(want, A, B)
+            assert (level.dim_model, level.rank) == (ref.dim_model, ref.rank), (got.label, A, B)
+            assert np.array_equal(level.sigmas, ref.sigmas), (got.label, A, B)
+        assert np.array_equal(got.wold.phi, want.wold.phi), got.label
 
 
 def test_decay_probe_is_finite_for_constant_denominators(monkeypatch):
