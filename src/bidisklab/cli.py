@@ -3,9 +3,10 @@
 Inputs are builtin names (see ``bidisklab examples list``) or JSON files
 in the documented inner-function schema, admitted by ``require_inner``.
 Exit codes: 0 success, 2 validation failure (``input rejected: <type>:
-<message>``, naming NOT_INNER or UNSTABLE_DENOMINATOR, or a bad schedule),
-1 internal error.  Reports are printed as aligned text tables
-unless ``--quiet`` and written as JSON when ``--out`` is given.
+<message>``, naming NOT_INNER or UNSTABLE_DENOMINATOR, a bad schedule, or
+a family ``generate_family`` refuses), 1 internal error.  Reports are
+printed as aligned text tables unless ``--quiet`` and written as JSON when
+``--out`` is given.
 """
 
 from __future__ import annotations
@@ -252,8 +253,11 @@ def conjecture_group():
 def conjecture_run(kind, dim, count, seed, schedule, m1_cap, m2_cap, out_dir, quiet):
     """Generate a seeded family, sweep it, and persist records plus a CSV."""
     levels = _parse_schedule(schedule)
-    family = experiments.generate_family(kind, count, d=dim, seed=seed,
-                                         m1_cap=m1_cap, m2_cap=m2_cap)
+    try:
+        family = experiments.generate_family(kind, count, d=dim, seed=seed,
+                                             m1_cap=m1_cap, m2_cap=m2_cap)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     summary = experiments.run_batch(family, levels, out_dir=out_dir)
     if not quiet:
         rows = []

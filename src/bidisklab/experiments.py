@@ -3,9 +3,10 @@
 The conjecture under test connects the self-commutator rank of the first
 compressed shift to the z2-degree of det Theta whenever deg1 Theta <= 1,
 and predicts an infinite rank otherwise.  Each record pairs the exact
-degree data with a truncation rank sweep and grades the combination; the
-grading is deliberately conservative, so numerical artifacts are reported
-as INCONCLUSIVE rather than dressed up as counterexamples.
+degree data with a truncation rank sweep and grades the combination by one
+rule (``conjecture_report``); the grading is deliberately conservative, so
+numerical artifacts are reported as INCONCLUSIVE rather than dressed up as
+counterexamples.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .inner import (
     require_inner,
     unitary_conjugate,
 )
-from .modelspace import RankReport, SweepVerdict, rank_sweep
+from .modelspace import RankReport, SweepVerdict, _validate_schedule, rank_sweep
 from .polynomials import BiPoly, MatPoly
 
 CONSISTENT = "CONSISTENT"
@@ -54,42 +55,33 @@ class ConjectureRecord:
 def conjecture_report(theta: RationalInnerMatrix, schedule) -> ConjectureRecord:
     """Grade one inner function against the rank-degree conjecture.
 
-    CONSISTENT needs either a stabilized rank equal to the determinant
-    degree (when deg1 <= 1) or a divergent sweep (when deg1 >= 2).  A
-    stabilized rank that contradicts the prediction is only reported as a
-    VIOLATION_CANDIDATE when no truncation warning is present; with
-    warnings it degrades to INCONCLUSIVE, mismatch noted.
+    One rule grades every record.  The prediction is the rank deg2 det
+    Theta, reached by a STABLE sweep, when deg1 <= 1, and an infinite rank,
+    a DIVERGENT sweep, otherwise.  CONSISTENT is the expected sweep verdict
+    with its stabilized rank equal to the prediction.  A sweep that
+    stabilized against the prediction is a VIOLATION_CANDIDATE only when no
+    truncation warning is present; with warnings it degrades to
+    INCONCLUSIVE, mismatch noted.  Any other sweep is INCONCLUSIVE.
     """
     report = rank_sweep(theta, schedule)
-    m1, _ = report.deg
     d2 = report.det_deg[1]
-    predicted = d2 if m1 <= 1 else None
-    warnings = list(report.warnings)
-    if m1 <= 1:
-        if report.verdict is SweepVerdict.STABLE:
-            if report.stabilized_rank == d2:
-                verdict = CONSISTENT
-            elif warnings:
-                verdict = INCONCLUSIVE
-                warnings.append(f"rank {report.stabilized_rank} != predicted {d2} "
-                                "under truncation warnings")
-            else:
-                verdict = VIOLATION_CANDIDATE
-        else:
-            verdict = INCONCLUSIVE
+    if report.deg[0] <= 1:
+        predicted, expected = d2, SweepVerdict.STABLE
+        note = f"rank {report.stabilized_rank} != predicted {d2} under truncation warnings"
     else:
-        if report.verdict is SweepVerdict.DIVERGENT:
-            verdict = CONSISTENT
-        elif report.verdict is SweepVerdict.STABLE:
-            if warnings:
-                verdict = INCONCLUSIVE
-                warnings.append("stabilized despite deg1 >= 2, under truncation warnings")
-            else:
-                verdict = VIOLATION_CANDIDATE
-        else:
-            verdict = INCONCLUSIVE
+        predicted, expected = None, SweepVerdict.DIVERGENT
+        note = "stabilized despite deg1 >= 2, under truncation warnings"
+    warnings = report.warnings
+    if report.verdict is expected and report.stabilized_rank == predicted:
+        verdict = CONSISTENT
+    elif report.verdict is not SweepVerdict.STABLE:
+        verdict = INCONCLUSIVE
+    elif warnings:
+        verdict, warnings = INCONCLUSIVE, warnings + (note,)
+    else:
+        verdict = VIOLATION_CANDIDATE
     return ConjectureRecord(theta.label, report.deg, report.det_deg, report,
-                            predicted, verdict, tuple(warnings))
+                            predicted, verdict, warnings)
 
 
 # ----------------------------------------------------------------------
@@ -171,12 +163,15 @@ def generate_family(kind: str, count: int, d: int = 2, seed: int = 0,
 
     Kinds: ``diagonal`` (scalar monomial / stable-polynomial entries),
     ``product`` (one-variable matrix factors with random unitaries), and
-    ``conjugated`` (U Theta V over the builtin matrix examples).  The same
-    (kind, count, d, seed, caps) always yields the same list.
+    ``conjugated`` (U Theta V over the 2 x 2 builtin matrix examples, so
+    d must be 2).  The same (kind, count, d, seed, caps) always yields the
+    same list.
     """
     rng = np.random.default_rng(seed)
     out = []
     kind = kind.lower()
+    if kind == "conjugated" and d != 2:
+        raise ValueError(f"the conjugated family is 2 x 2: d must be 2, not {d}")
     for i in range(count):
         label = f"{kind}{i:03d}"
         if kind == "diagonal":
@@ -226,15 +221,17 @@ def run_batch(family, schedule, out_dir=None,
               max_workers: int | None = None) -> BatchSummary:
     """Run the conjecture report over a family, persisting per-item records.
 
-    Per-item failures, an item ``require_inner`` rejects among them, are
-    recorded and the batch continues.  A function with deg1 <= 1 whose
-    per-level rank exceeds d * deg2 violates a proven bound and aborts the
-    whole batch: that is an implementation bug, not mathematics.  Writes
-    one JSON file per item plus a ``summary.csv`` (stable byte-for-byte
-    across reruns) when ``out_dir`` is given.  Items run on
-    ``_blas.thread_map`` threads (``max_workers``, else
-    ``BIDISK_LAB_THREADS``, else min(4, cpus)).
+    A bad schedule raises ``ValueError`` before any item runs.  Failures of
+    ``require_inner`` or ``conjecture_report`` are recorded per item and
+    the batch continues.  A function with deg1 <= 1 whose per-level rank
+    exceeds d * deg2 violates a proven bound and aborts the whole batch
+    with ``BatchScreeningError`` naming the first such level: that is an
+    implementation bug, not mathematics.  Writes one JSON file per item
+    plus a ``summary.csv`` (stable byte-for-byte across reruns) when
+    ``out_dir`` is given.  Items run on ``_blas.thread_map`` threads
+    (``max_workers``, else ``BIDISK_LAB_THREADS``, else min(4, cpus)).
     """
+    schedule = _validate_schedule(schedule)
     family = list(family)
 
     def run_one(idx_theta) -> BatchItem:
@@ -242,19 +239,15 @@ def run_batch(family, schedule, out_dir=None,
         label = f"item{idx:03d}_{theta.label}"
         try:
             record = conjecture_report(require_inner(theta), schedule)
-            m1, m2 = record.deg
-            if m1 <= 1:
-                bound = theta.d * m2
-                for lv in record.report.levels:
-                    if lv.rank > bound:
-                        raise BatchScreeningError(
-                            f"{label}: rank {lv.rank} at ({lv.A},{lv.B}) exceeds "
-                            f"the proven bound d*deg2 = {bound}")
-            return BatchItem(idx, label, record, None)
-        except BatchScreeningError:
-            raise
         except Exception as exc:  # error isolation: record and continue
             return BatchItem(idx, label, None, f"{type(exc).__name__}: {exc}")
+        bound = theta.d * record.deg[1]
+        over = [lv for lv in record.report.levels if lv.rank > bound]
+        if record.deg[0] <= 1 and over:
+            raise BatchScreeningError(
+                f"{label}: rank {over[0].rank} at ({over[0].A},{over[0].B}) exceeds "
+                f"the proven bound d*deg2 = {bound}")
+        return BatchItem(idx, label, record, None)
 
     items = thread_map(run_one, enumerate(family), max_workers)
 

@@ -431,8 +431,6 @@ def _builtin_scalar_stable4() -> RationalInnerMatrix:
 
 
 def scalar_z2n(n: int) -> RationalInnerMatrix:
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
     return from_scalar(BiPoly.monomial(0, n), BiPoly.one(), f"scalar_z2n({n})")
 
 

@@ -94,9 +94,7 @@ class BiPoly:
 
     @classmethod
     def monomial(cls, a: int, b: int, value=1.0) -> "BiPoly":
-        c = np.zeros((a + 1, b + 1), dtype=complex)
-        c[a, b] = value
-        return cls(c)
+        return cls.from_terms([(a, b, value)])
 
     @classmethod
     def from_terms(cls, terms) -> "BiPoly":

@@ -14,6 +14,7 @@ downstream decide how much a truncation may be trusted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -120,8 +121,12 @@ def _coefficients(theta: RationalInnerMatrix, A: int, R0, band) -> np.ndarray:
 
 def expand(theta: RationalInnerMatrix, A: int, B: int) -> TaylorTable:
     """Expand Theta = Q/p to the coefficient block [0..A] x [0..B] (``_coefficients``)."""
-    if A < 0 or B < 0:
-        raise ValueError("cutoffs must be nonnegative")
+    try:
+        valid = operator.index(A) >= 0 and operator.index(B) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"cutoffs ({A!r}, {B!r}) must be nonnegative integers")
     coeffs = _coefficients(theta, A, *_denominator_kernel(theta.p, A, B))
     return TaylorTable(theta.d, A, B, coeffs, _tail_norm(coeffs), theta.p.is_constant)
 

@@ -225,6 +225,16 @@ def test_conjecture_run_writes_records(tmp_path):
     assert len(files) == 3
 
 
+def test_conjecture_run_conjugated_needs_d2(tmp_path):
+    # the conjugated family is 2 x 2; any other --d is a usage error
+    args = ["conjecture", "run", "--kind", "conjugated", "--d", "3", "--count", "3",
+            "--out", str(tmp_path), "-q"]
+    assert run(args) == 2
+    res = invoke(*args)
+    assert res.exit_code == 2 and "d must be 2" in res.output
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_run_helper_exit_codes(tmp_path):
     assert run(["examples", "list"]) == 0
     assert run(["rank", "scalar_z1z2", "--schedule", "oops"]) == 2

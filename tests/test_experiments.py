@@ -1,5 +1,6 @@
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bidisklab.experiments import (
     run_batch,
 )
 from bidisklab.inner import RationalInnerMatrix, builtin, verify_inner_exact
+from bidisklab.modelspace import RankReport, SweepVerdict
 from bidisklab.polynomials import BiPoly, MatPoly, reflect
 
 SCHED = [(4, 4), (6, 6), (8, 8)]
@@ -63,6 +65,40 @@ def test_generic_product_exposes_violation_candidates():
     assert np.allclose(sig[:2], [s * s, c * c], atol=1e-10)
 
 
+SLOW = "SLOW_TAYLOR_DECAY"
+STABLE, DIVERGENT = SweepVerdict.STABLE, SweepVerdict.DIVERGENT
+
+
+@pytest.mark.parametrize("deg1,sweep,stabilized,warnings,d2,verdict,graded_warnings,predicted", [
+    # deg1 <= 1: the prediction is a STABLE sweep at rank deg2 det Theta
+    (0, STABLE, 1, (), 1, CONSISTENT, (), 1),
+    (1, STABLE, 1, (), 1, CONSISTENT, (), 1),
+    (1, STABLE, 2, (SLOW,), 1, INCONCLUSIVE,
+     (SLOW, "rank 2 != predicted 1 under truncation warnings"), 1),
+    (1, STABLE, 2, (), 1, VIOLATION_CANDIDATE, (), 1),
+    (0, DIVERGENT, None, (), 2, INCONCLUSIVE, (), 2),
+    (1, SweepVerdict.INCONCLUSIVE, None, (SLOW,), 1, INCONCLUSIVE, (SLOW,), 1),
+    # deg1 >= 2: the prediction is an infinite rank, a DIVERGENT sweep
+    (2, DIVERGENT, None, (), 1, CONSISTENT, (), None),
+    (3, DIVERGENT, None, (SLOW,), 2, CONSISTENT, (SLOW,), None),
+    (2, STABLE, 1, (SLOW,), 1, INCONCLUSIVE,
+     (SLOW, "stabilized despite deg1 >= 2, under truncation warnings"), None),
+    (2, STABLE, 1, (), 1, VIOLATION_CANDIDATE, (), None),
+    (2, SweepVerdict.INCONCLUSIVE, None, (), 1, INCONCLUSIVE, (), None),
+])
+def test_grade_table(monkeypatch, deg1, sweep, stabilized, warnings, d2, verdict,
+                     graded_warnings, predicted):
+    # every outcome of the grade on a synthetic sweep, the generated
+    # families reaching only a few of them
+    import bidisklab.experiments as xp
+
+    report = RankReport("synthetic", (deg1, 2), (deg1, d2), (), stabilized, sweep, warnings)
+    monkeypatch.setattr(xp, "rank_sweep", lambda theta, schedule: report)
+    rec = conjecture_report(SimpleNamespace(label="synthetic"), SCHED)
+    assert (rec.verdict, rec.warnings, rec.predicted_rank) == (verdict, graded_warnings, predicted)
+    assert rec.report is report
+
+
 def test_family_determinism():
     a = generate_family("diagonal", 5, d=2, seed=11)
     b = generate_family("diagonal", 5, d=2, seed=11)
@@ -102,6 +138,14 @@ def test_conjugated_family_keeps_det_degree():
         assert th.det_deg == base.det_deg
 
 
+def test_conjugated_family_refuses_other_dimensions():
+    # its bases are the 2 x 2 builtins, so a d = 3 request cannot be met
+    for d in (1, 3):
+        with pytest.raises(ValueError, match="d must be 2"):
+            generate_family("conjugated", 3, d=d)
+    assert [th.d for th in generate_family("conjugated", 3, d=2)] == [2, 2, 2]
+
+
 def test_unknown_family_kind():
     with pytest.raises(ValueError):
         generate_family("mystery", 3)
@@ -122,6 +166,17 @@ def test_run_batch_empty(tmp_path):
     assert summary.items == ()
     assert (tmp_path / "summary.csv").read_text() == \
         "label,m1,m2,D1,D2,stabilized_rank,verdict\n"
+
+
+def test_run_batch_validates_the_schedule_once(tmp_path):
+    # a bad schedule is the batch's error, not one error per item
+    fam = generate_family("diagonal", 2, seed=1)
+    with pytest.raises(ValueError, match="at least three levels"):
+        run_batch(fam, [(4, 4)], out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # a schedule given as a one-pass iterable reaches every item
+    summary = run_batch(fam, iter(SCHED))
+    assert [len(it.record.report.levels) for it in summary.items] == [3, 3]
 
 
 def test_run_batch_isolates_bad_item(tmp_path):
@@ -189,7 +244,7 @@ def test_screening_error_aborts_loudly(tmp_path, monkeypatch):
                              rec.predicted_rank, rec.verdict, rec.warnings)
 
     monkeypatch.setattr(xp, "conjecture_report", fake_report)
-    with pytest.raises(BatchScreeningError):
+    with pytest.raises(BatchScreeningError, match=r"rank 99 at \(4,4\) exceeds .* = 2"):
         xp.run_batch([builtin("hadamard_z1z2")], SCHED, out_dir=tmp_path)
 
 

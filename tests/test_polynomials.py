@@ -37,6 +37,14 @@ def test_from_terms_rejects_negative_and_fractional_exponents():
     assert BiPoly.from_terms([(np.int64(2), 0, 1)]) == BiPoly.monomial(2, 0)
 
 
+def test_monomial_rejects_negative_and_fractional_exponents():
+    # refused by name, not by an IndexError from numpy
+    for a, b in ((-1, 0), (0, -2), (1.5, 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            BiPoly.monomial(a, b)
+    assert BiPoly.monomial(1, 2, 3.0) == BiPoly.from_terms([(1, 2, 3.0)])
+
+
 def test_square_of_sum():
     s = z1 + z2
     expected = BiPoly.from_terms([(2, 0, 1), (1, 1, 2), (0, 2, 1)])

@@ -99,6 +99,14 @@ def test_rejects_negative_cutoffs():
         expand(builtin("scalar_z1z2"), -1, 3)
 
 
+def test_rejects_fractional_cutoffs():
+    # refused by name, not by a TypeError from numpy's slicing
+    for A, B in ((4.5, 4), (4, 4.0)):
+        with pytest.raises(ValueError, match=r"cutoffs \(4"):
+            expand(builtin("hadamard_z1z2"), A, B)
+    assert expand(builtin("hadamard_z1z2"), np.int64(2), 2).coeffs.shape == (3, 3, 2, 2)
+
+
 def test_undersized_cutoff_flags_untrustworthy_tail():
     # z2^3 truncated at degree 3: its only coefficient sits on the outer
     # frame, so the table records a unit tail and is not classified FINITE
